@@ -17,11 +17,10 @@ import numpy as np
 
 from .csr import (
     CsrMatrix,
+    GaussSeidel,
     cholesky_factor,
     cholesky_solve,
     spmv,
-    tri_lower_solve,
-    tri_upper_solve,
     triple_product,
 )
 
@@ -126,9 +125,13 @@ def direct_interpolation(A: CsrMatrix, S: StrengthGraph, partition) -> CsrMatrix
 @dataclass
 class _Level:
     A: CsrMatrix
-    lower: CsrMatrix  # tril(A), forward Gauss-Seidel sweep operator
-    upper: CsrMatrix  # triu(A), backward sweep
     P: CsrMatrix | None = None
+    forward: GaussSeidel = field(init=False, repr=False)   # presmoothing sweep
+    backward: GaussSeidel = field(init=False, repr=False)  # postsmoothing sweep
+
+    def __post_init__(self):
+        self.forward = GaussSeidel(self.A, "forward")
+        self.backward = GaussSeidel(self.A, "backward")
 
 
 @dataclass
@@ -158,7 +161,7 @@ class AmgHierarchy:
 
 def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> AmgHierarchy:
     """Coarsen until the matrix is small or coarsening stalls (< 5% removed)."""
-    levels = [_Level(A, A.tril(), A.triu())]
+    levels = [_Level(A)]
     while levels[-1].A.nrows > coarse_size and len(levels) < max_levels:
         A_l = levels[-1].A
         S = strength_graph(A_l, theta)
@@ -169,7 +172,7 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
         P = direct_interpolation(A_l, S, partition)
         A_c = triple_product(P.transpose(), A_l, P)
         levels[-1].P = P
-        levels.append(_Level(A_c, A_c.tril(), A_c.triu()))
+        levels.append(_Level(A_c))
     factor = cholesky_factor(levels[-1].A.to_dense())
     H = AmgHierarchy(levels, factor, theta)
     H.nnz_per_level = [lvl.A.nnz for lvl in levels]
@@ -182,11 +185,11 @@ def _vcycle(H: AmgHierarchy, level: int, r):
         return cholesky_solve(None, r, factor=H.coarsest_factor)
     x = np.zeros_like(r)
     for _ in range(H.pre_sweeps):
-        x += tri_lower_solve(lvl.lower, r - spmv(lvl.A, x))
+        x += lvl.forward(r - spmv(lvl.A, x))
     resid = r - spmv(lvl.A, x)
     x += spmv(lvl.P, _vcycle(H, level + 1, spmv(lvl.P.transpose(), resid)))
     for _ in range(H.post_sweeps):
-        x += tri_upper_solve(lvl.upper, r - spmv(lvl.A, x))
+        x += lvl.backward(r - spmv(lvl.A, x))
     return x
 
 
@@ -196,6 +199,14 @@ def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:
     if r.shape[0] != H.levels[0].A.nrows:
         raise ValueError("residual length does not match the finest level")
     return _vcycle(H, 0, r)
+
+
+def vcycles(H: AmgHierarchy, r, cycles: int) -> np.ndarray:
+    """``cycles`` V-cycles on A x = r from a zero guess, A the finest level."""
+    x = vcycle_apply(H, r)
+    for _ in range(cycles - 1):
+        x += vcycle_apply(H, r - spmv(H.levels[0].A, x))
+    return x
 
 
 def operator_complexity(H: AmgHierarchy) -> float:
@@ -210,10 +221,6 @@ class VCyclePreconditioner:
     def __init__(self, hierarchy: AmgHierarchy, cycles: int = 1):
         self.hierarchy = hierarchy
         self.cycles = cycles
-        self._A = hierarchy.levels[0].A
 
     def __call__(self, r):
-        x = vcycle_apply(self.hierarchy, r)
-        for _ in range(self.cycles - 1):
-            x += vcycle_apply(self.hierarchy, r - spmv(self._A, x))
-        return x
+        return vcycles(self.hierarchy, r, self.cycles)

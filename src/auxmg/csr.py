@@ -1,9 +1,14 @@
-"""Sparse CSR matrices and small dense kernels.
+"""Sparse CSR matrices, Gauss-Seidel sweeps and small dense kernels.
 
 Everything downstream (assembly, transfer, AMG, Krylov) works with
 :class:`CsrMatrix`.  Kernels are deterministic: entries are stored with
 strictly increasing column indices per row and summations run in that
-order, so repeated runs on one machine are bit-identical.
+order, so repeated runs on one machine are bit-identical.  A matrix is
+immutable, so its transpose is built once and cached.
+
+:class:`GaussSeidel` is the one triangular-sweep type: every smoother
+prepares its forward and backward sweeps once at setup, and each call
+is a single triangular substitution.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse.linalg._dsolve import _superlu  # gstrs, the kernel of spsolve_triangular
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -37,7 +43,7 @@ class CsrMatrix:
     Explicitly stored zeros are kept; the sparsity pattern is structural.
     """
 
-    __slots__ = ("nrows", "ncols", "row_ptr", "col_idx", "values", "_scipy")
+    __slots__ = ("nrows", "ncols", "row_ptr", "col_idx", "values", "_scipy", "_transpose")
 
     def __init__(self, nrows, ncols, row_ptr, col_idx, values, check=True):
         self.nrows = int(nrows)
@@ -46,6 +52,7 @@ class CsrMatrix:
         self.col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._scipy = None
+        self._transpose = None
         if check:
             self._validate()
         for arr in (self.row_ptr, self.col_idx, self.values):
@@ -133,7 +140,10 @@ class CsrMatrix:
         return self.to_scipy().toarray()
 
     def transpose(self):
-        return CsrMatrix.from_scipy(self.to_scipy().T.tocsr())
+        """A^T, built on the first call and cached."""
+        if self._transpose is None:
+            self._transpose = CsrMatrix.from_scipy(self.to_scipy().T.tocsr())
+        return self._transpose
 
     def diagonal(self):
         return self.to_scipy().diagonal()
@@ -203,11 +213,6 @@ def matmul(A: CsrMatrix, B: CsrMatrix) -> CsrMatrix:
     return CsrMatrix.from_scipy(S)
 
 
-def galerkin_symmetric(A: CsrMatrix, P: CsrMatrix) -> CsrMatrix:
-    """P^T A P."""
-    return triple_product(P.transpose(), A, P)
-
-
 # -- dense kernels -------------------------------------------------------
 
 
@@ -257,14 +262,80 @@ def cholesky_solve(M, b, factor=None):
     return scipy.linalg.solve_triangular(L.T, y, lower=False)
 
 
+class GaussSeidel:
+    """One Gauss-Seidel sweep on the residual equation, prepared once.
+
+    ``GaussSeidel(A, "forward")(b)`` is ``tril(A)^{-1} b`` and
+    ``GaussSeidel(A, "backward")(b)`` is ``triu(A)^{-1} b``.  Construction
+    does what ``scipy.sparse.linalg.spsolve_triangular`` repeats on every
+    call: it takes the triangle, scales its columns by 1/diag, drops the
+    exact zeros, and lays it out with its unit partner triangle as
+    SuperLU's ``intc`` CSC pair.  A call is one SuperLU ``gstrs``
+    substitution and one diagonal scale, the same kernel and arithmetic,
+    so the result is bit-identical to ``spsolve_triangular``.
+
+    Raises ValueError naming the first row whose diagonal entry is zero
+    or not finite.
+    """
+
+    __slots__ = ("direction", "_lower", "_upper", "_inv_diag")
+
+    def __init__(self, A: CsrMatrix, direction: str):
+        if direction not in ("forward", "backward"):
+            raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+        if A.nrows != A.ncols:
+            raise ValueError(f"Gauss-Seidel needs a square matrix, got {A.shape}")
+        n = A.nrows
+        diag = A.diagonal()
+        bad = np.flatnonzero((diag == 0.0) | ~np.isfinite(diag))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"Gauss-Seidel needs a nonzero finite diagonal: row {i} has {diag[i]}")
+        if A.nnz > np.iinfo(np.intc).max:
+            raise ValueError(f"{A.nnz} nonzeros exceed SuperLU's index range")
+        self.direction = direction
+        self._inv_diag = 1.0 / diag
+        rows = np.repeat(np.arange(n, dtype=np.intc), np.diff(A.row_ptr))
+        keep = A.col_idx <= rows if direction == "forward" else A.col_idx >= rows
+        rows, cols = rows[keep], A.col_idx[keep].astype(np.intc)
+        vals = A.values[keep] * self._inv_diag[cols]
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        # the CSR arrays of tri(A) D^{-1} are the CSC arrays of its
+        # transpose, which gstrs solves with trans="T"
+        ptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+        tri = (vals, cols, ptr)
+        if direction == "forward":
+            # the strict triangle takes SuperLU's U slot with its diagonal
+            # stored as explicit zeros; L is the identity
+            vals[cols == rows] = 0.0
+            self._lower = (np.ones(n), np.arange(n, dtype=np.intc), np.arange(n + 1, dtype=np.intc))
+            self._upper = tri
+        else:
+            self._lower = tri
+            self._upper = (np.empty(0), np.empty(0, dtype=np.intc), np.zeros(n + 1, dtype=np.intc))
+
+    def __call__(self, b):
+        b = np.array(b, dtype=np.float64)  # gstrs overwrites its right-hand side
+        n = len(self._inv_diag)
+        if b.shape != (n,):
+            raise ValueError(f"dimension mismatch: sweep is {n}x{n}, b has shape {b.shape}")
+        (lv, li, lp), (uv, ui, up) = self._lower, self._upper
+        x, info = _superlu.gstrs("T", n, len(lv), lv, li, lp, n, len(uv), uv, ui, up, b)
+        if info:
+            raise np.linalg.LinAlgError(f"triangular solve failed (SuperLU info {info})")
+        return x * self._inv_diag
+
+
 def tri_lower_solve(L: CsrMatrix, b):
     """x = L^{-1} b for sparse lower-triangular L (diagonal included)."""
-    return scipy.sparse.linalg.spsolve_triangular(L.to_scipy(), np.asarray(b, dtype=np.float64), lower=True)
+    return GaussSeidel(L, "forward")(b)
 
 
 def tri_upper_solve(U: CsrMatrix, b):
     """x = U^{-1} b for sparse upper-triangular U (diagonal included)."""
-    return scipy.sparse.linalg.spsolve_triangular(U.to_scipy(), np.asarray(b, dtype=np.float64), lower=False)
+    return GaussSeidel(U, "backward")(b)
 
 
 # -- Matrix Market I/O ---------------------------------------------------

@@ -22,13 +22,10 @@ class TransferOperator:
         self.prolongation = prolongation
         self.fine_space = fine_space
         self.coarse_space = coarse_space
-        self._restriction = None
 
     @property
     def restriction(self) -> CsrMatrix:
-        if self._restriction is None:
-            self._restriction = self.prolongation.transpose()
-        return self._restriction
+        return self.prolongation.transpose()
 
     def eliminated(self) -> CsrMatrix:
         """Prolongation restricted to interior rows and columns."""

@@ -26,15 +26,15 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .amg import AmgHierarchy, build_hierarchy, vcycle_apply
+from .amg import AmgHierarchy, build_hierarchy, vcycles
 from .csr import (
     CsrMatrix,
+    GaussSeidel,
     cholesky_factor,
     cholesky_solve,
     matmul,
     spmv,
     tri_lower_solve,
-    tri_upper_solve,
     triple_product,
 )
 
@@ -70,8 +70,8 @@ class TwoLevelPreconditioner:
         self.P = P
         self.n_coarse = P.ncols
         self.A_H = triple_product(P.transpose(), A, P)
-        self.lower = A.tril()
-        self.upper = A.triu()
+        self.forward = GaussSeidel(A, "forward")
+        self.backward = GaussSeidel(A, "backward")
         self.presmooth = presmooth
         self.post = post
         self.coarse_mode = coarse
@@ -90,17 +90,12 @@ class TwoLevelPreconditioner:
 
     # smoother sweeps as operators applied to a residual (zero guess)
     def _sweep(self, direction, d):
-        if direction == "forward":
-            return tri_lower_solve(self.lower, d)
-        return tri_upper_solve(self.upper, d)
+        return (self.forward if direction == "forward" else self.backward)(d)
 
     def coarse_solve(self, r_H):
         if self.coarse_mode == "exact":
             return cholesky_solve(None, r_H, factor=self._coarse_factor)
-        x = vcycle_apply(self.hierarchy, r_H)
-        for _ in range(self.cycles - 1):
-            x += vcycle_apply(self.hierarchy, r_H - spmv(self.A_H, x))
-        return x
+        return vcycles(self.hierarchy, r_H, self.cycles)
 
     def _apply(self, r, pre_dir, post_dir):
         u = np.zeros_like(r)
@@ -141,10 +136,6 @@ class TwoLevelPreconditioner:
 
     def level_count(self) -> int:
         return 1 + (self.hierarchy.num_levels if self.hierarchy is not None else (1 if self.n_coarse else 0))
-
-
-def two_level_apply(M: TwoLevelPreconditioner, r) -> np.ndarray:
-    return M.apply(r)
 
 
 # -- augmented formulation --------------------------------------------------

@@ -13,7 +13,7 @@ from auxmg.amg import (
     strength_graph,
     vcycle_apply,
 )
-from auxmg.csr import CsrMatrix, cholesky_factor, dense_sym_eigen, spmv
+from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, dense_sym_eigen, spmv
 from auxmg.fem import assemble_operator, eliminate_dirichlet, build_space
 from auxmg.mesh import build_cube_mesh
 from auxmg.problems import poisson_setup
@@ -171,6 +171,21 @@ class TestHierarchy:
             w, _ = dense_sym_eigen(lvl.A.to_dense())
             assert w[0] > 0
 
+    def test_zero_diagonal_fails_at_setup(self):
+        A = laplace_1d(9)
+        values = A.values.copy()
+        values[A.row_ptr[4] + 1] = 0.0  # a_44
+        with pytest.raises(ValueError, match="row 4"):
+            build_hierarchy(CsrMatrix(9, 9, A.row_ptr, A.col_idx, values), coarse_size=2)
+
+    def test_levels_hold_prepared_sweeps(self):
+        H = build_hierarchy(poisson_setup(2, 2).system.A, theta=0.25, coarse_size=4)
+        assert H.num_levels >= 2
+        for lvl in H.levels:
+            assert (lvl.forward.direction, lvl.backward.direction) == ("forward", "backward")
+            others = [v for k, v in vars(lvl).items() if k not in ("A", "P")]
+            assert all(isinstance(v, GaussSeidel) for v in others) and len(others) == 2
+
     def test_stagnation_guard(self):
         # no negative couplings: all points stay coarse, single level
         H = build_hierarchy(CsrMatrix.from_dense(np.diag(np.arange(1.0, 80.0))), coarse_size=4)
@@ -248,8 +263,8 @@ class TestOperatorComplexity:
         assert operator_complexity(H) == 1.0
 
     def test_definition(self):
-        lvl1 = _Level(CsrMatrix.identity(100), CsrMatrix.identity(100), CsrMatrix.identity(100))
-        lvl2 = _Level(CsrMatrix.identity(30), CsrMatrix.identity(30), CsrMatrix.identity(30))
+        lvl1 = _Level(CsrMatrix.identity(100))
+        lvl2 = _Level(CsrMatrix.identity(30))
         H = AmgHierarchy([lvl1, lvl2], cholesky_factor(np.eye(30)), 0.25)
         assert operator_complexity(H) == pytest.approx(1.3)
 

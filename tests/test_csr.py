@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from auxmg.amg import build_hierarchy
 from auxmg.csr import (
     CsrMatrix,
+    GaussSeidel,
     NotPositiveDefiniteError,
     cholesky_solve,
     dense_sym_eigen,
@@ -11,6 +16,8 @@ from auxmg.csr import (
     triple_product,
     write_matrix_market,
 )
+from auxmg.fem import assemble_operator, build_space, eliminate_dirichlet
+from auxmg.mesh import build_cube_mesh
 
 
 def random_csr(rng, nrows, ncols, density=0.5):
@@ -55,6 +62,19 @@ class TestCsrInvariants:
         assert A.is_symmetric()
         B = CsrMatrix.from_dense([[2.0, -1.0], [-0.5, 2.0]])
         assert not B.is_symmetric()
+
+
+class TestTranspose:
+    def test_cached(self):
+        A, _ = random_csr(np.random.default_rng(4), 5, 7)
+        assert A.transpose() is A.transpose()
+
+    def test_matches_scipy(self):
+        A, dense = random_csr(np.random.default_rng(5), 6, 4)
+        T = A.transpose()
+        assert T.shape == (4, 6)
+        assert (T.to_scipy() != A.to_scipy().T).nnz == 0
+        assert np.array_equal(T.to_dense(), dense.T)
 
 
 class TestSpmv:
@@ -122,6 +142,73 @@ class TestTripleProduct:
         P = CsrMatrix.identity(4)
         with pytest.raises(ValueError):
             triple_product(P, A, P)
+
+
+def p4_stiffness_n2():
+    mesh = build_cube_mesh(2)
+    space = build_space(mesh, 4)
+    return eliminate_dirichlet(assemble_operator(space, "stiffness"), np.zeros(space.n_dofs), space).A
+
+
+@st.composite
+def diagonally_dominant(draw):
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.standard_normal((n, n))
+    dense[rng.random((n, n)) > draw(st.floats(0.0, 1.0))] = 0.0
+    np.fill_diagonal(dense, 0.0)
+    sign = rng.choice([-1.0, 1.0], size=n)
+    np.fill_diagonal(dense, sign * (np.abs(dense).sum(axis=1) + rng.uniform(0.5, 2.0, size=n)))
+    return dense, rng.standard_normal(n)
+
+
+class TestGaussSeidel:
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_bit_identical_to_spsolve_triangular(self, level):
+        A = build_hierarchy(p4_stiffness_n2()).levels[level].A
+        S = A.to_scipy()
+        b = np.random.default_rng(level).standard_normal(A.nrows)
+        fwd = scipy.sparse.linalg.spsolve_triangular(scipy.sparse.tril(S, format="csr"), b, lower=True)
+        bwd = scipy.sparse.linalg.spsolve_triangular(scipy.sparse.triu(S, format="csr"), b, lower=False)
+        assert np.array_equal(GaussSeidel(A, "forward")(b), fwd)
+        assert np.array_equal(GaussSeidel(A, "backward")(b), bwd)
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagonally_dominant())
+    def test_matches_dense_triangular_solve(self, case):
+        dense, b = case
+        A = CsrMatrix.from_dense(dense)
+        for direction, tri in (("forward", np.tril), ("backward", np.triu)):
+            x = GaussSeidel(A, direction)(b)
+            ref = np.linalg.solve(tri(dense), b)
+            assert np.allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_leaves_right_hand_side_alone(self):
+        A = CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        b = np.array([1.0, 1.0])
+        GaussSeidel(A, "forward")(b)
+        assert np.array_equal(b, [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_bad_diagonal_names_the_row(self, bad):
+        A = CsrMatrix.from_dense([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        values = A.values.copy()
+        values[A.col_idx == 1] = [-1.0, bad, -1.0]
+        B = CsrMatrix(3, 3, A.row_ptr, A.col_idx, values)
+        with pytest.raises(ValueError, match="row 1"):
+            GaussSeidel(B, "backward")
+
+    def test_missing_diagonal_entry_rejected(self):
+        A = CsrMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="row 1"):
+            GaussSeidel(A, "forward")
+
+    def test_rejects_bad_direction_and_length(self):
+        A = CsrMatrix.identity(3)
+        with pytest.raises(ValueError):
+            GaussSeidel(A, "sideways")
+        with pytest.raises(ValueError):
+            GaussSeidel(A, "forward")(np.ones(4))
 
 
 class TestDenseKernels:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from auxmg.csr import CsrMatrix, spmv
+from auxmg.csr import CsrMatrix, GaussSeidel, spmv
 from auxmg.problems import poisson_setup
 from auxmg.twolevel import (
     AugmentedSystem,
@@ -90,6 +90,19 @@ class TestTwoLevelApply:
         r = np.array([3.0])
         x = M.apply(r)
         assert np.allclose(spmv(A, x), r)  # single unknown: sweep solves exactly
+
+    def test_sweeps_prepared_once(self):
+        A, P, M = two_level(2, 2)
+        assert isinstance(M.forward, GaussSeidel) and M.forward.direction == "forward"
+        assert isinstance(M.backward, GaussSeidel) and M.backward.direction == "backward"
+        assert not any(isinstance(v, CsrMatrix) and v not in (M.A, M.P, M.A_H) for v in vars(M).values())
+
+    def test_zero_diagonal_fails_at_setup(self):
+        A, P, _ = two_level(2, 2, coarse="exact")
+        values = A.values.copy()
+        values[(A.col_idx == 3) & (np.repeat(np.arange(A.nrows), np.diff(A.row_ptr)) == 3)] = 0.0
+        with pytest.raises(ValueError, match="row 3"):
+            TwoLevelPreconditioner(CsrMatrix(A.nrows, A.ncols, A.row_ptr, A.col_idx, values), P)
 
 
 class TestAugmentedSystem:
