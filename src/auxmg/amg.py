@@ -12,6 +12,7 @@ deterministic; ties always resolve to the lowest index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -139,11 +140,6 @@ class AmgHierarchy:
     levels: list
     coarsest_factor: np.ndarray
     theta: float
-    pre_sweeps: int = 1
-    post_sweeps: int = 1
-    max_levels: int = 20
-    coarse_size_threshold: int = 64
-    nnz_per_level: list = field(default_factory=list)
 
     @property
     def num_levels(self):
@@ -160,7 +156,11 @@ class AmgHierarchy:
 
 
 def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> AmgHierarchy:
-    """Coarsen until the matrix is small or coarsening stalls (< 5% removed)."""
+    """Coarsen until the matrix is small or coarsening stalls (< 5% removed).
+
+    ``max_levels=1`` gives a one-level hierarchy whose cycle is the
+    dense Cholesky solve of A.
+    """
     levels = [_Level(A)]
     while levels[-1].A.nrows > coarse_size and len(levels) < max_levels:
         A_l = levels[-1].A
@@ -173,24 +173,28 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
         A_c = triple_product(P.transpose(), A_l, P)
         levels[-1].P = P
         levels.append(_Level(A_c))
-    factor = cholesky_factor(levels[-1].A.to_dense())
-    H = AmgHierarchy(levels, factor, theta)
-    H.nnz_per_level = [lvl.A.nnz for lvl in levels]
-    return H
+    return AmgHierarchy(levels, cholesky_factor(levels[-1].A.to_dense()), theta)
+
+
+def smooth_and_correct(A: CsrMatrix, P: CsrMatrix, r, coarse_solve, pre, post) -> np.ndarray:
+    """One multigrid step on A x = r from a zero guess: the ``pre`` sweep,
+    the coarse correction P coarse_solve(P^T residual), the ``post``
+    sweep.  A sweep that is None is skipped.
+
+    Every V-cycle level and the two-level preconditioner take this step.
+    """
+    x = np.zeros_like(r) if pre is None else pre(r)
+    x = x + spmv(P, coarse_solve(spmv(P.transpose(), r - spmv(A, x))))
+    if post is not None:
+        x = x + post(r - spmv(A, x))
+    return x
 
 
 def _vcycle(H: AmgHierarchy, level: int, r):
-    lvl = H.levels[level]
     if level == len(H.levels) - 1:
         return cholesky_solve(None, r, factor=H.coarsest_factor)
-    x = np.zeros_like(r)
-    for _ in range(H.pre_sweeps):
-        x += lvl.forward(r - spmv(lvl.A, x))
-    resid = r - spmv(lvl.A, x)
-    x += spmv(lvl.P, _vcycle(H, level + 1, spmv(lvl.P.transpose(), resid)))
-    for _ in range(H.post_sweeps):
-        x += lvl.backward(r - spmv(lvl.A, x))
-    return x
+    lvl = H.levels[level]
+    return smooth_and_correct(lvl.A, lvl.P, r, partial(_vcycle, H, level + 1), lvl.forward, lvl.backward)
 
 
 def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:
@@ -224,3 +228,9 @@ class VCyclePreconditioner:
 
     def __call__(self, r):
         return vcycles(self.hierarchy, r, self.cycles)
+
+    def operator_complexity(self) -> float:
+        return operator_complexity(self.hierarchy)
+
+    def level_count(self) -> int:
+        return self.hierarchy.num_levels

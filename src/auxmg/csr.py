@@ -233,25 +233,18 @@ def dense_sym_eigen(M, tol=1e-12):
 
 
 def cholesky_factor(M):
-    """Lower Cholesky factor of a dense SPD matrix.
+    """Lower Cholesky factor of a dense SPD matrix (LAPACK ``potrf``).
 
     Raises :class:`NotPositiveDefiniteError` naming the first
     nonpositive pivot.
     """
     M = np.asarray(M, dtype=np.float64)
-    n = M.shape[0]
-    if M.ndim != 2 or M.shape[1] != n:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
-    L = np.array(M, dtype=np.float64, order="C")
-    for j in range(n):
-        d = L[j, j] - L[j, :j] @ L[j, :j]
-        if d <= 0.0:
-            raise NotPositiveDefiniteError(j)
-        d = np.sqrt(d)
-        L[j, j] = d
-        if j + 1 < n:
-            L[j + 1 :, j] = (L[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / d
-    return np.tril(L)
+    L, info = scipy.linalg.lapack.dpotrf(M, lower=True, clean=True)
+    if info > 0:
+        raise NotPositiveDefiniteError(info - 1)
+    return L
 
 
 def cholesky_solve(M, b, factor=None):
@@ -331,11 +324,6 @@ class GaussSeidel:
 def tri_lower_solve(L: CsrMatrix, b):
     """x = L^{-1} b for sparse lower-triangular L (diagonal included)."""
     return GaussSeidel(L, "forward")(b)
-
-
-def tri_upper_solve(U: CsrMatrix, b):
-    """x = U^{-1} b for sparse upper-triangular U (diagonal included)."""
-    return GaussSeidel(U, "backward")(b)
 
 
 # -- Matrix Market I/O ---------------------------------------------------

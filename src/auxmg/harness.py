@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .amg import VCyclePreconditioner, build_hierarchy, operator_complexity
-from .csr import CsrMatrix, spmv, write_matrix_market
+from .amg import VCyclePreconditioner, build_hierarchy
+from .csr import CsrMatrix, spmv
 from .krylov import SolverConfig, fgmres
 from .problems import poisson_setup
 from .stokes import assemble_stokes, build_block_preconditioner, solve_cavity
@@ -113,9 +113,9 @@ def build_poisson_preconditioner(problem, engine, theta):
     A = problem.system.A
     if engine == "amg":
         M = VCyclePreconditioner(build_hierarchy(A, theta=theta))
-        return M, operator_complexity(M.hierarchy), M.hierarchy.num_levels
-    P = problem.prolongation_int if problem.prolongation_int is not None else CsrMatrix.identity(A.nrows)
-    M = TwoLevelPreconditioner(A, P, coarse="amg", theta=theta, presmooth=True)
+    else:
+        P = problem.prolongation_int if problem.prolongation_int is not None else CsrMatrix.identity(A.nrows)
+        M = TwoLevelPreconditioner(A, P, coarse="amg", theta=theta, presmooth=True)
     return M, M.operator_complexity(), M.level_count()
 
 
@@ -139,11 +139,7 @@ def _stokes_row(k, n, theta, engine, cfg: ExperimentConfig, rng) -> ReportRow:
     S = assemble_stokes(build_cube_mesh(n), k)
     precond = build_block_preconditioner(S, kind=cfg.precond_kind, engine=engine, theta=theta)
     setup = time.perf_counter() - t0
-    a_action = precond.a_action
-    if isinstance(a_action, TwoLevelPreconditioner):
-        c_op, levels = a_action.operator_complexity(), a_action.level_count()
-    else:
-        c_op, levels = operator_complexity(a_action.hierarchy), a_action.hierarchy.num_levels
+    c_op, levels = precond.a_action.operator_complexity(), precond.a_action.level_count()
     method = "fgmres" if cfg.precond_kind == "Qt" else "minres"
     t0 = time.perf_counter()
     _, _, report = solve_cavity(
@@ -240,11 +236,6 @@ def parse_report_csv(text: str) -> ExperimentReport:
             error=d["error"],
         ))
     return ExperimentReport(rows)
-
-
-def export_matrix_market(A: CsrMatrix, path):
-    """Write any assembled operator as a Matrix Market coordinate file."""
-    write_matrix_market(A, path)
 
 
 # -- oracle verification ------------------------------------------------------

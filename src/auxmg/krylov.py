@@ -62,6 +62,18 @@ def _as_operator(obj):
     raise TypeError(f"cannot interpret {type(obj).__name__} as a linear operator")
 
 
+def _start(b, x0):
+    """b and the initial iterate as float arrays; a non-finite entry in
+    either fails here, before it reaches an operator or a recurrence."""
+    b = np.asarray(b, dtype=np.float64)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    for name, v in (("b", b), ("x0", x)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if len(bad):
+            raise ValueError(f"{name} has a non-finite entry at index {bad[0]}: {v[bad[0]]}")
+    return b, x
+
+
 def _denominator(b, r0):
     nb = np.linalg.norm(b)
     return nb if nb > 0.0 else max(np.linalg.norm(r0), np.finfo(float).tiny)
@@ -71,8 +83,7 @@ def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None, callback=None):
     """Preconditioned conjugate gradients for SPD A with SPD M ~ A^{-1}."""
     cfg = cfg or SolverConfig(method="cg")
     A, M = _as_operator(A), _as_operator(M)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    b, x = _start(b, x0)
     t0 = time.perf_counter()
     r = b - A(x)
     denom = _denominator(b, r)
@@ -114,8 +125,7 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
     """
     cfg = cfg or SolverConfig(method="minres")
     Aop, Mop = _as_operator(A), _as_operator(M)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    b, x = _start(b, x0)
     t0 = time.perf_counter()
 
     r1 = b - Aop(x)
@@ -196,8 +206,7 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
     """
     cfg = cfg or SolverConfig(method="fgmres")
     Aop, Mop = _as_operator(A), _as_operator(M)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    b, x = _start(b, x0)
     t0 = time.perf_counter()
 
     r = b - Aop(x)

@@ -229,6 +229,8 @@ class BlockPreconditioner:
         return z
 
     def apply(self, r_u, r_p):
+        if len(r_u) != self.system.n_velocity or len(r_p) != self.system.n_pressure:
+            raise ValueError("residual block sizes do not match the system")
         if self.kind == "Qt":
             z_p = -self._mass_solve(r_p)
             z_u = self._velocity_solve(r_u - spmv(self.system.B.transpose(), z_p))
@@ -242,14 +244,6 @@ class BlockPreconditioner:
         z_u, z_p = self.apply(r_u, r_p)
         z_p = project_pressure_mean(z_p, self.system.M_p)
         return np.concatenate([z_u, z_p])
-
-
-def apply_block_preconditioner(P: BlockPreconditioner, S: StokesSystem, r):
-    """Tuple-blocked entry point: r = (r_u, r_p) -> (z_u, z_p)."""
-    r_u, r_p = r
-    if len(r_u) != S.n_velocity or len(r_p) != S.n_pressure:
-        raise ValueError("residual block sizes do not match the system")
-    return P.apply(np.asarray(r_u, dtype=np.float64), np.asarray(r_p, dtype=np.float64))
 
 
 def build_block_preconditioner(S: StokesSystem, kind="Qt", engine="gamg", theta=0.8,

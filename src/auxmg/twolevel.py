@@ -26,21 +26,14 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .amg import AmgHierarchy, build_hierarchy, vcycles
-from .csr import (
-    CsrMatrix,
-    GaussSeidel,
-    cholesky_factor,
-    cholesky_solve,
-    matmul,
-    spmv,
-    tri_lower_solve,
-    triple_product,
-)
+from .amg import build_hierarchy, smooth_and_correct, vcycle_apply
+from .csr import CsrMatrix, GaussSeidel, cholesky_solve, matmul, spmv, triple_product
 
 
 class TwoLevelPreconditioner:
-    """Smoothing on the fine operator plus an exact-or-AMG coarse solve.
+    """Smoothing on the fine operator plus an exact-or-AMG coarse solve:
+    the top level of a V-cycle whose coarse levels are a hierarchy of
+    P^T A P.
 
     Parameters
     ----------
@@ -49,9 +42,9 @@ class TwoLevelPreconditioner:
     P : CsrMatrix
         Prolongation from the coarse space, matching A's dimension.
     coarse : "exact" or "amg"
-        Coarse solver for P^T A P: dense Cholesky, or ``cycles`` V-cycles
-        of a classical AMG hierarchy built with strength threshold
-        ``theta``.
+        Coarse solver for P^T A P: one V-cycle of a classical AMG
+        hierarchy built with strength threshold ``theta``, or of a
+        one-level hierarchy, whose cycle is the dense Cholesky solve.
     presmooth : bool
         Forward Gauss-Seidel sweep before the coarse correction; with it
         the action is symmetric.
@@ -60,82 +53,53 @@ class TwoLevelPreconditioner:
     """
 
     def __init__(self, A: CsrMatrix, P: CsrMatrix, coarse="amg", theta=0.25,
-                 cycles=1, presmooth=True, post="backward",
-                 max_levels=20, coarse_size=64):
+                 presmooth=True, post="backward"):
         if A.nrows != A.ncols or A.nrows != P.nrows:
             raise ValueError("A and P dimensions do not match")
         if post not in ("backward", "forward"):
             raise ValueError("post must be 'backward' or 'forward'")
         self.A = A
         self.P = P
-        self.n_coarse = P.ncols
         self.A_H = triple_product(P.transpose(), A, P)
         self.forward = GaussSeidel(A, "forward")
         self.backward = GaussSeidel(A, "backward")
         self.presmooth = presmooth
         self.post = post
-        self.coarse_mode = coarse
-        self.cycles = cycles
-        self.hierarchy: AmgHierarchy | None = None
-        self._coarse_factor = None
-        if self.n_coarse:
-            if coarse == "exact":
-                self._coarse_factor = cholesky_factor(self.A_H.to_dense())
-            elif coarse == "amg":
-                self.hierarchy = build_hierarchy(
-                    self.A_H, theta=theta, max_levels=max_levels, coarse_size=coarse_size
-                )
-            else:
-                raise ValueError(f"unknown coarse solver {coarse!r}")
-
-    # smoother sweeps as operators applied to a residual (zero guess)
-    def _sweep(self, direction, d):
-        return (self.forward if direction == "forward" else self.backward)(d)
+        if coarse == "exact":
+            self.hierarchy = build_hierarchy(self.A_H, max_levels=1)
+        elif coarse == "amg":
+            self.hierarchy = build_hierarchy(self.A_H, theta=theta)
+        else:
+            raise ValueError(f"unknown coarse solver {coarse!r}")
 
     def coarse_solve(self, r_H):
-        if self.coarse_mode == "exact":
-            return cholesky_solve(None, r_H, factor=self._coarse_factor)
-        return vcycles(self.hierarchy, r_H, self.cycles)
-
-    def _apply(self, r, pre_dir, post_dir):
-        u = np.zeros_like(r)
-        if pre_dir is not None:
-            u = self._sweep(pre_dir, r)
-        if self.n_coarse:
-            d = r - spmv(self.A, u) if pre_dir is not None else r
-            u = u + spmv(self.P, self.coarse_solve(spmv(self.P.transpose(), d)))
-        if post_dir is not None:
-            u = u + self._sweep(post_dir, r - spmv(self.A, u))
-        return u
+        return vcycle_apply(self.hierarchy, r_H)
 
     def apply(self, r):
         r = np.asarray(r, dtype=np.float64)
         if r.shape[0] != self.A.nrows:
             raise ValueError("residual length does not match the operator")
-        return self._apply(r, "forward" if self.presmooth else None, self.post)
+        pre = self.forward if self.presmooth else None
+        post = self.backward if self.post == "backward" else self.forward
+        return smooth_and_correct(self.A, self.P, r, self.coarse_solve, pre, post)
 
     def apply_transpose(self, r):
         """Adjoint action: smoother order and directions reversed."""
         r = np.asarray(r, dtype=np.float64)
-        flip = {"forward": "backward", "backward": "forward"}
-        pre = flip[self.post]
-        post = flip["forward"] if self.presmooth else None
-        return self._apply(r, pre, post)
+        pre = self.forward if self.post == "backward" else self.backward
+        post = self.backward if self.presmooth else None
+        return smooth_and_correct(self.A, self.P, r, self.coarse_solve, pre, post)
 
     __call__ = apply
 
     def operator_complexity(self) -> float:
         """Stored nonzeros of the fine level plus the whole coarse
         hierarchy, relative to the fine level."""
-        coarse_nnz = (
-            sum(lvl.A.nnz for lvl in self.hierarchy.levels)
-            if self.hierarchy is not None
-            else self.A_H.nnz
-        )
-        return 1.0 + coarse_nnz / self.A.nnz
+        return 1.0 + sum(lvl.A.nnz for lvl in self.hierarchy.levels) / self.A.nnz
 
     def level_count(self) -> int:
-        return 1 + (self.hierarchy.num_levels if self.hierarchy is not None else (1 if self.n_coarse else 0))
+        """The fine level plus every coarse level that has unknowns."""
+        return 1 + sum(lvl.A.nrows > 0 for lvl in self.hierarchy.levels)
 
 
 # -- augmented formulation --------------------------------------------------
@@ -156,7 +120,7 @@ class AugmentedSystem:
     A_H: CsrMatrix   # R A P
     RA: CsrMatrix    # R A (coarse-fine coupling)
     AP: CsrMatrix    # A P
-    lower: CsrMatrix  # tril(A)
+    forward: GaussSeidel  # tril(A)^{-1}, prepared once
 
     @property
     def n_coarse(self):
@@ -191,7 +155,7 @@ class AugmentedSystem:
         B = np.zeros((self.dim, self.dim))
         B[: self.n_coarse, : self.n_coarse] = self.A_H.to_dense()
         B[self.n_coarse :, : self.n_coarse] = self.AP.to_dense()
-        B[self.n_coarse :, self.n_coarse :] = self.lower.to_dense()
+        B[self.n_coarse :, self.n_coarse :] = np.tril(self.A.to_dense())
         return B
 
 
@@ -202,7 +166,7 @@ def build_augmented(A: CsrMatrix, P: CsrMatrix) -> AugmentedSystem:
     RA = matmul(R, A)
     AP = matmul(A, P)
     A_H = triple_product(R, A, P)
-    return AugmentedSystem(A=A, P=P, A_H=A_H, RA=RA, AP=AP, lower=A.tril())
+    return AugmentedSystem(A=A, P=P, A_H=A_H, RA=RA, AP=AP, forward=GaussSeidel(A, "forward"))
 
 
 def augmented_rhs(S: AugmentedSystem, f) -> np.ndarray:
@@ -214,8 +178,7 @@ def augmented_gs_step(S: AugmentedSystem, v, f) -> np.ndarray:
     """One block Gauss-Seidel update v + (D - L)^{-1} (f - A v).
 
     The coarse block is solved exactly (dense Cholesky), the fine block
-    by one forward substitution with tril(A), i.e. a forward
-    Gauss-Seidel sweep fed by the updated coarse value.
+    by one forward Gauss-Seidel sweep fed by the updated coarse value.
     """
     v = np.asarray(v, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
@@ -223,12 +186,8 @@ def augmented_gs_step(S: AugmentedSystem, v, f) -> np.ndarray:
         raise ValueError("augmented vector length mismatch")
     r = f - S.matvec(v)
     rc, rf = r[: S.n_coarse], r[S.n_coarse :]
-    if S.n_coarse:
-        zc = cholesky_solve(S.A_H.to_dense(), rc)
-        zf = tri_lower_solve(S.lower, rf - spmv(S.AP, zc))
-    else:
-        zc = rc
-        zf = tri_lower_solve(S.lower, rf)
+    zc = cholesky_solve(S.A_H.to_dense(), rc)
+    zf = S.forward(rf - spmv(S.AP, zc))
     return v + np.concatenate([zc, zf])
 
 

@@ -13,7 +13,7 @@ from auxmg.amg import (
     strength_graph,
     vcycle_apply,
 )
-from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, dense_sym_eigen, spmv
+from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, dense_sym_eigen, spmv
 from auxmg.fem import assemble_operator, eliminate_dirichlet, build_space
 from auxmg.mesh import build_cube_mesh
 from auxmg.problems import poisson_setup
@@ -186,6 +186,13 @@ class TestHierarchy:
             others = [v for k, v in vars(lvl).items() if k not in ("A", "P")]
             assert all(isinstance(v, GaussSeidel) for v in others) and len(others) == 2
 
+    def test_one_level_hierarchy_is_the_dense_solve(self):
+        A = laplace_1d(100)  # larger than the default coarse size
+        H = build_hierarchy(A, max_levels=1)
+        assert H.num_levels == 1
+        r = np.random.default_rng(5).standard_normal(100)
+        assert np.array_equal(vcycle_apply(H, r), cholesky_solve(A.to_dense(), r))
+
     def test_stagnation_guard(self):
         # no negative couplings: all points stay coarse, single level
         H = build_hierarchy(CsrMatrix.from_dense(np.diag(np.arange(1.0, 80.0))), coarse_size=4)
@@ -283,6 +290,12 @@ class TestOperatorComplexity:
 
 
 class TestVCyclePreconditioner:
+    def test_complexity_and_levels_come_from_the_hierarchy(self):
+        H = build_hierarchy(poisson_setup(2, 2).system.A, coarse_size=4)
+        M = VCyclePreconditioner(H)
+        assert M.operator_complexity() == operator_complexity(H)
+        assert M.level_count() == H.num_levels >= 2
+
     def test_two_cycles_reduce_error_more(self):
         prob = poisson_setup(2, 1)
         A = prob.system.A

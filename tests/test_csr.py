@@ -9,6 +9,7 @@ from auxmg.csr import (
     CsrMatrix,
     GaussSeidel,
     NotPositiveDefiniteError,
+    cholesky_factor,
     cholesky_solve,
     dense_sym_eigen,
     read_matrix_market,
@@ -261,6 +262,19 @@ class TestDenseKernels:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             cholesky_solve(M, np.ones(3))
         assert exc.value.pivot == 1
+
+    def test_cholesky_factor_matches_column_loop(self):
+        # reference: the column-by-column factorisation LAPACK replaced
+        rng = np.random.default_rng(10)
+        B = rng.standard_normal((12, 12))
+        M = B.T @ B + np.eye(12)
+        ref = np.zeros_like(M)
+        for j in range(12):
+            ref[j, j] = np.sqrt(M[j, j] - ref[j, :j] @ ref[j, :j])
+            ref[j + 1 :, j] = (M[j + 1 :, j] - ref[j + 1 :, :j] @ ref[j, :j]) / ref[j, j]
+        L = cholesky_factor(M)
+        assert np.array_equal(L, np.tril(L))
+        assert np.max(np.abs(L - ref)) <= 100 * 12 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 class TestMatrixMarket:

@@ -228,3 +228,18 @@ class TestConfig:
         lines = text.strip().splitlines()
         assert lines[0] == "iteration,relres"
         assert len(lines) == rep.iterations + 2
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("solver", [pcg, minres, fgmres])
+    @pytest.mark.parametrize("precond", ["none", "two_level"])
+    @pytest.mark.parametrize("name", ["b", "x0"])
+    def test_fails_fast_naming_the_input(self, solver, precond, name):
+        prob = poisson_setup(2, 2)
+        A, P = prob.system.A, prob.prolongation_int
+        M = None if precond == "none" else TwoLevelPreconditioner(A, P, coarse="amg", presmooth=True)
+        rng = np.random.default_rng(10)
+        data = {"b": rng.standard_normal(A.nrows), "x0": rng.standard_normal(A.nrows)}
+        data[name][3] = np.nan if name == "x0" else np.inf
+        with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry at index 3"):
+            solver(A, M, data["b"], x0=data["x0"])

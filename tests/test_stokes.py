@@ -9,7 +9,6 @@ from auxmg.stokes import (
     InnerSolveError,
     StokesSystem,
     _assemble_divergence,
-    apply_block_preconditioner,
     assemble_stokes,
     build_block_preconditioner,
     project_pressure_mean,
@@ -134,7 +133,7 @@ class TestBlockPreconditioner:
     def test_zero_residual(self):
         S = assemble_stokes(build_cube_mesh(1), 2)
         P = build_block_preconditioner(S, kind="Qt")
-        z_u, z_p = apply_block_preconditioner(P, S, (np.zeros(S.n_velocity), np.zeros(S.n_pressure)))
+        z_u, z_p = P.apply(np.zeros(S.n_velocity), np.zeros(S.n_pressure))
         assert np.array_equal(z_u, np.zeros_like(z_u))
         assert np.array_equal(z_p, np.zeros_like(z_p))
 
@@ -148,8 +147,8 @@ class TestBlockPreconditioner:
         exact = _ExactBlocks(S)
         qt = BlockPreconditioner("Qt", exact, S, schur_tol=1e-12, schur_max_iters=200)
         qd = BlockPreconditioner("Qd", exact, S, schur_tol=1e-12, schur_max_iters=200)
-        zu_t, zp_t = apply_block_preconditioner(qt, S, r)
-        zu_d, zp_d = apply_block_preconditioner(qd, S, r)
+        zu_t, zp_t = qt.apply(*r)
+        zu_d, zp_d = qd.apply(*r)
         assert np.max(np.abs(zu_t - zu_d)) <= 1e-12
         assert np.max(np.abs(zp_t + zp_d)) <= 1e-12
 
@@ -160,7 +159,7 @@ class TestBlockPreconditioner:
         x = rng.standard_normal(S.dim)
         r = S.apply_operator(x)
         qt = BlockPreconditioner("Qt", _ExactBlocks(S), S, schur_tol=1e-14, schur_max_iters=500)
-        z_u, z_p = apply_block_preconditioner(qt, S, (r[:nu], r[nu:]))
+        z_u, z_p = qt.apply(r[:nu], r[nu:])
         T = np.zeros((S.dim, S.dim))
         T[:nu, :nu] = S.A.to_dense()
         T[:nu, nu:] = S.B.to_dense().T
@@ -168,12 +167,18 @@ class TestBlockPreconditioner:
         z_ref = np.linalg.solve(T, r)
         assert np.max(np.abs(np.concatenate([z_u, z_p]) - z_ref)) <= 1e-10 * max(1.0, np.max(np.abs(z_ref)))
 
+    def test_block_sizes_checked(self):
+        S = assemble_stokes(build_cube_mesh(1), 2)
+        P = build_block_preconditioner(S, kind="Qd")
+        with pytest.raises(ValueError, match="block sizes"):
+            P.apply(np.zeros(S.n_velocity + 1), np.zeros(S.n_pressure))
+
     def test_inner_solve_failure_carries_report(self):
         S = assemble_stokes(build_cube_mesh(1), 2)
         P = build_block_preconditioner(S, kind="Qt", schur_tol=1e-30)
         P.schur_max_iters = 1
         with pytest.raises(InnerSolveError) as exc:
-            apply_block_preconditioner(P, S, (np.zeros(S.n_velocity), np.ones(S.n_pressure)))
+            P.apply(np.zeros(S.n_velocity), np.ones(S.n_pressure))
         assert exc.value.report.iterations == 1
 
     def test_qd_action_spd(self):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from auxmg.csr import CsrMatrix, GaussSeidel, spmv
+from auxmg.amg import AmgHierarchy, _Level, build_hierarchy, vcycle_apply
+from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_solve, spmv, triple_product
 from auxmg.problems import poisson_setup
 from auxmg.twolevel import (
     AugmentedSystem,
@@ -103,6 +104,71 @@ class TestTwoLevelApply:
         values[(A.col_idx == 3) & (np.repeat(np.arange(A.nrows), np.diff(A.row_ptr)) == 3)] = 0.0
         with pytest.raises(ValueError, match="row 3"):
             TwoLevelPreconditioner(CsrMatrix(A.nrows, A.ncols, A.row_ptr, A.col_idx, values), P)
+
+
+@pytest.fixture(scope="module")
+def p2_n6():
+    # 125 interior P1 vertices: enough for the coarse AMG to have two levels
+    prob = poisson_setup(6, 2)
+    return prob.system.A, prob.prolongation_int
+
+
+def _composed(A, P, coarse_solve, r, pre, post):
+    """Smoothing and coarse correction written out: pre sweep from a
+    zero guess, P coarse_solve(P^T residual), post sweep."""
+    x = np.zeros_like(r)
+    if pre is not None:
+        x = pre(r)
+    x = x + spmv(P, coarse_solve(spmv(P.transpose(), r - spmv(A, x))))
+    if post is not None:
+        x = x + post(r - spmv(A, x))
+    return x
+
+
+class TestPinnedComposition:
+    @pytest.mark.parametrize("coarse", ["amg", "exact"])
+    @pytest.mark.parametrize("presmooth", [True, False])
+    @pytest.mark.parametrize("post", ["backward", "forward"])
+    def test_apply_and_transpose_equal_written_out_composition(self, p2_n6, coarse, presmooth, post):
+        A, P = p2_n6
+        M = TwoLevelPreconditioner(A, P, coarse=coarse, presmooth=presmooth, post=post)
+        A_H = triple_product(P.transpose(), A, P)
+        if coarse == "amg":
+            H = build_hierarchy(A_H, theta=0.25)
+            assert H.num_levels >= 2
+            coarse_solve = lambda r_H: vcycle_apply(H, r_H)  # noqa: E731
+        else:
+            coarse_solve = lambda r_H: cholesky_solve(A_H.to_dense(), r_H)  # noqa: E731
+        fwd, bwd = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
+        sweep = {"forward": fwd, "backward": bwd}
+        flip = {"forward": bwd, "backward": fwd}
+        rng = np.random.default_rng(40)
+        for _ in range(2):
+            r = rng.standard_normal(A.nrows)
+            ref = _composed(A, P, coarse_solve, r, fwd if presmooth else None, sweep[post])
+            assert np.array_equal(M.apply(r), ref)
+            ref_t = _composed(A, P, coarse_solve, r, flip[post], bwd if presmooth else None)
+            assert np.array_equal(M.apply_transpose(r), ref_t)
+
+    def test_gamg_is_the_top_level_of_a_vcycle(self, p2_n6):
+        # GAMG equals a V-cycle over [(A, P)] followed by the AMG levels of A_H
+        A, P = p2_n6
+        M = TwoLevelPreconditioner(A, P, coarse="amg", presmooth=True, post="backward")
+        top = _Level(A, P)
+        H = AmgHierarchy([top] + M.hierarchy.levels, M.hierarchy.coarsest_factor, M.hierarchy.theta)
+        r = np.random.default_rng(41).standard_normal(A.nrows)
+        assert np.array_equal(M.apply(r), vcycle_apply(H, r))
+
+    @pytest.mark.parametrize("coarse", ["amg", "exact"])
+    def test_no_coarse_dofs(self, coarse):
+        A, P, M = two_level(1, 2, coarse=coarse)
+        assert P.ncols == 0
+        assert M.level_count() == 1
+        assert M.operator_complexity() == 1.0
+        r = np.random.default_rng(42).standard_normal(A.nrows)
+        fwd, bwd = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
+        x = fwd(r)
+        assert np.array_equal(M.apply(r), x + bwd(r - spmv(A, x)))
 
 
 class TestAugmentedSystem:
