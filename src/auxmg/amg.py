@@ -125,14 +125,18 @@ def direct_interpolation(A: CsrMatrix, S: StrengthGraph, partition) -> CsrMatrix
 
 @dataclass
 class _Level:
+    """A level of the hierarchy; every level but the coarsest, which the
+    dense factor solves, holds its prolongation and prepared sweeps."""
+
     A: CsrMatrix
     P: CsrMatrix | None = None
-    forward: GaussSeidel = field(init=False, repr=False)   # presmoothing sweep
-    backward: GaussSeidel = field(init=False, repr=False)  # postsmoothing sweep
+    forward: GaussSeidel | None = field(init=False, default=None, repr=False)   # presmoothing sweep
+    backward: GaussSeidel | None = field(init=False, default=None, repr=False)  # postsmoothing sweep
 
     def __post_init__(self):
-        self.forward = GaussSeidel(self.A, "forward")
-        self.backward = GaussSeidel(self.A, "backward")
+        if self.P is not None:
+            self.forward = GaussSeidel(self.A, "forward")
+            self.backward = GaussSeidel(self.A, "backward")
 
 
 @dataclass
@@ -170,9 +174,8 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
         if n_c >= A_l.nrows or n_c > 0.95 * A_l.nrows:
             break
         P = direct_interpolation(A_l, S, partition)
-        A_c = triple_product(P.transpose(), A_l, P)
-        levels[-1].P = P
-        levels.append(_Level(A_c))
+        levels[-1] = _Level(A_l, P)
+        levels.append(_Level(triple_product(P.transpose(), A_l, P)))
     return AmgHierarchy(levels, cholesky_factor(levels[-1].A.to_dense()), theta)
 
 

@@ -84,22 +84,32 @@ class CsrMatrix:
 
     @staticmethod
     def from_coo(nrows, ncols, rows, cols, vals):
-        """Build from triplets, summing duplicates in (row, col, insertion) order."""
+        """Build from triplets, summing duplicates in (row, col, insertion) order.
+
+        Raises ValueError for triplets of unequal length, an index out of
+        range, or a shape whose entry count ``nrows * ncols`` does not fit
+        the int64 sort key.
+        """
+        nrows, ncols = int(nrows), int(ncols)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        order = np.lexsort((cols, rows))  # stable: ties keep insertion order
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows):
-            new = np.empty(len(rows), dtype=bool)
-            new[0] = True
-            new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.flatnonzero(new)
+        if not len(rows) == len(cols) == len(vals):
+            raise ValueError(f"triplet lengths differ: {len(rows)}, {len(cols)}, {len(vals)}")
+        if nrows * ncols > np.iinfo(np.int64).max:
+            raise ValueError(f"shape ({nrows}, {ncols}) has more entries than an int64 sort key can index")
+        if len(rows) and (rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols):
+            raise ValueError(f"triplet index out of range for shape ({nrows}, {ncols})")
+        key = rows * ncols + cols
+        order = np.argsort(key, kind="stable")  # ties keep insertion order
+        key, vals = key[order], vals[order]
+        if len(key):
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
             vals = np.add.reduceat(vals, starts)
-            rows, cols = rows[starts], cols[starts]
+            key = key[starts]
+        rows, cols = np.divmod(key, max(ncols, 1))
         row_ptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.add.at(row_ptr, rows + 1, 1)
-        np.cumsum(row_ptr, out=row_ptr)
+        np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
         return CsrMatrix(nrows, ncols, row_ptr, cols, vals, check=False)
 
     @staticmethod

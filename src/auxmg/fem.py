@@ -16,7 +16,7 @@ import numpy as np
 
 from . import reference
 from .csr import CsrMatrix, spmv
-from .mesh import TetMesh
+from .mesh import TetMesh, sub_simplices
 
 
 class FeSpace:
@@ -55,102 +55,59 @@ def build_space(mesh: TetMesh, k: int) -> FeSpace:
     """Enumerate the conforming P^k space over ``mesh``."""
     if k not in (1, 2, 3, 4):
         raise ValueError(f"unsupported polynomial order {k}")
-    lattice = reference.lattice_points(k)
-    n_loc = len(lattice)
-    nv = mesh.num_vertices
-
-    # sub-entity keys shared across tets; vertices own ids 0..nv-1
-    edge_key_ids: dict[tuple, int] = {}
-    face_key_ids: dict[tuple, int] = {}
-    if k >= 2:
-        edges = mesh.edges()
-        for e in edges:
-            edge_key_ids[(int(e[0]), int(e[1]))] = len(edge_key_ids)
-    if k >= 3:
-        faces = np.sort(mesh.tets[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3), axis=1)
-        for f in np.unique(faces, axis=0):
-            face_key_ids[(int(f[0]), int(f[1]), int(f[2]))] = len(face_key_ids)
-    ne, nf = len(edge_key_ids), len(face_key_ids)
+    lattice = np.array(reference.lattice_points(k))
+    support = lattice > 0
+    size = support.sum(axis=1)
+    nt, nv = mesh.num_tets, mesh.num_vertices
     per_edge = k - 1
     per_face = (k - 1) * (k - 2) // 2
-    per_tet = max(0, (k - 1) * (k - 2) * (k - 3) // 6)
-    n_dofs = nv + ne * per_edge + nf * per_face + mesh.num_tets * per_tet
+    element_dofs = np.empty((nt, len(lattice)), dtype=np.int64)
 
-    base_edge = nv
-    base_face = base_edge + ne * per_edge
-    base_tet = base_face + nf * per_face
+    # vertices own ids 0..nv-1
+    vert = np.flatnonzero(size == 1)
+    element_dofs[:, vert] = mesh.tets[:, np.argmax(support[vert], axis=1)]
 
-    # face-interior multi-indices in lexicographic-descending order of the
-    # exponents on the face's (sorted) vertices
-    face_multis = [
-        (a, b, k - a - b)
-        for a in range(k - 1, 0, -1)
-        for b in range(k - a - 1, 0, -1)
-        if k - a - b > 0
-    ]
-    face_multi_pos = {m: i for i, m in enumerate(face_multis)}
-    tet_multi_pos = {}
-    pos = 0
-    for alpha in lattice:
-        if all(a > 0 for a in alpha):
-            tet_multi_pos[alpha] = pos
-            pos += 1
+    # edge slots are ordered by the exponent on the lower vertex, descending
+    edge = np.flatnonzero(size == 2)
+    pairs = np.nonzero(support[edge])[1].reshape(-1, 2)
+    edges, edge_ids = sub_simplices(mesh.tets, pairs)
+    lower_first = mesh.tets[:, pairs[:, 0]] < mesh.tets[:, pairs[:, 1]]
+    exps = lattice[edge[:, None], pairs]
+    slot = (k - 1) - np.where(lower_first, exps[:, 0], exps[:, 1])
+    element_dofs[:, edge] = nv + edge_ids * per_edge + slot
+    base_face = nv + len(edges) * per_edge
 
-    element_dofs = np.empty((mesh.num_tets, n_loc), dtype=np.int64)
-    for t, tet in enumerate(mesh.tets):
-        for li, alpha in enumerate(lattice):
-            support = [m for m in range(4) if alpha[m] > 0]
-            if len(support) == 1:
-                gid = int(tet[support[0]])
-            elif len(support) == 2:
-                va, vb = int(tet[support[0]]), int(tet[support[1]])
-                ea, eb = alpha[support[0]], alpha[support[1]]
-                if va > vb:
-                    va, vb, ea = vb, va, eb
-                # slots ordered by exponent on the lower vertex, descending
-                slot = (k - 1) - ea
-                gid = base_edge + edge_key_ids[(va, vb)] * per_edge + slot
-            elif len(support) == 3:
-                vs = [(int(tet[m]), alpha[m]) for m in support]
-                vs.sort()
-                key = (vs[0][0], vs[1][0], vs[2][0])
-                slot = face_multi_pos[(vs[0][1], vs[1][1], vs[2][1])]
-                gid = base_face + face_key_ids[key] * per_face + slot
-            else:
-                gid = base_tet + t * per_tet + tet_multi_pos[alpha]
-            element_dofs[t, li] = gid
+    # face slots are ordered lexicographically descending in the exponents
+    # on the face's sorted vertices
+    face = np.flatnonzero(size == 3)
+    multis = [(a, b, k - a - b) for a in range(k - 1, 0, -1) for b in range(k - a - 1, 0, -1)]
+    face_slot = np.full((k + 1,) * 3, -1)
+    face_slot[tuple(np.array(multis, dtype=np.int64).reshape(-1, 3).T)] = np.arange(len(multis))
+    triples = np.nonzero(support[face])[1].reshape(-1, 3)
+    faces, face_ids = sub_simplices(mesh.tets, triples)
+    by_vertex = np.argsort(mesh.tets[:, triples], axis=2)
+    exps = np.take_along_axis(lattice[face[:, None], triples][None], by_vertex, axis=2)
+    slot = face_slot[exps[..., 0], exps[..., 1], exps[..., 2]]
+    element_dofs[:, face] = base_face + face_ids * per_face + slot
+    base_tet = base_face + len(faces) * per_face
 
-    dof_coords = np.zeros((n_dofs, 3))
-    lattice_arr = np.asarray(lattice, dtype=np.float64) / k
-    for t, tet in enumerate(mesh.tets):
-        dof_coords[element_dofs[t]] = lattice_arr @ mesh.vertices[tet]
+    inner = np.flatnonzero(size == 4)
+    element_dofs[:, inner] = base_tet + np.arange(nt * len(inner)).reshape(nt, -1)
+    n_dofs = base_tet + nt * len(inner)
 
-    is_boundary = _boundary_dof_mask(mesh, element_dofs, lattice, n_dofs)
+    # a DOF shared by several tets takes its coordinates from the last one
+    coords = (lattice / k) @ mesh.vertices[mesh.tets]
+    _, last = np.unique(element_dofs.ravel()[::-1], return_index=True)
+    dof_coords = coords.reshape(-1, 3)[element_dofs.size - 1 - last]
+
+    # a DOF lies on the boundary when its support lies in a boundary face,
+    # i.e. it has no weight on the owner-tet vertex the face omits
+    owner = mesh.boundary_owner
+    in_face = (mesh.tets[owner][:, :, None] == mesh.boundary_faces[:, None, :]).any(axis=2)
+    omit = np.argmin(in_face, axis=1)
+    is_boundary = np.zeros(n_dofs, dtype=bool)
+    is_boundary[element_dofs[owner][lattice[:, omit].T == 0]] = True
     return FeSpace(mesh, k, n_dofs, element_dofs, dof_coords, is_boundary)
-
-
-def _boundary_dof_mask(mesh, element_dofs, lattice, n_dofs):
-    bfaces = {tuple(f) for f in np.sort(mesh.boundary_faces, axis=1)}
-    bedges = set()
-    for f in bfaces:
-        bedges.update({(f[0], f[1]), (f[0], f[2]), (f[1], f[2])})
-    bverts = {v for f in bfaces for v in f}
-
-    mask = np.zeros(n_dofs, dtype=bool)
-    for t, tet in enumerate(mesh.tets):
-        for li, alpha in enumerate(lattice):
-            support = tuple(sorted(int(tet[m]) for m in range(4) if alpha[m] > 0))
-            if len(support) == 1:
-                onb = support[0] in bverts
-            elif len(support) == 2:
-                onb = support in bedges
-            elif len(support) == 3:
-                onb = support in bfaces
-            else:
-                onb = False
-            if onb:
-                mask[element_dofs[t, li]] = True
-    return mask
 
 
 # -- assembly ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from .amg import VCyclePreconditioner, build_hierarchy
 from .csr import CsrMatrix, spmv
 from .krylov import SolverConfig, fgmres
 from .problems import poisson_setup
-from .stokes import assemble_stokes, build_block_preconditioner, solve_cavity
+from .stokes import _solve_preconditioned, assemble_stokes, build_block_preconditioner
 from .twolevel import (
     TwoLevelPreconditioner,
     build_augmented,
@@ -142,9 +142,8 @@ def _stokes_row(k, n, theta, engine, cfg: ExperimentConfig, rng) -> ReportRow:
     c_op, levels = precond.a_action.operator_complexity(), precond.a_action.level_count()
     method = "fgmres" if cfg.precond_kind == "Qt" else "minres"
     t0 = time.perf_counter()
-    _, _, report = solve_cavity(
-        S, precond_kind=cfg.precond_kind, coarse_engine=engine, theta=theta,
-        cfg=SolverConfig(method=method, rel_tol=cfg.rel_tol, max_iters=cfg.max_iters),
+    _, _, report = _solve_preconditioned(
+        S, precond, SolverConfig(method=method, rel_tol=cfg.rel_tol, max_iters=cfg.max_iters)
     )
     solve = time.perf_counter() - t0
     return ReportRow(cfg.problem, k, S.dim, theta, engine, report.iterations,

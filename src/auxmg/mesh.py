@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 # the six permutations of (x, y, z) axis steps along the cube diagonal
-_KUHN_PATHS = list(itertools.permutations((0, 1, 2)))
+_KUHN_PATHS = np.array(list(itertools.permutations((0, 1, 2))))
 
 
 class TetMesh:
@@ -56,9 +56,7 @@ class TetMesh:
 
     def edges(self):
         """All unique edges as a (ne, 2) array of sorted vertex pairs."""
-        pairs = self.tets[:, _TET_EDGES].reshape(-1, 2)
-        pairs = np.sort(pairs, axis=1)
-        return np.unique(pairs, axis=0)
+        return sub_simplices(self.tets, _TET_EDGES)[0]
 
     def boundary_vertex_mask(self):
         mask = np.zeros(self.num_vertices, dtype=bool)
@@ -71,6 +69,35 @@ class TetMesh:
 
 _TET_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 _TET_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+# the 8 children of red refinement over (v0..v3, m01, m02, m03, m12, m13, m23)
+_RED_CHILDREN = np.array([
+    (0, 4, 5, 6),
+    (4, 1, 7, 8),
+    (5, 7, 2, 9),
+    (6, 8, 9, 3),
+    (4, 5, 6, 8),
+    (4, 5, 7, 8),
+    (5, 6, 8, 9),
+    (5, 7, 8, 9),
+])
+
+
+def sub_simplices(tets, local):
+    """Sub-simplices of every tet spanned by the ``local`` vertex tuples.
+
+    Returns the unique sorted global vertex tuples, in lexicographic
+    order, and the (nt, len(local)) ids into them.
+    """
+    keys = np.sort(tets[:, local], axis=2).reshape(-1, np.shape(local)[1])
+    # fold one column at a time into the rank of the tuple prefix, so the
+    # scalar key stays below (number of keys) * (number of vertices)
+    ids = np.zeros(len(keys), dtype=np.int64)
+    radix = int(tets.max(initial=-1)) + 1
+    for column in keys.T:
+        _, ids = np.unique(ids * radix + column, return_inverse=True)
+    uniq = np.empty((int(ids.max(initial=-1)) + 1, keys.shape[1]), dtype=keys.dtype)
+    uniq[ids] = keys
+    return uniq, ids.reshape(len(tets), len(local))
 
 
 def signed_volumes(vertices, tets):
@@ -80,13 +107,13 @@ def signed_volumes(vertices, tets):
 
 
 def _boundary_faces(tets, check=True):
-    faces = np.sort(tets[:, _TET_FACES].reshape(-1, 3), axis=1)
-    owner = np.repeat(np.arange(len(tets), dtype=np.int64), 4)
-    uniq, inv, counts = np.unique(faces, axis=0, return_inverse=True, return_counts=True)
+    faces, ids = sub_simplices(tets, _TET_FACES)
+    counts = np.bincount(ids.ravel(), minlength=len(faces))
     if check and np.any(counts > 2):
         raise ValueError("non-conforming mesh: a face is shared by more than 2 tets")
-    once = counts[inv] == 1
-    return faces[once], owner[once]
+    once = counts[ids] == 1
+    owner, _ = np.nonzero(once)
+    return faces[ids[once]], owner
 
 
 def build_cube_mesh(n: int) -> TetMesh:
@@ -103,21 +130,11 @@ def build_cube_mesh(n: int) -> TetMesh:
     g = np.arange(side)
     X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
     vertices = np.stack([X, Y, Z], axis=-1).reshape(-1, 3) / float(n)
-
-    def vid(i, j, k):
-        return (i * side + j) * side + k
-
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for path in _KUHN_PATHS:
-                    corners = [base.copy()]
-                    for axis in path:
-                        corners.append(corners[-1] + np.eye(3, dtype=int)[axis])
-                    tets.append([vid(*c) for c in corners])
-    return TetMesh(vertices, np.array(tets, dtype=np.int64))
+    # (6, 4) vertex-id offsets of each path's corners from its cube's lowest one
+    steps = np.array([side * side, side, 1])[_KUHN_PATHS]
+    corners = np.cumsum(np.hstack([np.zeros((6, 1), dtype=np.int64), steps]), axis=1)
+    lowest = np.arange(side**3).reshape(side, side, side)[:n, :n, :n]
+    return TetMesh(vertices, (lowest.reshape(-1, 1, 1) + corners).reshape(-1, 4))
 
 
 def refine_uniform(mesh: TetMesh) -> TetMesh:
@@ -126,29 +143,12 @@ def refine_uniform(mesh: TetMesh) -> TetMesh:
     New vertex count = old vertices + old edges; the interior octahedron
     of each tet is cut along the fixed m02-m13 diagonal.
     """
-    edges = mesh.edges()
-    nv = mesh.num_vertices
-    mid_id = {tuple(e): nv + i for i, e in enumerate(edges)}
+    edges, edge_ids = sub_simplices(mesh.tets, _TET_EDGES)
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
-
-    def m(a, b):
-        return mid_id[(a, b) if a < b else (b, a)]
-
-    tets = np.empty((8 * mesh.num_tets, 4), dtype=np.int64)
-    for t, (v0, v1, v2, v3) in enumerate(mesh.tets):
-        m01, m02, m03 = m(v0, v1), m(v0, v2), m(v0, v3)
-        m12, m13, m23 = m(v1, v2), m(v1, v3), m(v2, v3)
-        tets[8 * t : 8 * t + 8] = [
-            (v0, m01, m02, m03),
-            (m01, v1, m12, m13),
-            (m02, m12, v2, m23),
-            (m03, m13, m23, v3),
-            (m01, m02, m03, m13),
-            (m01, m02, m12, m13),
-            (m02, m03, m13, m23),
-            (m02, m12, m13, m23),
-        ]
+    # columns v0..v3, m01, m02, m03, m12, m13, m23
+    nodes = np.hstack([mesh.tets, mesh.num_vertices + edge_ids])
+    tets = nodes[:, _RED_CHILDREN].reshape(-1, 4)
     return TetMesh(vertices, tets)
 
 

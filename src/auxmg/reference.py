@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -144,23 +144,22 @@ def _basis_coeff_table(k: int, derivative: int | None):
 
 
 def _pair_integral_matrix(monos_a, coeffs_a, monos_b, coeffs_b):
-    # exact Gram contraction: C_a * G * C_b^T with G the monomial Gram matrix
+    # exact Gram contraction C_a G C_b^T, G the monomial Gram matrix: each
+    # factor is scaled to integers by the lcm of its denominators, the
+    # product is taken in Python ints, and each entry is divided once;
+    # int / int rounds correctly, so it equals float() of the Fraction
     gram = [
-        [
-            _monomial_integral_unit(tuple(ea[m] + eb[m] for m in range(4)))
-            for eb in monos_b
-        ]
+        [_monomial_integral_unit(tuple(ea[m] + eb[m] for m in range(4))) for eb in monos_b]
         for ea in monos_a
     ]
-    half = [
-        [sum(ca * g for ca, g in zip(row, gcol)) for gcol in zip(*gram)]
-        for row in coeffs_a
-    ]
-    out = np.empty((len(coeffs_a), len(coeffs_b)))
-    for i, hrow in enumerate(half):
-        for j, brow in enumerate(coeffs_b):
-            out[i, j] = float(sum(h * cb for h, cb in zip(hrow, brow)))
-    return out
+    (ca, da), (g, dg), (cb, db) = (_integer_matrix(x) for x in (coeffs_a, gram, coeffs_b))
+    return ((ca @ g @ cb.T) / (da * dg * db)).astype(np.float64)
+
+
+def _integer_matrix(rows):
+    """(object array of Python ints N, int d) with rows == N / d exactly."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return np.array([[x.numerator * (d // x.denominator) for x in row] for row in rows], dtype=object), d
 
 
 @lru_cache(maxsize=None)

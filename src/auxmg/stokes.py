@@ -273,6 +273,11 @@ def solve_cavity(S: StokesSystem, precond_kind="Qt", coarse_engine="gamg",
     if cfg is None:
         method = "fgmres" if precond_kind == "Qt" else "minres"
         cfg = SolverConfig(method=method, rel_tol=1e-8, max_iters=400)
+    return _solve_preconditioned(S, M, cfg, x0)
+
+
+def _solve_preconditioned(S: StokesSystem, M: BlockPreconditioner, cfg: SolverConfig, x0=None):
+    """The Krylov part of :func:`solve_cavity` with a ready preconditioner."""
     b = S.rhs()
     if x0 is None:
         x0 = np.zeros(S.dim)

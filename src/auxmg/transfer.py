@@ -53,26 +53,25 @@ def build_prolongation(fine: FeSpace, coarse: FeSpace, check=False) -> TransferO
     ):
         raise ValueError("fine and coarse spaces must share one mesh")
 
+    # every occurrence (tet, lattice point) as its row: the weights
+    # lattice/k on the tet's vertices, sorted by vertex, with the vertices
+    # of zero weight as -1 in front
     k = fine.order
-    lattice = reference.lattice_points(k)
-    n_h, n_H = fine.n_dofs, coarse.n_dofs
-    row_entries: list[dict | None] = [None] * n_h
-    for t, tet in enumerate(fine.mesh.tets):
-        for li, alpha in enumerate(lattice):
-            gid = fine.element_dofs[t, li]
-            entries = {int(tet[m]): alpha[m] / k for m in range(4) if alpha[m] > 0}
-            if row_entries[gid] is None:
-                row_entries[gid] = entries
-            elif check and row_entries[gid] != entries:
-                raise AssertionError(f"non-conforming transfer at fine DOF {gid}")
-
-    rows, cols, vals = [], [], []
-    for i, entries in enumerate(row_entries):
-        for j in sorted(entries):
-            rows.append(i)
-            cols.append(j)
-            vals.append(entries[j])
-    P = CsrMatrix.from_coo(n_h, n_H, rows, cols, vals)
+    lattice = np.array(reference.lattice_points(k))
+    cols = np.where(lattice > 0, fine.mesh.tets[:, None, :], -1).reshape(-1, 4)
+    vals = np.broadcast_to(lattice / k, (fine.mesh.num_tets, *lattice.shape)).reshape(-1, 4)
+    by_col = np.argsort(cols, axis=1)
+    cols, vals = np.take_along_axis(cols, by_col, axis=1), np.take_along_axis(vals, by_col, axis=1)
+    dofs = fine.element_dofs.ravel()
+    _, first = np.unique(dofs, return_index=True)
+    if check:
+        same = np.all(cols == cols[first][dofs], axis=1) & np.all(vals == vals[first][dofs], axis=1)
+        if not same.all():
+            raise AssertionError(f"non-conforming transfer at fine DOF {dofs[np.argmin(same)]}")
+    cols, vals = cols[first], vals[first]
+    keep = cols >= 0
+    row_ptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    P = CsrMatrix(fine.n_dofs, coarse.n_dofs, row_ptr, cols[keep], vals[keep])
     return TransferOperator(P, fine, coarse)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .amg import build_hierarchy, smooth_and_correct, vcycle_apply
-from .csr import CsrMatrix, GaussSeidel, cholesky_solve, matmul, spmv, triple_product
+from .csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, matmul, spmv, triple_product
 
 
 class TwoLevelPreconditioner:
@@ -121,6 +121,7 @@ class AugmentedSystem:
     RA: CsrMatrix    # R A (coarse-fine coupling)
     AP: CsrMatrix    # A P
     forward: GaussSeidel  # tril(A)^{-1}, prepared once
+    coarse_factor: np.ndarray  # dense Cholesky factor of A_H, factored once
 
     @property
     def n_coarse(self):
@@ -166,7 +167,8 @@ def build_augmented(A: CsrMatrix, P: CsrMatrix) -> AugmentedSystem:
     RA = matmul(R, A)
     AP = matmul(A, P)
     A_H = triple_product(R, A, P)
-    return AugmentedSystem(A=A, P=P, A_H=A_H, RA=RA, AP=AP, forward=GaussSeidel(A, "forward"))
+    return AugmentedSystem(A=A, P=P, A_H=A_H, RA=RA, AP=AP, forward=GaussSeidel(A, "forward"),
+                           coarse_factor=cholesky_factor(A_H.to_dense()))
 
 
 def augmented_rhs(S: AugmentedSystem, f) -> np.ndarray:
@@ -186,7 +188,7 @@ def augmented_gs_step(S: AugmentedSystem, v, f) -> np.ndarray:
         raise ValueError("augmented vector length mismatch")
     r = f - S.matvec(v)
     rc, rf = r[: S.n_coarse], r[S.n_coarse :]
-    zc = cholesky_solve(S.A_H.to_dense(), rc)
+    zc = cholesky_solve(None, rc, factor=S.coarse_factor)
     zf = S.forward(rf - spmv(S.AP, zc))
     return v + np.concatenate([zc, zf])
 

@@ -181,10 +181,13 @@ class TestHierarchy:
     def test_levels_hold_prepared_sweeps(self):
         H = build_hierarchy(poisson_setup(2, 2).system.A, theta=0.25, coarse_size=4)
         assert H.num_levels >= 2
-        for lvl in H.levels:
+        for lvl in H.levels[:-1]:
             assert (lvl.forward.direction, lvl.backward.direction) == ("forward", "backward")
             others = [v for k, v in vars(lvl).items() if k not in ("A", "P")]
             assert all(isinstance(v, GaussSeidel) for v in others) and len(others) == 2
+        # the dense factor solves the coarsest level, so it prepares no sweeps
+        coarsest = H.levels[-1]
+        assert coarsest.P is None and coarsest.forward is None and coarsest.backward is None
 
     def test_one_level_hierarchy_is_the_dense_solve(self):
         A = laplace_1d(100)  # larger than the default coarse size

@@ -91,6 +91,30 @@ class TestRunExperiment:
         assert not report.rows[0].converged
 
 
+    def test_stokes_row_builds_one_preconditioner(self, monkeypatch):
+        from auxmg import harness, stokes
+
+        built = []
+        original = stokes.build_block_preconditioner
+
+        def counting(*a, **k):
+            built.append(1)
+            return original(*a, **k)
+
+        monkeypatch.setattr(harness, "build_block_preconditioner", counting)
+        monkeypatch.setattr(stokes, "build_block_preconditioner", counting)
+        cfg = ExperimentConfig(problem="stokes", k=2, refinements=[2], theta_values=[0.8],
+                               precond_kind="Qd")
+        row = run_experiment(cfg).rows[0]
+        assert row.error == "" and row.converged
+        assert built == [1]
+        _, _, ref = stokes.solve_cavity(stokes.assemble_stokes(harness.build_cube_mesh(2), 2),
+                                        precond_kind="Qd", theta=0.8,
+                                        cfg=harness.SolverConfig(method="minres", rel_tol=1e-6,
+                                                                 max_iters=300))
+        assert row.iterations == ref.iterations
+
+
 class TestEmitters:
     def _sample(self):
         return ExperimentReport([

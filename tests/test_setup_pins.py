@@ -137,7 +137,7 @@ def space_digests(mesh, k):
     return out
 
 
-@pytest.mark.parametrize("case", sorted(SPACE_PINS))
+@pytest.mark.parametrize("case", sorted(SPACE_PINS), ids=str)
 def test_space_operator_and_transfer_bits(case):
     mesh_name, k = case
     assert space_digests(MESHES[mesh_name](), k) == SPACE_PINS[case]
@@ -218,6 +218,16 @@ class TestFromCoo:
             A = CsrMatrix.from_coo(nrows, ncols, [], [], [])
             assert A.shape == (nrows, ncols) and A.nnz == 0
             assert np.array_equal(A.row_ptr, np.zeros(nrows + 1))
+
+    def test_rejects_bad_triplets(self):
+        with pytest.raises(ValueError, match=r"\(4000000000, 4000000000\)"):
+            CsrMatrix.from_coo(4_000_000_000, 4_000_000_000, [0], [0], [1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            CsrMatrix.from_coo(2, 2, [0, 2], [0, 0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            CsrMatrix.from_coo(2, 0, [0], [0], [1.0])
+        with pytest.raises(ValueError, match="lengths differ"):
+            CsrMatrix.from_coo(2, 2, [0, 1], [0], [1.0, 1.0])
 
     def test_many_duplicates_keep_insertion_order(self):
         # long groups take numpy's blocked summation, so a different order

@@ -234,6 +234,21 @@ class TestAugmentedGaussSeidel:
         # fine:   r_f = 0.4 - 1.0*0.2 - 2.0*(-0.3) = 0.8; z_f = (0.8 - 1.0*2.4)/2 = -0.8
         assert np.allclose(v_next, [0.2 + 2.4, -0.3 - 0.8], atol=1e-14)
 
+    def test_steps_reuse_the_coarse_factor(self, monkeypatch):
+        from auxmg import csr
+
+        prob = poisson_setup(2, 2)
+        S = build_augmented(prob.system.A, prob.prolongation_int)
+        rng = np.random.default_rng(10)
+        v, f = rng.standard_normal(S.dim), rng.standard_normal(S.dim)
+        before = augmented_gs_step(S, v, f)
+
+        def refactor(M):
+            raise AssertionError("augmented_gs_step refactored the coarse block")
+
+        monkeypatch.setattr(csr, "cholesky_factor", refactor)
+        assert np.array_equal(augmented_gs_step(S, v, f), before)
+
     @pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (2, 2)])
     def test_equivalent_to_two_level_iteration(self, n, k):
         prob = poisson_setup(n, k)
