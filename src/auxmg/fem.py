@@ -96,9 +96,12 @@ def build_space(mesh: TetMesh, k: int) -> FeSpace:
     n_dofs = base_tet + nt * len(inner)
 
     # a DOF shared by several tets takes its coordinates from the last one
-    coords = (lattice / k) @ mesh.vertices[mesh.tets]
-    _, last = np.unique(element_dofs.ravel()[::-1], return_index=True)
-    dof_coords = coords.reshape(-1, 3)[element_dofs.size - 1 - last]
+    coords = ((lattice / k) @ mesh.vertices[mesh.tets]).reshape(-1, 3)
+    dofs = element_dofs.ravel()
+    _, last = np.unique(dofs[::-1], return_index=True)
+    last = dofs.size - 1 - last
+    dof_coords = np.zeros((n_dofs, 3))
+    dof_coords[dofs[last]] = coords[last]
 
     # a DOF lies on the boundary when its support lies in a boundary face,
     # i.e. it has no weight on the owner-tet vertex the face omits

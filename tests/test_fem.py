@@ -6,7 +6,7 @@ import pytest
 from auxmg import reference
 from auxmg.csr import dense_sym_eigen, spmv
 from auxmg.fem import FeSpace, assemble_load, assemble_operator, build_space, eliminate_dirichlet
-from auxmg.mesh import build_cube_mesh, perturb_interior
+from auxmg.mesh import TetMesh, build_cube_mesh, perturb_interior
 from tests.test_mesh import REFERENCE_TET
 
 
@@ -49,6 +49,13 @@ class TestDofEnumeration:
         space = build_space(build_cube_mesh(1), 4)
         assert space.n_dofs == 125
         assert space.num_interior == 27
+
+    def test_vertex_in_no_tet_keeps_zero_coordinates(self):
+        mesh = build_cube_mesh(1)
+        mesh = TetMesh(np.vstack([mesh.vertices, [[5.0, 5.0, 5.0]]]), mesh.tets)
+        space = build_space(mesh, 2)
+        assert space.dof_coords.shape == (space.n_dofs, 3)
+        assert np.array_equal(space.dof_coords[8], np.zeros(3))
 
     def test_k1_dofs_are_vertices(self):
         mesh = build_cube_mesh(2)
