@@ -21,20 +21,40 @@ from .csr import (
     GaussSeidel,
     cholesky_factor,
     cholesky_solve,
+    row_pointer,
     spmv,
     triple_product,
 )
 
 
+# the largest coarsest level build_hierarchy factors densely (8 n^2 bytes,
+# 200 MB at the cap)
+MAX_DENSE_ROWS = 5000
+
+
+class CoarseLevelTooLargeError(ValueError):
+    """The hierarchy stopped at a level too large for the dense coarse
+    factor: coarsening stalled, or ``max_levels`` was reached first."""
+
+
 @dataclass
 class StrengthGraph:
-    """Strong-connection adjacency: strong[i] lists the columns row i
-    strongly depends on; transpose[i] lists the rows depending on i."""
+    """Strong-connection graph as two CSR patterns: row i of
+    (row_ptr, col_idx) lists the columns row i strongly depends on, row j
+    of (t_row_ptr, t_col_idx) the rows that strongly depend on j, both in
+    ascending order."""
 
     n: int
     theta: float
-    strong: list
-    transpose: list
+    row_ptr: np.ndarray
+    col_idx: np.ndarray
+    t_row_ptr: np.ndarray
+    t_col_idx: np.ndarray
+
+
+def _entry_rows(row_ptr):
+    """The row id of every stored entry of a CSR pattern."""
+    return np.repeat(np.arange(len(row_ptr) - 1), np.diff(row_ptr))
 
 
 def strength_graph(A: CsrMatrix, theta: float) -> StrengthGraph:
@@ -43,24 +63,21 @@ def strength_graph(A: CsrMatrix, theta: float) -> StrengthGraph:
     if A.nrows != A.ncols:
         raise ValueError("strength graph needs a square matrix")
     n = A.nrows
-    strong = []
-    transpose = [[] for _ in range(n)]
-    for i in range(n):
-        lo, hi = A.row_ptr[i], A.row_ptr[i + 1]
-        cols = A.col_idx[lo:hi]
-        vals = A.values[lo:hi]
-        off = cols != i
-        neg = -vals[off]
-        if len(neg) == 0 or neg.max() <= 0.0:
-            strong.append(np.empty(0, dtype=np.int64))
-            continue
-        cut = theta * neg.max()
-        sel = cols[off][neg > cut]
-        strong.append(sel)
-        for j in sel:
-            transpose[j].append(i)
-    transpose = [np.asarray(t, dtype=np.int64) for t in transpose]
-    return StrengthGraph(n, theta, strong, transpose)
+    counts = np.diff(A.row_ptr)
+    rows = _entry_rows(A.row_ptr)
+    neg = -A.values
+    neg[A.col_idx == rows] = -np.inf  # the diagonal is never strong
+    # max over the off-diagonal -a_ij of each row; a row whose max is not
+    # positive (or that has no off-diagonal) gets no strong connections
+    row_max = np.full(n, -np.inf)
+    nonempty = np.flatnonzero(counts)
+    if len(nonempty):
+        row_max[nonempty] = np.maximum.reduceat(neg, A.row_ptr[nonempty])
+    cut = np.where(row_max > 0.0, theta * row_max, np.inf)
+    strong = neg > np.repeat(cut, counts)
+    rows, cols = rows[strong], A.col_idx[strong]
+    order = np.argsort(cols, kind="stable")  # each column's rows stay ascending
+    return StrengthGraph(n, theta, row_pointer(rows, n), cols, row_pointer(cols[order], n), rows[order])
 
 
 def rs_coarsen(S: StrengthGraph):
@@ -70,16 +87,20 @@ def rs_coarsen(S: StrengthGraph):
     """
     UNDECIDED, CPT, FPT = 0, 1, 2
     state = np.full(S.n, UNDECIDED, dtype=np.int8)
+    t_ptr, t_idx = S.t_row_ptr, S.t_col_idx
     for i in range(S.n):
         if state[i] != UNDECIDED:
             continue
         state[i] = CPT
-        for j in S.transpose[i]:
-            if state[j] == UNDECIDED:
-                state[j] = FPT
-    # every F-point needs a strong C-neighbour to interpolate from
-    for i in range(S.n):
-        if state[i] == FPT and not np.any(state[S.strong[i]] == CPT):
+        dependents = t_idx[t_ptr[i]:t_ptr[i + 1]]
+        state[dependents[state[dependents] == UNDECIDED]] = FPT
+    # every F-point needs a strong C-neighbour to interpolate from; the
+    # state only gains C-points here, so only F-points without one at the
+    # start can be promoted, and each is rechecked in index order
+    has_c = np.zeros(S.n, dtype=bool)
+    has_c[_entry_rows(S.row_ptr)[state[S.col_idx] == CPT]] = True
+    for i in np.flatnonzero((state == FPT) & ~has_c):
+        if not np.any(state[S.col_idx[S.row_ptr[i]:S.row_ptr[i + 1]]] == CPT):
             state[i] = CPT
 
     c_points = np.flatnonzero(state == CPT)
@@ -87,6 +108,21 @@ def rs_coarsen(S: StrengthGraph):
     coarse_index = np.full(S.n, -1, dtype=np.int64)
     coarse_index[c_points] = np.arange(len(c_points))
     return c_points, f_points, coarse_index
+
+
+def _row_sums(vals, rows, n):
+    """Per-row sums of entries given in row order, each bit-identical to
+    ``ndarray.sum`` over that row's 1-D slice: rows of equal length are
+    gathered into one 2-D block and summed along its rows, which takes
+    numpy's pairwise summation as the 1-D sum does (``np.add.reduceat``
+    sums left to right and would change the bits)."""
+    counts = np.bincount(rows, minlength=n)
+    starts = np.cumsum(counts) - counts
+    out = np.zeros(n)
+    for m in np.unique(counts[counts > 0]):
+        r = np.flatnonzero(counts == m)
+        out[r] = vals[starts[r, None] + np.arange(m)].sum(axis=1)
+    return out
 
 
 def direct_interpolation(A: CsrMatrix, S: StrengthGraph, partition) -> CsrMatrix:
@@ -97,30 +133,38 @@ def direct_interpolation(A: CsrMatrix, S: StrengthGraph, partition) -> CsrMatrix
     """
     c_points, f_points, coarse_index = partition
     n, n_c = A.nrows, len(c_points)
-    rows, cols, vals = [], [], []
-    for i in c_points:
-        rows.append(i)
-        cols.append(coarse_index[i])
-        vals.append(1.0)
-    for i in f_points:
-        lo, hi = A.row_ptr[i], A.row_ptr[i + 1]
-        rcols = A.col_idx[lo:hi]
-        rvals = A.values[lo:hi]
-        diag = rvals[rcols == i]
-        a_ii = diag[0] if len(diag) else 0.0
-        strong_c = S.strong[i][coarse_index[S.strong[i]] >= 0]
-        if len(strong_c) == 0:
-            raise ValueError(f"F-point {i} has no strong C-neighbour (coarsening bug)")
-        neg = (rcols != i) & (rvals < 0.0)
-        neg_sum = rvals[neg].sum()
-        in_c = np.isin(rcols, strong_c) & neg
-        negc_sum = rvals[in_c].sum()
-        scale = neg_sum / negc_sum
-        for j, a_ij in zip(rcols[in_c], rvals[in_c]):
-            rows.append(i)
-            cols.append(coarse_index[j])
-            vals.append(-a_ij * scale / a_ii)
-    return CsrMatrix.from_coo(n, n_c, rows, cols, vals)
+    is_f = np.zeros(n, dtype=bool)
+    is_f[f_points] = True
+    s_rows = _entry_rows(S.row_ptr)
+    strong_c = is_f[s_rows] & (coarse_index[S.col_idx] >= 0)
+    orphans = f_points[np.bincount(s_rows[strong_c], minlength=n)[f_points] == 0]
+    if len(orphans):
+        raise ValueError(f"F-point {orphans[0]} has no strong C-neighbour (coarsening bug)")
+
+    rows = _entry_rows(A.row_ptr)
+    cols, vals = A.col_idx, A.values
+    diag = np.zeros(n)
+    on_diag = cols == rows
+    diag[rows[on_diag]] = vals[on_diag]
+    neg = is_f[rows] & ~on_diag & (vals < 0.0)
+    rows, cols, vals = rows[neg], cols[neg], vals[neg]
+    # negative entries of F rows that are strong C-connections; both key
+    # lists are sorted, as CSR rows are
+    key, strong_key = rows * n + cols, s_rows[strong_c] * n + S.col_idx[strong_c]
+    at = np.minimum(np.searchsorted(strong_key, key), len(strong_key) - 1)
+    in_c = strong_key[at] == key
+    neg_sum = _row_sums(vals, rows, n)[f_points]
+    negc_sum = _row_sums(vals[in_c], rows[in_c], n)[f_points]
+    scale = np.zeros(n)
+    scale[f_points] = neg_sum / negc_sum
+    rows, cols, vals = rows[in_c], cols[in_c], vals[in_c]
+    weights = -vals * scale[rows] / diag[rows]
+    return CsrMatrix.from_coo(
+        n, n_c,
+        np.concatenate([c_points, rows]),
+        np.concatenate([np.arange(n_c), coarse_index[cols]]),
+        np.concatenate([np.ones(n_c), weights]),
+    )
 
 
 @dataclass
@@ -163,7 +207,8 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
     """Coarsen until the matrix is small or coarsening stalls (< 5% removed).
 
     ``max_levels=1`` gives a one-level hierarchy whose cycle is the
-    dense Cholesky solve of A.
+    dense Cholesky solve of A.  Raises :class:`CoarseLevelTooLargeError`
+    when the coarsest level has more than ``MAX_DENSE_ROWS`` rows.
     """
     levels = [_Level(A)]
     while levels[-1].A.nrows > coarse_size and len(levels) < max_levels:
@@ -176,6 +221,13 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
         P = direct_interpolation(A_l, S, partition)
         levels[-1] = _Level(A_l, P)
         levels.append(_Level(triple_product(P.transpose(), A_l, P)))
+    n = levels[-1].A.nrows
+    if n > MAX_DENSE_ROWS:
+        raise CoarseLevelTooLargeError(
+            f"the hierarchy stops at level {len(levels) - 1} with n = {n}, above the "
+            f"{MAX_DENSE_ROWS}-row cap of the dense coarse factor (coarsening stalled "
+            f"or max_levels = {max_levels} reached)"
+        )
     return AmgHierarchy(levels, cholesky_factor(levels[-1].A.to_dense()), theta)
 
 

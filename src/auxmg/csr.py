@@ -30,6 +30,13 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(f"matrix is not positive definite (pivot {pivot})")
 
 
+def row_pointer(rows, nrows):
+    """CSR row pointer of entries whose row ids, in ascending order, are ``rows``."""
+    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
+    return row_ptr
+
+
 class CsrMatrix:
     """Immutable compressed-sparse-row matrix.
 
@@ -108,9 +115,7 @@ class CsrMatrix:
             vals = np.add.reduceat(vals, starts)
             key = key[starts]
         rows, cols = np.divmod(key, max(ncols, 1))
-        row_ptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
-        return CsrMatrix(nrows, ncols, row_ptr, cols, vals, check=False)
+        return CsrMatrix(nrows, ncols, row_pointer(rows, nrows), cols, vals, check=False)
 
     @staticmethod
     def from_dense(arr):
@@ -374,12 +379,11 @@ def read_matrix_market(path) -> CsrMatrix:
         while line.startswith("%"):
             line = fh.readline()
         nrows, ncols, nnz = (int(t) for t in line.split())
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        for i in range(nnz):
-            r, c, v = fh.readline().split()
-            rows[i], cols[i], vals[i] = int(r) - 1, int(c) - 1, float(v)
+        entry = [("row", np.int64), ("col", np.int64), ("val", np.float64)]
+        body = np.loadtxt(fh, dtype=entry, ndmin=1, max_rows=nnz) if nnz else np.empty(0, dtype=entry)
+    if len(body) != nnz:
+        raise ValueError(f"{path} declares {nnz} entries but holds {len(body)}")
+    rows, cols, vals = body["row"] - 1, body["col"] - 1, body["val"]
     if qualifier == "symmetric":
         off = rows != cols
         rows, cols = (

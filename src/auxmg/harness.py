@@ -17,11 +17,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .amg import VCyclePreconditioner, build_hierarchy
-from .csr import CsrMatrix, spmv
-from .krylov import SolverConfig, fgmres
+from .amg import CoarseLevelTooLargeError, VCyclePreconditioner, build_hierarchy
+from .csr import CsrMatrix, NotPositiveDefiniteError, spmv
+from .krylov import IndefiniteOperatorError, SolverConfig, fgmres
 from .problems import poisson_setup
-from .stokes import _solve_preconditioned, assemble_stokes, build_block_preconditioner
+from .stokes import InnerSolveError, _solve_preconditioned, assemble_stokes, build_block_preconditioner
 from .twolevel import (
     TwoLevelPreconditioner,
     build_augmented,
@@ -150,9 +150,21 @@ def _stokes_row(k, n, theta, engine, cfg: ExperimentConfig, rng) -> ReportRow:
                      report.converged, c_op, setup, solve, levels)
 
 
+# numerical breakdowns a grid point may hit; any other exception is a bug
+# and propagates
+_RECORDED_FAILURES = (
+    NotPositiveDefiniteError,
+    IndefiniteOperatorError,
+    InnerSolveError,
+    np.linalg.LinAlgError,
+    CoarseLevelTooLargeError,
+)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """One row per (refinement, theta) grid point; failures are recorded
-    as rows with an error string and the run continues."""
+    """One row per (refinement, theta) grid point; expected numerical
+    failures are recorded as rows with an error string and the run
+    continues."""
     rows = []
     runner = _poisson_row if cfg.problem == "poisson" else _stokes_row
     for point, (n, theta) in enumerate(
@@ -161,7 +173,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         rng = np.random.default_rng([cfg.seed, point])
         try:
             rows.append(runner(cfg.k, n, theta, cfg.engine, cfg, rng))
-        except Exception as exc:  # keep sweeping; the row records the failure
+        except _RECORDED_FAILURES as exc:  # keep sweeping; the row records the failure
             rows.append(ReportRow(cfg.problem, cfg.k, 0, theta, cfg.engine,
                                   0, False, 0.0, 0.0, 0.0, 0, error=str(exc)))
     return ExperimentReport(rows)

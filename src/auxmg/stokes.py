@@ -131,11 +131,7 @@ def _assemble_divergence(vel: FeSpace, pres: FeSpace):
     vcol = np.tile(vel.element_dofs, (1, n_p_loc)).ravel()
     for c in range(3):
         local = -np.einsum("t,tm,mqi->tqi", vol, grads[:, :, c], N)
-        S = scipy.sparse.coo_matrix(
-            (local.ravel(), (prow, vcol)), shape=(pres.n_dofs, vel.n_dofs)
-        ).tocsr()
-        S.sort_indices()
-        blocks.append(CsrMatrix.from_scipy(S))
+        blocks.append(CsrMatrix.from_coo(pres.n_dofs, vel.n_dofs, prow, vcol, local.ravel()))
     return blocks
 
 

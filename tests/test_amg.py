@@ -3,7 +3,9 @@ import pytest
 import scipy.sparse.linalg
 
 from auxmg.amg import (
+    MAX_DENSE_ROWS,
     AmgHierarchy,
+    CoarseLevelTooLargeError,
     VCyclePreconditioner,
     _Level,
     build_hierarchy,
@@ -31,6 +33,11 @@ def laplace_1d(n):
     return CsrMatrix.from_coo(n, n, rows, cols, vals)
 
 
+def strong_row(S, i):
+    """The columns row i strongly depends on."""
+    return S.col_idx[S.row_ptr[i]:S.row_ptr[i + 1]].tolist()
+
+
 class TestStrengthGraph:
     def test_threshold_row(self):
         A = CsrMatrix.from_dense([[2.0, -1.0, -0.2, -0.8],
@@ -38,12 +45,12 @@ class TestStrengthGraph:
                                   [-0.2, 0.0, 2.0, 0.0],
                                   [-0.8, 0.0, 0.0, 2.0]])
         S = strength_graph(A, 0.25)
-        assert set(S.strong[0].tolist()) == {1, 3}
+        assert strong_row(S, 0) == [1, 3]
 
     def test_positive_offdiagonals_never_strong(self):
         A = CsrMatrix.from_dense([[2.0, 1.0, 0.5], [1.0, 2.0, 0.1], [0.5, 0.1, 2.0]])
         S = strength_graph(A, 0.25)
-        assert all(len(s) == 0 for s in S.strong)
+        assert S.col_idx.size == 0 and not S.row_ptr.any()
 
     def test_high_threshold(self):
         A = CsrMatrix.from_dense([[2.0, -1.0, -0.2, -0.8],
@@ -51,13 +58,13 @@ class TestStrengthGraph:
                                   [-0.2, 0.0, 2.0, 0.0],
                                   [-0.8, 0.0, 0.0, 2.0]])
         S = strength_graph(A, 0.9)
-        assert set(S.strong[0].tolist()) == {1}
+        assert strong_row(S, 0) == [1]
 
     def test_ties_are_not_strong(self):
         # -a_ij == theta * max exactly: strict inequality excludes it
         A = CsrMatrix.from_dense([[2.0, -1.0, -0.5], [-1.0, 2.0, 0.0], [-0.5, 0.0, 2.0]])
         S = strength_graph(A, 0.5)
-        assert set(S.strong[0].tolist()) == {1}
+        assert strong_row(S, 0) == [1]
 
     def test_theta_range_validated(self):
         A = laplace_1d(3)
@@ -92,7 +99,7 @@ class TestCoarsening:
         S = strength_graph(prob.system.A, 0.25)
         c, f, idx = rs_coarsen(S)
         for i in f:
-            assert np.any(idx[S.strong[i]] >= 0)
+            assert np.any(idx[strong_row(S, i)] >= 0)
 
 
 class TestInterpolation:
@@ -200,6 +207,18 @@ class TestHierarchy:
         # no negative couplings: all points stay coarse, single level
         H = build_hierarchy(CsrMatrix.from_dense(np.diag(np.arange(1.0, 80.0))), coarse_size=4)
         assert H.num_levels == 1
+
+    def test_stalled_coarsening_above_the_dense_cap_fails_fast(self):
+        # a diagonal matrix does not coarsen; factoring it densely would
+        # take 8 n^2 bytes
+        n = MAX_DENSE_ROWS + 1
+        A = CsrMatrix(n, n, np.arange(n + 1), np.arange(n), np.arange(1.0, n + 1.0))
+        with pytest.raises(CoarseLevelTooLargeError, match=f"level 0 with n = {n}, above the {MAX_DENSE_ROWS}-row cap"):
+            build_hierarchy(A)
+
+    def test_one_level_hierarchy_above_the_dense_cap_fails_fast(self):
+        with pytest.raises(CoarseLevelTooLargeError, match="max_levels = 1"):
+            build_hierarchy(laplace_1d(MAX_DENSE_ROWS + 1), max_levels=1)
 
 
 class TestVCycle:

@@ -101,7 +101,7 @@ def lists_to_csr(lists):
 
 def strong_arrays(S):
     """CSR arrays (row_ptr, col_idx) of the strong graph, then of its transpose."""
-    return (*lists_to_csr(S.strong), *lists_to_csr(S.transpose))
+    return S.row_ptr, S.col_idx, S.t_row_ptr, S.t_col_idx
 
 
 def assert_same_csr(X: CsrMatrix, Y: CsrMatrix):

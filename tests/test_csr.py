@@ -320,3 +320,32 @@ class TestMatrixMarket:
         dA, dB = A.to_dense(), B.to_dense()
         assert np.array_equal(np.tril(dA), np.tril(dB))
         assert np.max(np.abs(dA - dB)) <= 1e-16 * max(1.0, np.max(np.abs(dA)))
+
+    @pytest.mark.parametrize("what", ["stiffness", "prolongation"])
+    def test_round_trip_is_bit_exact(self, tmp_path, what):
+        # a symmetric P2 stiffness matrix (lower triangle stored) and a
+        # rectangular P2 -> P1 transfer (general)
+        from auxmg.transfer import build_prolongation
+
+        space = build_space(build_cube_mesh(2), 2)
+        if what == "stiffness":
+            A = assemble_operator(space, "stiffness")
+            assert A.is_symmetric(tol=0.0)
+        else:
+            A = build_prolongation(space, build_space(build_cube_mesh(2), 1)).prolongation
+        path = tmp_path / f"{what}.mtx"
+        write_matrix_market(A, path)
+        assert ("symmetric" in path.read_text().splitlines()[0]) == (what == "stiffness")
+        B = read_matrix_market(path)
+        assert B.shape == A.shape
+        assert np.array_equal(B.row_ptr, A.row_ptr)
+        assert np.array_equal(B.col_idx, A.col_idx)
+        assert np.array_equal(B.values, A.values)
+
+    def test_entry_count_checked(self, tmp_path):
+        path = tmp_path / "short.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 2 1.0\n")
+        with pytest.raises(ValueError, match="declares 3 entries but holds 2"):
+            read_matrix_market(path)
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 0\n")
+        assert read_matrix_market(path).nnz == 0

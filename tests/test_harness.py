@@ -79,16 +79,28 @@ class TestRunExperiment:
 
     def test_failure_recorded_not_raised(self, monkeypatch):
         from auxmg import harness
+        from auxmg.csr import NotPositiveDefiniteError
 
         def boom(*a, **k):
-            raise RuntimeError("synthetic failure")
+            raise NotPositiveDefiniteError(3)
 
         monkeypatch.setattr(harness, "poisson_setup", boom)
         cfg = ExperimentConfig(problem="poisson", k=2, refinements=[2], theta_values=[0.25])
         report = run_experiment(cfg)
         assert len(report.rows) == 1
-        assert report.rows[0].error == "synthetic failure"
+        assert report.rows[0].error == "matrix is not positive definite (pivot 3)"
         assert not report.rows[0].converged
+
+    def test_programming_error_propagates(self, monkeypatch):
+        from auxmg import harness
+
+        def bug(*a, **k):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(harness, "poisson_setup", bug)
+        cfg = ExperimentConfig(problem="poisson", k=2, refinements=[2], theta_values=[0.25])
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(cfg)
 
 
     def test_stokes_row_builds_one_preconditioner(self, monkeypatch):
