@@ -4,9 +4,8 @@ direct interpolation, Galerkin hierarchy and symmetric V-cycles.
 A connection i -> j is strong when -a_ij > theta * max_k(-a_ik), k != i
 (strict inequality, negative couplings only).  The splitting walks the
 unknowns in index order, turning each undecided point into a C-point
-and its undecided strong dependents into F-points, then promotes any
-F-point left without a strong C-neighbour.  Everything is serial and
-deterministic; ties always resolve to the lowest index.
+and its undecided strong dependents into F-points.  Everything is
+serial and deterministic; ties always resolve to the lowest index.
 """
 
 from __future__ import annotations
@@ -94,15 +93,7 @@ def rs_coarsen(S: StrengthGraph):
         state[i] = CPT
         dependents = t_idx[t_ptr[i]:t_ptr[i + 1]]
         state[dependents[state[dependents] == UNDECIDED]] = FPT
-    # every F-point needs a strong C-neighbour to interpolate from; the
-    # state only gains C-points here, so only F-points without one at the
-    # start can be promoted, and each is rechecked in index order
-    has_c = np.zeros(S.n, dtype=bool)
-    has_c[_entry_rows(S.row_ptr)[state[S.col_idx] == CPT]] = True
-    for i in np.flatnonzero((state == FPT) & ~has_c):
-        if not np.any(state[S.col_idx[S.row_ptr[i]:S.row_ptr[i + 1]]] == CPT):
-            state[i] = CPT
-
+    # each F-point strongly depends on the C-point that made it F
     c_points = np.flatnonzero(state == CPT)
     f_points = np.flatnonzero(state == FPT)
     coarse_index = np.full(S.n, -1, dtype=np.int64)

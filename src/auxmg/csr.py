@@ -37,6 +37,35 @@ def row_pointer(rows, nrows):
     return row_ptr
 
 
+def _csr_from_keys(nrows, ncols, key, vals):
+    """CSR of triplets given as in-range keys ``row * ncols + col`` (a fresh
+    int64 array, sorted in place) and values, summing duplicates in (row,
+    col, insertion) order.  When the key and position bits fit in 63, each
+    position is packed below its key and one sort of these unique values
+    gives the sorted keys and the stable-sort permutation; otherwise a
+    stable ``argsort`` does."""
+    m = len(key)
+    b = max(m - 1, 0).bit_length()
+    if (nrows * ncols - 1).bit_length() + b <= 63:
+        key <<= b
+        key |= np.arange(m)
+        key.sort()
+        order = key & ((1 << b) - 1)
+        key >>= b
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    vals = vals[order]
+    del order
+    if m:
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        key = key[starts]
+        vals = np.add.reduceat(vals, starts)
+        del starts
+    rows, cols = np.divmod(key, max(ncols, 1))
+    return CsrMatrix(nrows, ncols, row_pointer(rows, nrows), cols, vals, check=False)
+
+
 class CsrMatrix:
     """Immutable compressed-sparse-row matrix.
 
@@ -108,14 +137,8 @@ class CsrMatrix:
         if len(rows) and (rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols):
             raise ValueError(f"triplet index out of range for shape ({nrows}, {ncols})")
         key = rows * ncols + cols
-        order = np.argsort(key, kind="stable")  # ties keep insertion order
-        key, vals = key[order], vals[order]
-        if len(key):
-            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-            vals = np.add.reduceat(vals, starts)
-            key = key[starts]
-        rows, cols = np.divmod(key, max(ncols, 1))
-        return CsrMatrix(nrows, ncols, row_pointer(rows, nrows), cols, vals, check=False)
+        del rows, cols  # drop any copies asarray made before the sort
+        return _csr_from_keys(nrows, ncols, key, vals)
 
     @staticmethod
     def from_dense(arr):
@@ -229,22 +252,6 @@ def matmul(A: CsrMatrix, B: CsrMatrix) -> CsrMatrix:
 
 
 # -- dense kernels -------------------------------------------------------
-
-
-def dense_sym_eigen(M, tol=1e-12):
-    """Eigendecomposition of a symmetric dense matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Raises
-    ValueError if M is not symmetric to ``tol`` (entrywise, relative).
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    asym = np.abs(M - M.T)
-    if np.any(asym > tol * np.maximum(1.0, np.abs(M))):
-        raise ValueError("matrix is not symmetric")
-    w, V = np.linalg.eigh(M)
-    return w, V
 
 
 def cholesky_factor(M):

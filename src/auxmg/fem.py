@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference
-from .csr import CsrMatrix, spmv
+from .csr import CsrMatrix, _csr_from_keys, spmv
 from .mesh import TetMesh, sub_simplices
 
 
@@ -150,11 +150,11 @@ def assemble_operator(space: FeSpace, form: str) -> CsrMatrix:
     else:
         raise ValueError(f"unknown form {form!r}")
 
-    n_loc = local.shape[1]
-    dofs = space.element_dofs
-    rows = np.repeat(dofs, n_loc, axis=1).ravel()
-    cols = np.tile(dofs, (1, n_loc)).ravel()
-    return CsrMatrix.from_coo(space.n_dofs, space.n_dofs, rows, cols, local.ravel())
+    n, dofs = space.n_dofs, space.element_dofs.astype(np.int64, copy=False)
+    if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
+        raise ValueError(f"element_dofs out of range for {n} DOFs")
+    # the key row * n + col of local[t, i, j], in the order local is stored
+    return _csr_from_keys(n, n, (dofs[:, :, None] * n + dofs[:, None, :]).ravel(), local.ravel())
 
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:

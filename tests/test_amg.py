@@ -15,10 +15,11 @@ from auxmg.amg import (
     strength_graph,
     vcycle_apply,
 )
-from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, dense_sym_eigen, spmv
+from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, spmv
 from auxmg.fem import assemble_operator, eliminate_dirichlet, build_space
 from auxmg.mesh import build_cube_mesh
 from auxmg.problems import poisson_setup
+from tests.test_csr import dense_sym_eigen
 
 
 def laplace_1d(n):

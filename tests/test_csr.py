@@ -11,7 +11,6 @@ from auxmg.csr import (
     NotPositiveDefiniteError,
     cholesky_factor,
     cholesky_solve,
-    dense_sym_eigen,
     read_matrix_market,
     spmv,
     triple_product,
@@ -19,6 +18,22 @@ from auxmg.csr import (
 )
 from auxmg.fem import assemble_operator, build_space, eliminate_dirichlet
 from auxmg.mesh import build_cube_mesh
+
+
+def dense_sym_eigen(M, tol=1e-12):
+    """Eigendecomposition of a symmetric dense matrix.
+
+    Returns (eigenvalues ascending, eigenvectors as columns).  Raises
+    ValueError if M is not symmetric to ``tol`` (entrywise, relative).
+    """
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("expected a square matrix")
+    asym = np.abs(M - M.T)
+    if np.any(asym > tol * np.maximum(1.0, np.abs(M))):
+        raise ValueError("matrix is not symmetric")
+    w, V = np.linalg.eigh(M)
+    return w, V
 
 
 def random_csr(rng, nrows, ncols, density=0.5):

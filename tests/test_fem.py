@@ -1,12 +1,14 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from auxmg import reference
-from auxmg.csr import dense_sym_eigen, spmv
+from auxmg.csr import spmv
 from auxmg.fem import FeSpace, assemble_load, assemble_operator, build_space, eliminate_dirichlet
 from auxmg.mesh import TetMesh, build_cube_mesh, perturb_interior
+from tests.test_csr import dense_sym_eigen
 from tests.test_mesh import REFERENCE_TET
 
 
@@ -126,6 +128,31 @@ class TestAssembly:
         M = assemble_operator(space, "mass")
         ones = np.ones(space.n_dofs)
         assert ones @ spmv(M, ones) == pytest.approx(1.0, abs=1e-12)
+
+    def test_element_dofs_out_of_range_rejected(self):
+        space = build_space(REFERENCE_TET, 1)
+        space.n_dofs = 3
+        with pytest.raises(ValueError, match="out of range for 3 DOFs"):
+            assemble_operator(space, "stiffness")
+        space = build_space(REFERENCE_TET, 1)
+        space.element_dofs = space.element_dofs - 1
+        with pytest.raises(ValueError, match="out of range"):
+            assemble_operator(space, "mass")
+
+    def test_transient_memory_per_triplet(self):
+        # the build holds the element matrices, the sort key, the sort
+        # permutation and one gathered copy of the values, but no row or
+        # column copies of the triplets
+        space = build_space(build_cube_mesh(4), 4)
+        assemble_operator(space, "stiffness")  # caches the reference table
+        nt, n_loc = space.element_dofs.shape
+        tracemalloc.start()
+        try:
+            assemble_operator(space, "stiffness")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 8 * nt * n_loc**2
 
     def test_symmetry(self):
         space = build_space(perturb_interior(build_cube_mesh(2), seed=8), 3)

@@ -8,6 +8,7 @@ code that replaced it must reproduce every bit.
 
 import hashlib
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,6 +201,29 @@ def triplets(draw):
     return nrows, ncols, rows, cols, vals
 
 
+INT64_MAX = 2**63 - 1
+
+
+def assert_matches_reference(A, nrows, ncols, rows, cols, vals):
+    row_ptr, col_idx, values = coo_reference(nrows, ncols, rows, cols, vals)
+    assert np.array_equal(A.row_ptr, row_ptr)
+    assert np.array_equal(A.col_idx, col_idx)
+    assert np.array_equal(A.values, values)
+
+
+@st.composite
+def triplets_any_shape(draw):
+    """Few rows and either few or very many columns, so the key bits plus
+    the position bits fall on both sides of 63; triplets repeat a few
+    positions so groups form at any width."""
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.one_of(st.integers(1, 6), st.integers(INT64_MAX // nrows // 64, INT64_MAX // nrows)))
+    spots = draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(spots), max_size=40))
+    vals = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=len(picks), max_size=len(picks)))
+    return nrows, ncols, [r for r, _ in picks], [c for _, c in picks], vals
+
+
 class TestFromCoo:
     @settings(max_examples=200, deadline=None)
     @given(triplets())
@@ -212,6 +236,26 @@ class TestFromCoo:
         assert np.array_equal(A.col_idx, col_idx)
         assert np.array_equal(A.values, values)
         A._validate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(triplets_any_shape())
+    def test_packed_and_stable_sorts_match_group_sums(self, case):
+        assert_matches_reference(CsrMatrix.from_coo(*case), *case)
+
+    @pytest.mark.parametrize("m, packed", [(8, True), (9, False)])
+    def test_sort_branch_at_63_bits(self, m, packed):
+        # keys below 2 * 2**59 take 60 bits, m positions take 3 (m = 8) or
+        # 4 (m = 9): 63 bits are packed into one sort, 64 fall back to the
+        # stable argsort
+        nrows, ncols = 2, 2**59
+        rng = np.random.default_rng(m)
+        rows = rng.integers(0, nrows, m)
+        cols = rng.choice([0, 7, ncols - 1], m)
+        vals = rng.standard_normal(m)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            A = CsrMatrix.from_coo(nrows, ncols, rows, cols, vals)
+        assert argsort.called != packed
+        assert_matches_reference(A, nrows, ncols, rows, cols, vals)
 
     def test_empty_and_zero_columns(self):
         for nrows, ncols in [(0, 0), (3, 0), (0, 4), (3, 4)]:
