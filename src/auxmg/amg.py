@@ -20,7 +20,6 @@ from .csr import (
     GaussSeidel,
     cholesky_factor,
     cholesky_solve,
-    row_pointer,
     spmv,
     triple_product,
 )
@@ -52,8 +51,16 @@ class StrengthGraph:
 
 
 def _entry_rows(row_ptr):
-    """The row id of every stored entry of a CSR pattern."""
-    return np.repeat(np.arange(len(row_ptr) - 1), np.diff(row_ptr))
+    """The row id of every stored entry of a CSR pattern, as int64, so that
+    keys ``row * n + col`` never wrap, whatever the index dtype."""
+    return np.repeat(np.arange(len(row_ptr) - 1, dtype=np.int64), np.diff(row_ptr))
+
+
+def _row_pointer(rows, nrows):
+    """CSR row pointer of entries whose row ids, in ascending order, are ``rows``."""
+    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
+    return row_ptr
 
 
 def strength_graph(A: CsrMatrix, theta: float) -> StrengthGraph:
@@ -76,7 +83,7 @@ def strength_graph(A: CsrMatrix, theta: float) -> StrengthGraph:
     strong = neg > np.repeat(cut, counts)
     rows, cols = rows[strong], A.col_idx[strong]
     order = np.argsort(cols, kind="stable")  # each column's rows stay ascending
-    return StrengthGraph(n, theta, row_pointer(rows, n), cols, row_pointer(cols[order], n), rows[order])
+    return StrengthGraph(n, theta, _row_pointer(rows, n), cols, _row_pointer(cols[order], n), rows[order])
 
 
 def rs_coarsen(S: StrengthGraph):

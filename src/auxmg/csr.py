@@ -30,40 +30,59 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(f"matrix is not positive definite (pivot {pivot})")
 
 
-def row_pointer(rows, nrows):
-    """CSR row pointer of entries whose row ids, in ascending order, are ``rows``."""
-    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
-    return row_ptr
-
-
 def _csr_from_keys(nrows, ncols, key, vals):
     """CSR of triplets given as in-range keys ``row * ncols + col`` (a fresh
     int64 array, sorted in place) and values, summing duplicates in (row,
-    col, insertion) order.  When the key and position bits fit in 63, each
-    position is packed below its key and one sort of these unique values
-    gives the sorted keys and the stable-sort permutation; otherwise a
-    stable ``argsort`` does."""
+    col, insertion) order.  A 2-D ``vals`` holds one value set per row and
+    gives a list of matrices that share one index pattern.
+
+    When the key and position bits fit in 63, each position is packed
+    below its key and one sort of these unique values gives the sorted
+    keys and the stable-sort permutation; otherwise a stable ``argsort``
+    does.  Each transient is dropped as soon as it has been used, so a
+    caller that passes ``vals`` as a temporary lets it go once gathered.
+    """
     m = len(key)
     b = max(m - 1, 0).bit_length()
     if (nrows * ncols - 1).bit_length() + b <= 63:
+        pos = np.int32 if b <= 31 else np.int64
         key <<= b
-        key |= np.arange(m)
+        key |= np.arange(m, dtype=pos)
         key.sort()
-        order = key & ((1 << b) - 1)
+        order = np.empty(m, dtype=pos)
+        np.bitwise_and(key, (1 << b) - 1, out=order, casting="unsafe")
         key >>= b
     else:
         order = np.argsort(key, kind="stable")
         key = key[order]
-    vals = vals[order]
+    vals = vals[..., order]
     del order
     if m:
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        vals = np.add.reduceat(vals, starts, axis=-1)
         key = key[starts]
-        vals = np.add.reduceat(vals, starts)
         del starts
-    rows, cols = np.divmod(key, max(ncols, 1))
-    return CsrMatrix(nrows, ncols, row_pointer(rows, nrows), cols, vals, check=False)
+    row_ptr = np.searchsorted(key, np.arange(nrows + 1, dtype=np.int64) * ncols)
+    key %= max(ncols, 1)
+    mats = []
+    for v in np.atleast_2d(vals):
+        mats.append(CsrMatrix(nrows, ncols, row_ptr, key, v, check=False))
+        row_ptr, key = mats[0].row_ptr, mats[0].col_idx
+    return mats if vals.ndim == 2 else mats[0]
+
+
+def _index_array(a):
+    """``a`` as a contiguous int32 or int64 array, converted to int64 only
+    when it is neither."""
+    a = np.asarray(a)
+    return np.ascontiguousarray(a, dtype=a.dtype if a.dtype in (np.int32, np.int64) else np.int64)
+
+
+def _adopt(S) -> CsrMatrix:
+    """The CsrMatrix over a scipy CSR matrix that nothing else holds: its
+    indices are sorted in place and its arrays become the matrix's own."""
+    S.sort_indices()
+    return CsrMatrix(S.shape[0], S.shape[1], S.indptr, S.indices, S.data)
 
 
 class CsrMatrix:
@@ -76,7 +95,12 @@ class CsrMatrix:
     col_idx : (nnz,) int array, strictly increasing within each row
     values : (nnz,) float array
 
-    Explicitly stored zeros are kept; the sparsity pattern is structural.
+    ``row_ptr``, ``col_idx`` and ``values`` are the arrays of the scipy
+    matrix that :meth:`to_scipy` returns, so each is stored once.  The
+    index dtype is the one scipy picks: int32 when nnz and both
+    dimensions fit in it, int64 otherwise, so index products such as
+    ``row * ncols + col`` must be formed in int64.  Explicitly stored
+    zeros are kept; the sparsity pattern is structural.
     """
 
     __slots__ = ("nrows", "ncols", "row_ptr", "col_idx", "values", "_scipy", "_transpose")
@@ -84,13 +108,14 @@ class CsrMatrix:
     def __init__(self, nrows, ncols, row_ptr, col_idx, values, check=True):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-        self.col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
+        self.row_ptr = _index_array(row_ptr)
+        self.col_idx = _index_array(col_idx)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self._scipy = None
         self._transpose = None
         if check:
             self._validate()
+        S = self._scipy = scipy.sparse.csr_matrix((self.values, self.col_idx, self.row_ptr), shape=self.shape)
+        self.row_ptr, self.col_idx, self.values = S.indptr, S.indices, S.data
         for arr in (self.row_ptr, self.col_idx, self.values):
             arr.flags.writeable = False
 
@@ -148,14 +173,12 @@ class CsrMatrix:
 
     @staticmethod
     def from_scipy(S):
-        S = S.tocsr()
-        S.sort_indices()
-        return CsrMatrix(S.shape[0], S.shape[1], S.indptr, S.indices, S.data)
+        """Build from a copy of any scipy sparse matrix; ``S`` is left as it is."""
+        return _adopt(S.tocsr(copy=True))
 
     @staticmethod
     def identity(n):
-        idx = np.arange(n, dtype=np.int64)
-        return CsrMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n), check=False)
+        return CsrMatrix(n, n, np.arange(n + 1), np.arange(n), np.ones(n), check=False)
 
     # -- views and conversions ------------------------------------------
 
@@ -168,10 +191,7 @@ class CsrMatrix:
         return (self.nrows, self.ncols)
 
     def to_scipy(self):
-        if self._scipy is None:
-            self._scipy = scipy.sparse.csr_matrix(
-                (self.values, self.col_idx, self.row_ptr), shape=self.shape
-            )
+        """The scipy matrix over this matrix's own (read-only) arrays."""
         return self._scipy
 
     def to_dense(self):
@@ -180,7 +200,7 @@ class CsrMatrix:
     def transpose(self):
         """A^T, built on the first call and cached."""
         if self._transpose is None:
-            self._transpose = CsrMatrix.from_scipy(self.to_scipy().T.tocsr())
+            self._transpose = _adopt(self._scipy.T.tocsr())
         return self._transpose
 
     def diagonal(self):
@@ -188,15 +208,14 @@ class CsrMatrix:
 
     def tril(self):
         """Lower triangle including the diagonal."""
-        return CsrMatrix.from_scipy(scipy.sparse.tril(self.to_scipy(), format="csr"))
+        return _adopt(scipy.sparse.tril(self._scipy, format="csr"))
 
     def triu(self):
         """Upper triangle including the diagonal."""
-        return CsrMatrix.from_scipy(scipy.sparse.triu(self.to_scipy(), format="csr"))
+        return _adopt(scipy.sparse.triu(self._scipy, format="csr"))
 
     def submatrix(self, row_idx, col_idx):
-        S = self.to_scipy()[np.asarray(row_idx)][:, np.asarray(col_idx)]
-        return CsrMatrix.from_scipy(S)
+        return _adopt(self._scipy[np.asarray(row_idx)][:, np.asarray(col_idx)])
 
     def is_symmetric(self, tol=1e-12):
         """Entrywise check |a_ij - a_ji| <= tol * max(1, |a_ij|)."""
@@ -234,11 +253,9 @@ def triple_product(R: CsrMatrix, A: CsrMatrix, P: CsrMatrix) -> CsrMatrix:
         raise ValueError(f"dimension mismatch: R is {R.shape}, A is {A.shape}")
     if A.ncols != P.nrows:
         raise ValueError(f"dimension mismatch: A is {A.shape}, P is {P.shape}")
-    S = R.to_scipy() @ A.to_scipy() @ P.to_scipy()
-    S = S.tocsr()
-    S.sort_indices()
+    S = (R.to_scipy() @ A.to_scipy() @ P.to_scipy()).tocsr()
     S.eliminate_zeros()
-    return CsrMatrix.from_scipy(S)
+    return _adopt(S)
 
 
 def matmul(A: CsrMatrix, B: CsrMatrix) -> CsrMatrix:
@@ -246,9 +263,8 @@ def matmul(A: CsrMatrix, B: CsrMatrix) -> CsrMatrix:
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch: A is {A.shape}, B is {B.shape}")
     S = (A.to_scipy() @ B.to_scipy()).tocsr()
-    S.sort_indices()
     S.eliminate_zeros()
-    return CsrMatrix.from_scipy(S)
+    return _adopt(S)
 
 
 # -- dense kernels -------------------------------------------------------
@@ -312,7 +328,7 @@ class GaussSeidel:
         self._inv_diag = 1.0 / diag
         rows = np.repeat(np.arange(n, dtype=np.intc), np.diff(A.row_ptr))
         keep = A.col_idx <= rows if direction == "forward" else A.col_idx >= rows
-        rows, cols = rows[keep], A.col_idx[keep].astype(np.intc)
+        rows, cols = rows[keep], A.col_idx[keep].astype(np.intc, copy=False)
         vals = A.values[keep] * self._inv_diag[cols]
         keep = vals != 0.0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]

@@ -40,10 +40,6 @@ class FeSpace:
         self.dof_coords = dof_coords
         self.is_boundary = is_boundary
 
-    @property
-    def num_interior(self):
-        return int(np.sum(~self.is_boundary))
-
     def interior_indices(self):
         return np.flatnonzero(~self.is_boundary)
 
@@ -132,29 +128,31 @@ def _element_geometry(mesh):
     return grads, vol
 
 
+def _element_matrices(space: FeSpace, form: str) -> np.ndarray:
+    """The (nt, n_loc, n_loc) stiffness or mass matrices of the elements."""
+    grads, vol = _element_geometry(space.mesh)
+    if form == "stiffness":
+        g = np.einsum("tmc,tnc->tmn", grads, grads) * vol[:, None, None]
+        return np.einsum("tmn,mnij->tij", g, reference.stiffness_reference(space.order))
+    if form == "mass":
+        return vol[:, None, None] * reference.mass_reference(space.order)[None, :, :]
+    raise ValueError(f"unknown form {form!r}")
+
+
 def assemble_operator(space: FeSpace, form: str) -> CsrMatrix:
     """Assemble the stiffness or mass matrix over the full DOF set.
 
     Element integrals are exact (rational barycentric expansion), so
     e.g. stiffness row sums vanish to machine precision.
     """
-    k = space.order
-    grads, vol = _element_geometry(space.mesh)
-    if form == "stiffness":
-        S = reference.stiffness_reference(k)
-        g = np.einsum("tmc,tnc->tmn", grads, grads) * vol[:, None, None]
-        local = np.einsum("tmn,mnij->tij", g, S)
-    elif form == "mass":
-        M = reference.mass_reference(k)
-        local = vol[:, None, None] * M[None, :, :]
-    else:
-        raise ValueError(f"unknown form {form!r}")
-
     n, dofs = space.n_dofs, space.element_dofs.astype(np.int64, copy=False)
     if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
         raise ValueError(f"element_dofs out of range for {n} DOFs")
-    # the key row * n + col of local[t, i, j], in the order local is stored
-    return _csr_from_keys(n, n, (dofs[:, :, None] * n + dofs[:, None, :]).ravel(), local.ravel())
+    # the key row * n + col of local[t, i, j], in the order local is stored;
+    # both are passed as temporaries, so the core frees each once it is used
+    return _csr_from_keys(
+        n, n, (dofs[:, :, None] * n + dofs[:, None, :]).ravel(), _element_matrices(space, form).ravel()
+    )
 
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -61,15 +60,6 @@ class ExperimentConfig:
         for t in self.theta_values:
             if not 0.0 < t < 1.0:
                 raise ValueError(f"theta {t} outside (0,1)")
-
-    @staticmethod
-    def from_json(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig(**json.load(fh))
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
 
 
 @dataclass
@@ -228,25 +218,6 @@ def _emit_markdown(report: ExperimentReport) -> str:
             out.append(f"| {dof} | " + " | ".join(cells) + " |")
         out.append("")
     return "\n".join(out)
-
-
-def parse_report_csv(text: str) -> ExperimentReport:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_COLUMNS:
-        raise ValueError("unexpected report header")
-    rows = []
-    for rec in reader:
-        d = dict(zip(CSV_COLUMNS, rec))
-        rows.append(ReportRow(
-            problem=d["problem"], k=int(d["k"]), n_dofs=int(d["n_dofs"]),
-            theta=float(d["theta"]), engine=d["engine"],
-            iterations=int(d["iterations"]), converged=d["converged"] == "True",
-            c_op=float(d["c_op"]), setup_time=float(d["setup_time"]),
-            solve_time=float(d["solve_time"]), level_count=int(d["level_count"]),
-            error=d["error"],
-        ))
-    return ExperimentReport(rows)
 
 
 # -- oracle verification ------------------------------------------------------

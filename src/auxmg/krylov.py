@@ -43,11 +43,6 @@ class SolveReport:
     wall_time: float
     precond_residual_history: np.ndarray | None = None  # MINRES: M-norm recurrence
 
-    def residual_csv(self) -> str:
-        lines = ["iteration,relres"]
-        lines += [f"{i},{r:.16e}" for i, r in enumerate(self.residual_history)]
-        return "\n".join(lines) + "\n"
-
 
 def _as_operator(obj):
     if obj is None:

@@ -41,18 +41,6 @@ def num_local_dofs(k: int) -> int:
     return comb(k + 3, 3)
 
 
-def integrate_barycentric_monomial(exponents, volume) -> float:
-    """Exact integral of a barycentric monomial over a tet of given volume."""
-    a, b, c, d = (int(e) for e in exponents)
-    if min(a, b, c, d) < 0:
-        raise ValueError("exponents must be nonnegative")
-    frac = Fraction(
-        6 * factorial(a) * factorial(b) * factorial(c) * factorial(d),
-        factorial(a + b + c + d + 3),
-    )
-    return float(volume) * float(frac)
-
-
 def _monomial_integral_unit(exponents) -> Fraction:
     # per unit volume: integral / |T|
     s = sum(exponents)
@@ -111,21 +99,6 @@ def lagrange_basis(k: int):
                 poly = _poly_mul(poly, _univariate_factor(k, m, c))
         basis.append(poly)
     return tuple(basis)
-
-
-def eval_basis_exact(k, bary):
-    """Evaluate all basis functions at one exact barycentric point."""
-    bary = tuple(Fraction(b) for b in bary)
-    vals = []
-    for poly in lagrange_basis(k):
-        acc = Fraction(0)
-        for e, c in poly.items():
-            term = c
-            for m in range(4):
-                term *= bary[m] ** e[m]
-            acc += term
-        vals.append(acc)
-    return vals
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ import scipy.sparse
 
 from . import reference
 from .amg import VCyclePreconditioner, build_hierarchy
-from .csr import CsrMatrix, spmv
+from .csr import CsrMatrix, _adopt, _csr_from_keys, spmv
 from .fem import FeSpace, assemble_operator, build_space, eliminate_dirichlet, _element_geometry
 from .krylov import SolveReport, SolverConfig, fgmres, minres, pcg
 from .mesh import TetMesh
@@ -121,18 +121,16 @@ def _lid_dirichlet_values(space: FeSpace, lid_velocity) -> np.ndarray:
 
 
 def _assemble_divergence(vel: FeSpace, pres: FeSpace):
-    """Component blocks B_c (n_p x n_v_full) of the -div operator."""
+    """Component blocks B_c (n_p x n_v_full) of the -div operator, sharing
+    one sorted (row, col) pattern."""
     grads, vol = _element_geometry(vel.mesh)
     N = reference.divergence_reference(vel.order, pres.order)  # (4, n_p_loc, n_v_loc)
-    blocks = []
-    n_t = vel.mesh.num_tets
-    n_p_loc, n_v_loc = N.shape[1], N.shape[2]
-    prow = np.repeat(pres.element_dofs, n_v_loc, axis=1).ravel()
-    vcol = np.tile(vel.element_dofs, (1, n_p_loc)).ravel()
-    for c in range(3):
-        local = -np.einsum("t,tm,mqi->tqi", vol, grads[:, :, c], N)
-        blocks.append(CsrMatrix.from_coo(pres.n_dofs, vel.n_dofs, prow, vcol, local.ravel()))
-    return blocks
+    prow = pres.element_dofs.astype(np.int64, copy=False)
+    vcol = vel.element_dofs.astype(np.int64, copy=False)
+    # the key row * n_v + col of local[t, q, i], in the order local is stored
+    key = (prow[:, :, None] * vel.n_dofs + vcol[:, None, :]).ravel()
+    local = np.stack([-np.einsum("t,tm,mqi->tqi", vol, grads[:, :, c], N).ravel() for c in range(3)])
+    return _csr_from_keys(pres.n_dofs, vel.n_dofs, key, local)
 
 
 def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> StokesSystem:
@@ -159,14 +157,12 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
 
     B_blocks = _assemble_divergence(vel, pres)
     B_int = scipy.sparse.hstack([b.to_scipy()[:, interior] for b in B_blocks]).tocsr()
-    B_int.sort_indices()
     rhs_p = -sum(spmv(b, ghat) for b, ghat in zip(B_blocks, ghat_cols))
 
     A_blk = scipy.sparse.block_diag([A_scalar.to_scipy()] * 3).tocsr()
-    A_blk.sort_indices()
     return StokesSystem(
-        A=CsrMatrix.from_scipy(A_blk),
-        B=CsrMatrix.from_scipy(B_int),
+        A=_adopt(A_blk),
+        B=_adopt(B_int),
         M_p=M_p,
         velocity_space=vel,
         pressure_space=pres,

@@ -100,8 +100,9 @@ def lists_to_csr(lists):
 
 
 def strong_arrays(S):
-    """CSR arrays (row_ptr, col_idx) of the strong graph, then of its transpose."""
-    return S.row_ptr, S.col_idx, S.t_row_ptr, S.t_col_idx
+    """CSR arrays (row_ptr, col_idx) of the strong graph, then of its
+    transpose, as int64, the dtype the pins were taken with."""
+    return tuple(a.astype(np.int64) for a in (S.row_ptr, S.col_idx, S.t_row_ptr, S.t_col_idx))
 
 
 def assert_same_csr(X: CsrMatrix, Y: CsrMatrix):
@@ -241,6 +242,18 @@ def test_long_f_row_sums_like_the_oracle():
     A = CsrMatrix.from_coo(n, n, rows, cols, np.concatenate([-mag, -mag, diag]))
     _, (_, f_points, _), _ = assert_stages_match_oracle(A, 1e-9)
     assert f_points.tolist() == [n - 1]
+
+
+def test_index_products_do_not_overflow():
+    # n^2 > 2^31, so a key row * n + col formed from the int32 column
+    # indices in int32 would wrap
+    A = laplace_1d(50_000)
+    assert A.col_idx.dtype == np.int32 and A.nrows**2 > 2**31
+    H = build_hierarchy(A, theta=THETA)
+    assert H.num_levels > 2
+    for fine in H.levels[:-1]:
+        _, _, P = assert_stages_match_oracle(fine.A, THETA)
+        assert_same_csr(P, fine.P)
 
 
 def test_pins_cover_the_p2_p4_and_laplace_hierarchies():

@@ -11,6 +11,7 @@ from auxmg.csr import (
     NotPositiveDefiniteError,
     cholesky_factor,
     cholesky_solve,
+    matmul,
     read_matrix_market,
     spmv,
     triple_product,
@@ -18,6 +19,8 @@ from auxmg.csr import (
 )
 from auxmg.fem import assemble_operator, build_space, eliminate_dirichlet
 from auxmg.mesh import build_cube_mesh
+from auxmg.stokes import _assemble_divergence
+from auxmg.transfer import build_prolongation
 
 
 def dense_sym_eigen(M, tol=1e-12):
@@ -78,6 +81,60 @@ class TestCsrInvariants:
         assert A.is_symmetric()
         B = CsrMatrix.from_dense([[2.0, -1.0], [-0.5, 2.0]])
         assert not B.is_symmetric()
+
+
+def _every_constructor():
+    """One matrix from each way a CsrMatrix comes to be."""
+    rng = np.random.default_rng(11)
+    A, _ = random_csr(rng, 6, 6)
+    P, _ = random_csr(rng, 6, 3, density=0.7)
+    mesh = build_cube_mesh(1)
+    p1, p2 = build_space(mesh, 1), build_space(mesh, 2)
+    unsorted = scipy.sparse.csr_matrix((np.arange(1.0, 4.0), [2, 0, 1], [0, 2, 3]), shape=(2, 3))
+    return {
+        "init": CsrMatrix(2, 3, [0, 1, 2], [2, 0], [1.0, 2.0]),
+        "from_coo": CsrMatrix.from_coo(3, 4, [2, 0, 2], [1, 3, 1], [1.0, 2.0, 3.0]),
+        "from_dense": A,
+        "from_scipy": CsrMatrix.from_scipy(unsorted),
+        "identity": CsrMatrix.identity(4),
+        "transpose": A.transpose(),
+        "tril": A.tril(),
+        "triu": A.triu(),
+        "submatrix": A.submatrix([0, 2, 4], [5, 1, 3]),
+        "triple_product": triple_product(P.transpose(), A, P),
+        "matmul": matmul(A, P),
+        "assemble_operator": assemble_operator(p2, "stiffness"),
+        "divergence": _assemble_divergence(p2, p1)[2],
+        "prolongation": build_prolongation(p2, p1).prolongation,
+    }
+
+
+class TestIndexStorage:
+    @pytest.mark.parametrize("name", sorted(_every_constructor()))
+    def test_indices_are_the_scipy_arrays(self, name):
+        A = _every_constructor()[name]
+        S = A.to_scipy()
+        assert S is A.to_scipy()
+        assert np.shares_memory(S.indptr, A.row_ptr) and np.shares_memory(S.indices, A.col_idx)
+        assert np.shares_memory(S.data, A.values)
+        assert A.row_ptr.dtype == A.col_idx.dtype == np.int32
+        assert not any(a.flags.writeable for a in (A.row_ptr, A.col_idx, A.values))
+
+    def test_from_scipy_leaves_the_callers_matrix_alone(self):
+        S = scipy.sparse.csr_matrix((np.arange(1.0, 4.0), [2, 0, 1], [0, 2, 3]), shape=(2, 3))
+        A = CsrMatrix.from_scipy(S)
+        assert S.indices.tolist() == [2, 0, 1]
+        assert all(a.flags.writeable for a in (S.indptr, S.indices, S.data))
+        assert A.col_idx.tolist() == [0, 2, 1] and A.values.tolist() == [2.0, 1.0, 3.0]
+
+    def test_wide_shape_keeps_int64_indices(self):
+        ncols = 3_000_000_000
+        A = CsrMatrix.from_coo(2, ncols, [1, 0, 1, 1], [ncols - 1, 7, 5, ncols - 1], [1.0, 2.0, 3.0, 4.0])
+        assert A.row_ptr.dtype == A.col_idx.dtype == np.int64
+        assert np.shares_memory(A.to_scipy().indices, A.col_idx)
+        assert A.row_ptr.tolist() == [0, 1, 3]
+        assert A.col_idx.tolist() == [7, 5, ncols - 1]
+        assert A.values.tolist() == [2.0, 3.0, 5.0]
 
 
 class TestTranspose:

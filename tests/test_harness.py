@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,10 +14,27 @@ from auxmg.harness import (
     ExperimentReport,
     ReportRow,
     emit_report,
-    parse_report_csv,
     run_experiment,
     verification_report,
 )
+
+
+def parse_report_csv(text: str) -> ExperimentReport:
+    """The report that ``emit_report(report, "csv")`` wrote as ``text``."""
+    reader = csv.reader(io.StringIO(text))
+    assert next(reader) == CSV_COLUMNS
+    rows = []
+    for rec in reader:
+        d = dict(zip(CSV_COLUMNS, rec))
+        rows.append(ReportRow(
+            problem=d["problem"], k=int(d["k"]), n_dofs=int(d["n_dofs"]),
+            theta=float(d["theta"]), engine=d["engine"],
+            iterations=int(d["iterations"]), converged=d["converged"] == "True",
+            c_op=float(d["c_op"]), setup_time=float(d["setup_time"]),
+            solve_time=float(d["solve_time"]), level_count=int(d["level_count"]),
+            error=d["error"],
+        ))
+    return ExperimentReport(rows)
 
 
 class TestConfig:
@@ -35,10 +55,13 @@ class TestConfig:
             ExperimentConfig(refinements=[])
 
     def test_json_round_trip(self, tmp_path):
+        # a config file holding every field reads back, through the CLI's
+        # --config path, as the same config
         cfg = ExperimentConfig(problem="stokes", k=3, refinements=[2], theta_values=[0.4])
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
-        assert ExperimentConfig.from_json(path) == cfg
+        path.write_text(json.dumps(asdict(cfg)))
+        args = cli._build_parser().parse_args(["solve", "--config", str(path)])
+        assert cli._config_from_args(args) == cfg
 
 
 class TestRunExperiment:

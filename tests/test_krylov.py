@@ -222,13 +222,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(restart=0)
 
-    def test_report_csv(self):
-        x, rep = pcg(CsrMatrix.identity(2), None, np.ones(2))
-        text = rep.residual_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "iteration,relres"
-        assert len(lines) == rep.iterations + 2
-
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("solver", [pcg, minres, fgmres])

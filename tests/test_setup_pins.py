@@ -32,7 +32,8 @@ def digest(*arrays):
 
 
 def csr_digest(A: CsrMatrix):
-    return digest(np.array(A.shape), A.row_ptr, A.col_idx, A.values)
+    # the pins were taken with int64 indices; the stored dtype may be int32
+    return digest(np.array(A.shape), A.row_ptr.astype(np.int64), A.col_idx.astype(np.int64), A.values)
 
 
 MESHES = {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from auxmg import reference
 from auxmg.csr import CsrMatrix, spmv
 from auxmg.krylov import SolverConfig
 from auxmg.mesh import build_cube_mesh
@@ -15,7 +16,7 @@ from auxmg.stokes import (
     solve_cavity,
     write_vtk,
 )
-from auxmg.fem import build_space
+from auxmg.fem import _element_geometry, build_space
 
 
 def dense_saddle(S):
@@ -80,6 +81,27 @@ class TestAssembly:
         for c, blk in enumerate(blocks):
             img = spmv(blk, np.full(vel.n_dofs, 2.5))
             assert np.max(np.abs(img)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_divergence_blocks_match_per_component_coo(self, k):
+        # the shared-pattern build gives, array for array, the blocks of
+        # one from_coo per component over repeated/tiled triplets
+        mesh = build_cube_mesh(3)
+        vel, pres = build_space(mesh, k), build_space(mesh, k - 1)
+        grads, vol = _element_geometry(mesh)
+        N = reference.divergence_reference(k, k - 1)
+        n_p_loc, n_v_loc = N.shape[1], N.shape[2]
+        prow = np.repeat(pres.element_dofs, n_v_loc, axis=1).ravel()
+        vcol = np.tile(vel.element_dofs, (1, n_p_loc)).ravel()
+        blocks = _assemble_divergence(vel, pres)
+        assert len(blocks) == 3
+        for c, blk in enumerate(blocks):
+            local = -np.einsum("t,tm,mqi->tqi", vol, grads[:, :, c], N)
+            want = CsrMatrix.from_coo(pres.n_dofs, vel.n_dofs, prow, vcol, local.ravel())
+            assert blk.shape == want.shape
+            assert np.array_equal(blk.row_ptr, want.row_ptr)
+            assert np.array_equal(blk.col_idx, want.col_idx)
+            assert np.array_equal(blk.values.view(np.uint64), want.values.view(np.uint64))
 
     def test_constant_pressure_annihilated(self):
         # B^T 1 = 0: interior velocity basis has no boundary flux
