@@ -245,7 +245,7 @@ def smooth_and_correct(A: CsrMatrix, P: CsrMatrix, r, coarse_solve, pre, post) -
 
 def _vcycle(H: AmgHierarchy, level: int, r):
     if level == len(H.levels) - 1:
-        return cholesky_solve(None, r, factor=H.coarsest_factor)
+        return cholesky_solve(H.coarsest_factor, r)
     lvl = H.levels[level]
     return smooth_and_correct(lvl.A, lvl.P, r, partial(_vcycle, H, level + 1), lvl.forward, lvl.backward)
 
@@ -258,14 +258,6 @@ def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:
     return _vcycle(H, 0, r)
 
 
-def vcycles(H: AmgHierarchy, r, cycles: int) -> np.ndarray:
-    """``cycles`` V-cycles on A x = r from a zero guess, A the finest level."""
-    x = vcycle_apply(H, r)
-    for _ in range(cycles - 1):
-        x += vcycle_apply(H, r - spmv(H.levels[0].A, x))
-    return x
-
-
 def operator_complexity(H: AmgHierarchy) -> float:
     """Total stored nonzeros over all levels relative to the finest level."""
     nnz = [lvl.A.nnz for lvl in H.levels]
@@ -273,14 +265,13 @@ def operator_complexity(H: AmgHierarchy) -> float:
 
 
 class VCyclePreconditioner:
-    """Fixed number of V-cycles as a (symmetric) preconditioner action."""
+    """One symmetric V-cycle as a preconditioner action."""
 
-    def __init__(self, hierarchy: AmgHierarchy, cycles: int = 1):
+    def __init__(self, hierarchy: AmgHierarchy):
         self.hierarchy = hierarchy
-        self.cycles = cycles
 
     def __call__(self, r):
-        return vcycles(self.hierarchy, r, self.cycles)
+        return vcycle_apply(self.hierarchy, r)
 
     def operator_complexity(self) -> float:
         return operator_complexity(self.hierarchy)

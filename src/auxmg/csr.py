@@ -71,13 +71,6 @@ def _csr_from_keys(nrows, ncols, key, vals):
     return mats if vals.ndim == 2 else mats[0]
 
 
-def _index_array(a):
-    """``a`` as a contiguous int32 or int64 array, converted to int64 only
-    when it is neither."""
-    a = np.asarray(a)
-    return np.ascontiguousarray(a, dtype=a.dtype if a.dtype in (np.int32, np.int64) else np.int64)
-
-
 def _adopt(S) -> CsrMatrix:
     """The CsrMatrix over a scipy CSR matrix that nothing else holds: its
     indices are sorted in place and its arrays become the matrix's own."""
@@ -101,6 +94,10 @@ class CsrMatrix:
     dimensions fit in it, int64 otherwise, so index products such as
     ``row * ncols + col`` must be formed in int64.  Explicitly stored
     zeros are kept; the sparsity pattern is structural.
+
+    With ``check`` (the default) malformed input raises ValueError:
+    scipy's full ``check_format`` runs, and its canonical-format test
+    rejects unsorted or repeated columns within a row.
     """
 
     __slots__ = ("nrows", "ncols", "row_ptr", "col_idx", "values", "_scipy", "_transpose")
@@ -108,38 +105,21 @@ class CsrMatrix:
     def __init__(self, nrows, ncols, row_ptr, col_idx, values, check=True):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.row_ptr = _index_array(row_ptr)
-        self.col_idx = _index_array(col_idx)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
+        row_ptr = np.asarray(row_ptr)
         self._transpose = None
+        # scipy drops the entries past a short row_ptr[-1] without a word
+        if check and len(row_ptr) and row_ptr[-1] != len(col_idx):
+            raise ValueError("row_ptr must end at nnz")
+        S = self._scipy = scipy.sparse.csr_matrix(
+            (np.ascontiguousarray(values, dtype=np.float64), col_idx, row_ptr), shape=self.shape
+        )
         if check:
-            self._validate()
-        S = self._scipy = scipy.sparse.csr_matrix((self.values, self.col_idx, self.row_ptr), shape=self.shape)
+            S.check_format(full_check=True)
+            if not S.has_canonical_format:
+                raise ValueError("column indices must be strictly increasing per row")
         self.row_ptr, self.col_idx, self.values = S.indptr, S.indices, S.data
         for arr in (self.row_ptr, self.col_idx, self.values):
             arr.flags.writeable = False
-
-    def _validate(self):
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValueError("negative matrix dimension")
-        if self.row_ptr.shape != (self.nrows + 1,):
-            raise ValueError("row_ptr must have length nrows+1")
-        if self.row_ptr[0] != 0 or self.row_ptr[-1] != len(self.col_idx):
-            raise ValueError("row_ptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.row_ptr) < 0):
-            raise ValueError("row_ptr must be nondecreasing")
-        if len(self.col_idx) != len(self.values):
-            raise ValueError("col_idx and values length mismatch")
-        if len(self.col_idx):
-            if self.col_idx.min() < 0 or self.col_idx.max() >= self.ncols:
-                raise ValueError("column index out of range")
-            # strictly increasing inside each row (no duplicates)
-            d = np.diff(self.col_idx)
-            starts = self.row_ptr[1:-1]
-            interior = np.ones(len(d), dtype=bool)
-            interior[starts[(starts > 0) & (starts < len(self.col_idx))] - 1] = False
-            if np.any(d[interior] <= 0):
-                raise ValueError("column indices must be strictly increasing per row")
 
     # -- constructors ---------------------------------------------------
 
@@ -285,10 +265,10 @@ def cholesky_factor(M):
     return L
 
 
-def cholesky_solve(M, b, factor=None):
-    """Solve M x = b for dense SPD M (optionally with a precomputed factor)."""
+def cholesky_solve(L, b):
+    """Solve L L^T x = b for the lower Cholesky factor L of
+    :func:`cholesky_factor`."""
     b = np.asarray(b, dtype=np.float64)
-    L = cholesky_factor(M) if factor is None else factor
     y = scipy.linalg.solve_triangular(L, b, lower=True)
     return scipy.linalg.solve_triangular(L.T, y, lower=False)
 
@@ -367,16 +347,14 @@ def tri_lower_solve(L: CsrMatrix, b):
 # -- Matrix Market I/O ---------------------------------------------------
 
 
-def write_matrix_market(A: CsrMatrix, path, symmetric=None):
+def write_matrix_market(A: CsrMatrix, path):
     """Write coordinate Matrix Market (1-based, 17 significant digits).
 
-    ``symmetric=None`` auto-detects; symmetric files store the lower
-    triangle only.
+    A symmetric matrix (:meth:`CsrMatrix.is_symmetric`) is stored as its
+    lower triangle under the ``symmetric`` qualifier.
     """
-    if symmetric is None:
-        symmetric = A.is_symmetric()
     S = A.to_scipy().tocoo()
-    if symmetric:
+    if A.is_symmetric():
         keep = S.row >= S.col
         rows, cols, vals = S.row[keep], S.col[keep], S.data[keep]
         qualifier = "symmetric"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference
-from .csr import CsrMatrix, _csr_from_keys, spmv
+from .csr import CsrMatrix, _csr_from_keys
 from .mesh import TetMesh, sub_simplices
 
 
@@ -187,31 +187,17 @@ class AssembledSystem:
         return self.A.nrows
 
 
-def eliminate_dirichlet(A: CsrMatrix, rhs, space: FeSpace, g=None) -> AssembledSystem:
-    """Restrict to interior DOFs, lifting boundary values into the rhs.
-
-    ``g`` may be None (homogeneous), a callable of an (m, 3) coordinate
-    array, or a full-length vector of boundary values.
-    """
+def eliminate_dirichlet(A: CsrMatrix, rhs, space: FeSpace) -> AssembledSystem:
+    """Restrict to interior DOFs for homogeneous Dirichlet data: the
+    interior block of A and the interior entries of rhs."""
     rhs = np.asarray(rhs, dtype=np.float64)
     if A.nrows != space.n_dofs or rhs.shape[0] != space.n_dofs:
         raise ValueError("operator/rhs size does not match the space")
     interior = space.interior_indices()
     full_to_interior = np.full(space.n_dofs, -1, dtype=np.int64)
     full_to_interior[interior] = np.arange(len(interior))
-
-    rhs_int = rhs[interior]
-    if g is not None:
-        ghat = np.zeros(space.n_dofs)
-        bnd = space.is_boundary
-        if callable(g):
-            ghat[bnd] = g(space.dof_coords[bnd])
-        else:
-            ghat[bnd] = np.asarray(g, dtype=np.float64)[bnd]
-        if np.any(ghat != 0.0):
-            rhs_int = rhs_int - spmv(A, ghat)[interior]
     A_int = A.submatrix(interior, interior)
-    return AssembledSystem(A_int, rhs_int, interior, full_to_interior)
+    return AssembledSystem(A_int, rhs[interior], interior, full_to_interior)
 
 
 def l2_error(space: FeSpace, coeffs_full, exact) -> float:

@@ -82,9 +82,6 @@ class ReportRow:
 class ExperimentReport:
     rows: list
 
-    def __eq__(self, other):
-        return isinstance(other, ExperimentReport) and self.rows == other.rows
-
 
 CSV_COLUMNS = [
     "problem", "k", "n_dofs", "theta", "engine", "iterations",

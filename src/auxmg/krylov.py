@@ -29,6 +29,8 @@ class SolverConfig:
     restart: int = 100  # fgmres only
 
     def __post_init__(self):
+        if self.method not in ("cg", "minres", "fgmres"):
+            raise ValueError(f"unknown Krylov method {self.method!r}")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
         if self.restart < 1:
@@ -52,8 +54,6 @@ def _as_operator(obj):
         return lambda x: S @ x
     if callable(obj):
         return obj
-    if hasattr(obj, "apply"):
-        return obj.apply
     raise TypeError(f"cannot interpret {type(obj).__name__} as a linear operator")
 
 
@@ -272,13 +272,3 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
                 stagnated = True
     return x, SolveReport(it, converged, np.asarray(history), time.perf_counter() - t0)
 
-
-def solve(A, M, b, cfg: SolverConfig, x0=None):
-    """Dispatch on ``cfg.method``."""
-    if cfg.method == "cg":
-        return pcg(A, M, b, cfg, x0=x0)
-    if cfg.method == "minres":
-        return minres(A, M, b, cfg, x0=x0)
-    if cfg.method == "fgmres":
-        return fgmres(A, M, b, cfg, x0=x0)
-    raise ValueError(f"unknown method {cfg.method!r}")

@@ -27,7 +27,7 @@ class TetMesh:
     boundary_owner : (nb,) int array, owning tet of each boundary face
     """
 
-    def __init__(self, vertices, tets, check=True):
+    def __init__(self, vertices, tets):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         tets = np.ascontiguousarray(tets, dtype=np.int64)
         vol = signed_volumes(self.vertices, tets)
@@ -36,12 +36,11 @@ class TetMesh:
             tets = tets.copy()
             tets[flip, 2], tets[flip, 3] = tets[flip, 3], tets[flip, 2].copy()
         self.tets = tets
-        self.boundary_faces, self.boundary_owner = _boundary_faces(tets, check=check)
-        if check:
-            vol = signed_volumes(self.vertices, self.tets)
-            if np.any(vol <= 0):
-                bad = int(np.argmin(vol))
-                raise ValueError(f"tet {bad} has nonpositive volume {vol[bad]:g}")
+        self.boundary_faces, self.boundary_owner = _boundary_faces(tets)
+        vol = signed_volumes(self.vertices, self.tets)
+        if np.any(vol <= 0):
+            bad = int(np.argmin(vol))
+            raise ValueError(f"tet {bad} has nonpositive volume {vol[bad]:g}")
 
     @property
     def num_vertices(self):
@@ -106,10 +105,10 @@ def signed_volumes(vertices, tets):
     return np.linalg.det(d) / 6.0
 
 
-def _boundary_faces(tets, check=True):
+def _boundary_faces(tets):
     faces, ids = sub_simplices(tets, _TET_FACES)
     counts = np.bincount(ids.ravel(), minlength=len(faces))
-    if check and np.any(counts > 2):
+    if np.any(counts > 2):
         raise ValueError("non-conforming mesh: a face is shared by more than 2 tets")
     once = counts[ids] == 1
     owner, _ = np.nonzero(once)

@@ -97,7 +97,8 @@ class StokesSystem:
 
 
 def _lid_dirichlet_values(space: FeSpace, lid_velocity) -> np.ndarray:
-    """Dirichlet data: zero on walls, lid values on the open top face.
+    """Dirichlet data: zero on walls, the constant (x, y, z) triple
+    ``lid_velocity`` on the open top face.
 
     Rim nodes (top face meeting a wall) take the wall value, the
     watertight-cavity convention that keeps the data continuous.
@@ -112,11 +113,7 @@ def _lid_dirichlet_values(space: FeSpace, lid_velocity) -> np.ndarray:
         | (np.abs(coords[:, 1] - 1.0) <= _GEOM_TOL)
         | (np.abs(coords[:, 2]) <= _GEOM_TOL)
     )
-    lid = on_top & ~on_wall
-    if callable(lid_velocity):
-        g[lid] = np.asarray(lid_velocity(coords[lid]), dtype=np.float64)
-    else:
-        g[lid] = np.asarray(lid_velocity, dtype=np.float64)
+    g[on_top & ~on_wall] = np.asarray(lid_velocity, dtype=np.float64)
     return g
 
 
@@ -238,8 +235,7 @@ class BlockPreconditioner:
         return np.concatenate([z_u, z_p])
 
 
-def build_block_preconditioner(S: StokesSystem, kind="Qt", engine="gamg", theta=0.8,
-                               schur_tol=1e-2, schur_max_iters=50) -> BlockPreconditioner:
+def build_block_preconditioner(S: StokesSystem, kind="Qt", engine="gamg", theta=0.8) -> BlockPreconditioner:
     """One AMG or two-level (auxiliary P1) cycle on the velocity block."""
     if engine == "gamg":
         coarse_p1 = build_space(S.velocity_space.mesh, 1)
@@ -249,7 +245,7 @@ def build_block_preconditioner(S: StokesSystem, kind="Qt", engine="gamg", theta=
         a_action = VCyclePreconditioner(build_hierarchy(S.A_scalar, theta=theta))
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    return BlockPreconditioner(kind, a_action, S, schur_tol, schur_max_iters)
+    return BlockPreconditioner(kind, a_action, S)
 
 
 def solve_cavity(S: StokesSystem, precond_kind="Qt", coarse_engine="gamg",
@@ -270,6 +266,8 @@ def solve_cavity(S: StokesSystem, precond_kind="Qt", coarse_engine="gamg",
 
 def _solve_preconditioned(S: StokesSystem, M: BlockPreconditioner, cfg: SolverConfig, x0=None):
     """The Krylov part of :func:`solve_cavity` with a ready preconditioner."""
+    if cfg.method == "cg":
+        raise ValueError(f"method {cfg.method!r} needs an SPD operator; the saddle system is indefinite")
     b = S.rhs()
     if x0 is None:
         x0 = np.zeros(S.dim)

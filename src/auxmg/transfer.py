@@ -16,16 +16,12 @@ from .fem import FeSpace
 
 
 class TransferOperator:
-    """Prolongation (n_h x n_H) and its transpose restriction."""
+    """Prolongation (n_h x n_H) between two spaces on one mesh."""
 
     def __init__(self, prolongation: CsrMatrix, fine_space: FeSpace, coarse_space: FeSpace):
         self.prolongation = prolongation
         self.fine_space = fine_space
         self.coarse_space = coarse_space
-
-    @property
-    def restriction(self) -> CsrMatrix:
-        return self.prolongation.transpose()
 
     def eliminated(self) -> CsrMatrix:
         """Prolongation restricted to interior rows and columns."""

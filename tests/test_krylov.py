@@ -222,6 +222,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(restart=0)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="'gmres'"):
+            SolverConfig(method="gmres")
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("solver", [pcg, minres, fgmres])

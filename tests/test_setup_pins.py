@@ -236,7 +236,7 @@ class TestFromCoo:
         assert np.array_equal(A.row_ptr, row_ptr)
         assert np.array_equal(A.col_idx, col_idx)
         assert np.array_equal(A.values, values)
-        A._validate()
+        CsrMatrix(*A.shape, A.row_ptr, A.col_idx, A.values)
 
     @settings(max_examples=300, deadline=None)
     @given(triplets_any_shape())

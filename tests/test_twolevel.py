@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from auxmg.amg import AmgHierarchy, _Level, build_hierarchy, vcycle_apply
-from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_solve, spmv, triple_product
+from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, spmv, triple_product
 from auxmg.problems import poisson_setup
 from auxmg.twolevel import (
     AugmentedSystem,
@@ -138,7 +138,8 @@ class TestPinnedComposition:
             assert H.num_levels >= 2
             coarse_solve = lambda r_H: vcycle_apply(H, r_H)  # noqa: E731
         else:
-            coarse_solve = lambda r_H: cholesky_solve(A_H.to_dense(), r_H)  # noqa: E731
+            L_H = cholesky_factor(A_H.to_dense())
+            coarse_solve = lambda r_H: cholesky_solve(L_H, r_H)  # noqa: E731
         fwd, bwd = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
         sweep = {"forward": fwd, "backward": bwd}
         flip = {"forward": bwd, "backward": fwd}
