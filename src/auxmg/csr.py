@@ -41,6 +41,10 @@ def _csr_from_keys(nrows, ncols, key, vals):
     keys and the stable-sort permutation; otherwise a stable ``argsort``
     does.  Each transient is dropped as soon as it has been used, so a
     caller that passes ``vals`` as a temporary lets it go once gathered.
+    The spent permutation is shrunk in place to hold the mask of first
+    entries, so the starts and the sums fit in the space the values and
+    the permutation leave; when they did not, a warm P4 n=8 build peaked
+    at 194 MB RSS instead of 175, depending on the process's heap layout.
     """
     m = len(key)
     b = max(m - 1, 0).bit_length()
@@ -56,9 +60,13 @@ def _csr_from_keys(nrows, ncols, key, vals):
         order = np.argsort(key, kind="stable")
         key = key[order]
     vals = vals[..., order]
-    del order
     if m:
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        order.resize(-(-m // order.itemsize), refcheck=False)
+        first = order.view(np.bool_)[:m]  # the first entry of each distinct key
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        del first, order
         vals = np.add.reduceat(vals, starts, axis=-1)
         key = key[starts]
         del starts
