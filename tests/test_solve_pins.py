@@ -1,0 +1,54 @@
+"""Pins of whole preconditioned solves: SHA-256 prefixes of the solution
+and of the true residual history, plus the iteration count, for the
+Stokes cavity under every block preconditioner and velocity engine, and
+for a P3 Poisson solve under the two-level preconditioner.
+
+Any change to the solve path that moves a single bit of an operator,
+smoother, coarse solve or Krylov recurrence moves these digests.
+"""
+
+import numpy as np
+import pytest
+
+from auxmg.krylov import SolverConfig, fgmres
+from auxmg.mesh import build_cube_mesh
+from auxmg.problems import poisson_setup
+from auxmg.stokes import _solve_preconditioned, assemble_stokes, build_block_preconditioner
+from auxmg.twolevel import TwoLevelPreconditioner
+from tests.test_setup_pins import digest
+
+STOKES_PINS = {
+    ("Qt", "gamg"): ("473aae6bd329ce89", "4fd5cdf23f659a03", "9c05ea80f6331799", 43),
+    ("Qt", "amg"): ("ae81833b8fc13f3a", "0979135d6502d29f", "b6c0349cabefa880", 40),
+    ("Qd", "gamg"): ("8ba97c5a3ce506e7", "8174b36ddfb81ef7", "936d935e2ac894ea", 97),
+    ("Qd", "amg"): ("e69462dbc214e844", "e2934638ca1f82b3", "90e1362fc4c71c48", 92),
+}
+
+POISSON_P3_GAMG_PIN = ("238f2e8fdebb9597", "ff026161552424ed", 15)
+
+
+@pytest.fixture(scope="module")
+def cavity():
+    return assemble_stokes(build_cube_mesh(4), 2)
+
+
+@pytest.mark.parametrize("kind, engine", list(STOKES_PINS))
+def test_stokes_solve_pinned(cavity, kind, engine):
+    M = build_block_preconditioner(cavity, kind=kind, engine=engine, theta=0.8)
+    cfg = SolverConfig(method="fgmres" if kind == "Qt" else "minres", rel_tol=1e-8, max_iters=400)
+    x0 = np.random.default_rng(7).standard_normal(cavity.dim)
+    u, p, report = _solve_preconditioned(cavity, M, cfg, x0)
+    assert report.converged
+    got = (digest(u), digest(p), digest(report.residual_history), report.iterations)
+    assert got == STOKES_PINS[kind, engine]
+
+
+def test_poisson_p3_gamg_solve_pinned():
+    prob = poisson_setup(3, 3)
+    A = prob.system.A
+    M = TwoLevelPreconditioner(A, prob.prolongation_int, coarse="amg", theta=0.25)
+    x0 = np.random.default_rng(3).standard_normal(A.nrows)
+    x, report = fgmres(A, M, np.zeros(A.nrows), SolverConfig(method="fgmres", rel_tol=1e-8), x0=x0)
+    assert report.converged
+    got = (digest(x), digest(report.residual_history), report.iterations)
+    assert got == POISSON_P3_GAMG_PIN
