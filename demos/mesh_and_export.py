@@ -30,9 +30,9 @@ write_mesh(bumpy, "bumpy")
 back = read_mesh("bumpy")
 print(f"mesh round trip exact: {np.array_equal(back.vertices, bumpy.vertices)}")
 
-# assembled operators travel as Matrix Market coordinate files; the
-# symmetric format stores the lower triangle (17 significant digits),
-# so mirrored entries agree with the original to the last ulp
+# assembled operators travel as Matrix Market coordinate files with 17
+# significant digits; only an exactly symmetric matrix is stored as its
+# lower triangle, so the round trip is bit for bit
 space = build_space(bumpy, 2)
 A = assemble_operator(space, "stiffness")
 write_matrix_market(A, "stiffness.mtx")

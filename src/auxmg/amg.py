@@ -18,6 +18,7 @@ import numpy as np
 from .csr import (
     CsrMatrix,
     GaussSeidel,
+    _as_block,
     cholesky_factor,
     cholesky_solve,
     spmv,
@@ -232,7 +233,8 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
 def smooth_and_correct(A: CsrMatrix, P: CsrMatrix, r, coarse_solve, pre, post) -> np.ndarray:
     """One multigrid step on A x = r from a zero guess: the ``pre`` sweep,
     the coarse correction P coarse_solve(P^T residual), the ``post``
-    sweep.  A sweep that is None is skipped.
+    sweep.  A sweep that is None is skipped.  ``r`` is a vector or an
+    (n, k) block whose columns are independent residuals.
 
     Every V-cycle level and the two-level preconditioner take this step.
     """
@@ -251,11 +253,9 @@ def _vcycle(H: AmgHierarchy, level: int, r):
 
 
 def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:
-    """One symmetric V-cycle on residual r with zero initial guess."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape[0] != H.levels[0].A.nrows:
-        raise ValueError("residual length does not match the finest level")
-    return _vcycle(H, 0, r)
+    """One symmetric V-cycle with zero initial guess on a residual vector
+    or on each column of an (n, k) block."""
+    return _vcycle(H, 0, _as_block(r, H.levels[0].A.nrows, "residual for the finest level"))
 
 
 def operator_complexity(H: AmgHierarchy) -> float:

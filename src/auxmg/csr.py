@@ -9,13 +9,22 @@ immutable, so its transpose is built once and cached.
 :class:`GaussSeidel` is the one triangular-sweep type: every smoother
 prepares its forward and backward sweeps once at setup, and each call
 is a single triangular substitution.
+
+The solve-phase kernels (:func:`spmv`, :class:`GaussSeidel`,
+:func:`cholesky_solve`) take a vector of length n or an ``(n, k)``
+block, and each column of a block's result is bit-identical to the call
+on that column alone.  They call the compiled kernel that scipy's
+``A @ x``, ``spsolve_triangular`` and ``solve_triangular`` run,
+without the Python dispatch around it, which costs more than the
+arithmetic on the small levels of a multigrid cycle.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dpotrf, dtrtrs  # dtrtrs is the kernel of solve_triangular
+from scipy.sparse._sparsetools import csr_matvec  # the kernel of A @ x
 from scipy.sparse.linalg._dsolve import _superlu  # gstrs, the kernel of spsolve_triangular
 
 
@@ -223,12 +232,25 @@ class CsrMatrix:
 # -- sparse kernels ------------------------------------------------------
 
 
+def _as_block(x, n, what):
+    """``x`` as a float64 vector of length n or an (n, k) block in Fortran
+    order, so that each column is contiguous; any other shape raises
+    ValueError naming it."""
+    x = np.asarray(x, dtype=np.float64, order="F")
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"dimension mismatch: {what} has shape {x.shape}, expected ({n},) or ({n}, k)")
+    return x
+
+
 def spmv(A: CsrMatrix, x):
-    """y = A x with ascending-column summation per row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != A.ncols:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, x has length {x.shape[0]}")
-    return A.to_scipy() @ x
+    """y = A x with ascending-column summation per row, for a vector x or
+    an (ncols, k) block, one ``csr_matvec`` call per column."""
+    x = _as_block(x, A.ncols, f"x for A of shape {A.shape}")
+    y = np.zeros((A.nrows,) + x.shape[1:], order="F")
+    X, Y = (x, y) if x.ndim == 2 else (x[:, None], y[:, None])
+    for j in range(X.shape[1]):
+        csr_matvec(A.nrows, A.ncols, A.row_ptr, A.col_idx, A.values, X[:, j], Y[:, j])
+    return y
 
 
 def triple_product(R: CsrMatrix, A: CsrMatrix, P: CsrMatrix) -> CsrMatrix:
@@ -267,7 +289,7 @@ def cholesky_factor(M):
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
-    L, info = scipy.linalg.lapack.dpotrf(M, lower=True, clean=True)
+    L, info = dpotrf(M, lower=True, clean=True)
     if info > 0:
         raise NotPositiveDefiniteError(info - 1)
     return L
@@ -275,10 +297,23 @@ def cholesky_factor(M):
 
 def cholesky_solve(L, b):
     """Solve L L^T x = b for the lower Cholesky factor L of
-    :func:`cholesky_factor`."""
-    b = np.asarray(b, dtype=np.float64)
-    y = scipy.linalg.solve_triangular(L, b, lower=True)
-    return scipy.linalg.solve_triangular(L.T, y, lower=False)
+    :func:`cholesky_factor`: LAPACK ``trtrs`` with L, then with L^T.
+
+    A block is solved column by column: one ``trtrs`` call on several
+    right-hand sides blocks the work differently and changes the bits.
+    """
+    b = _as_block(b, L.shape[0], f"b for a factor of shape {L.shape}")
+    x = np.empty_like(b)
+    if not len(b):  # LAPACK rejects a 0 x 0 factor
+        return x
+    X, B = (x, b) if b.ndim == 2 else (x[:, None], b[:, None])
+    for j in range(B.shape[1]):
+        y, info = dtrtrs(L, B[:, j], lower=1)
+        if not info:
+            X[:, j], info = dtrtrs(L, y, lower=1, trans=1, overwrite_b=1)
+        if info:
+            raise np.linalg.LinAlgError(f"triangular solve failed (LAPACK trtrs info {info})")
+    return x
 
 
 class GaussSeidel:
@@ -336,15 +371,16 @@ class GaussSeidel:
             self._upper = (np.empty(0), np.empty(0, dtype=np.intc), np.zeros(n + 1, dtype=np.intc))
 
     def __call__(self, b):
-        b = np.array(b, dtype=np.float64)  # gstrs overwrites its right-hand side
+        """The sweep on a vector or, in one ``gstrs`` call, on every
+        column of an (n, k) block."""
         n = len(self._inv_diag)
-        if b.shape != (n,):
-            raise ValueError(f"dimension mismatch: sweep is {n}x{n}, b has shape {b.shape}")
+        # gstrs overwrites its right-hand side
+        b = _as_block(np.array(b, dtype=np.float64, order="F"), n, f"b for a {n}x{n} sweep")
         (lv, li, lp), (uv, ui, up) = self._lower, self._upper
         x, info = _superlu.gstrs("T", n, len(lv), lv, li, lp, n, len(uv), uv, ui, up, b)
         if info:
             raise np.linalg.LinAlgError(f"triangular solve failed (SuperLU info {info})")
-        return x * self._inv_diag
+        return x * (self._inv_diag if b.ndim == 1 else self._inv_diag[:, None])
 
 
 def tri_lower_solve(L: CsrMatrix, b):
@@ -358,11 +394,12 @@ def tri_lower_solve(L: CsrMatrix, b):
 def write_matrix_market(A: CsrMatrix, path):
     """Write coordinate Matrix Market (1-based, 17 significant digits).
 
-    A symmetric matrix (:meth:`CsrMatrix.is_symmetric`) is stored as its
-    lower triangle under the ``symmetric`` qualifier.
+    An exactly symmetric matrix is stored as its lower triangle under the
+    ``symmetric`` qualifier; any other, including one symmetric only to
+    roundoff, under ``general``, so every file reads back bit for bit.
     """
     S = A.to_scipy().tocoo()
-    if A.is_symmetric():
+    if A.is_symmetric(tol=0.0):
         keep = S.row >= S.col
         rows, cols, vals = S.row[keep], S.col[keep], S.data[keep]
         qualifier = "symmetric"

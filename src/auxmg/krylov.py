@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .csr import CsrMatrix
+from .csr import CsrMatrix, spmv
 
 
 class IndefiniteOperatorError(RuntimeError):
@@ -50,8 +51,7 @@ def _as_operator(obj):
     if obj is None:
         return lambda x: x
     if isinstance(obj, CsrMatrix):
-        S = obj.to_scipy()
-        return lambda x: S @ x
+        return partial(spmv, obj)
     if callable(obj):
         return obj
     raise TypeError(f"cannot interpret {type(obj).__name__} as a linear operator")

@@ -44,10 +44,11 @@ class StokesSystem:
 
     Velocity DOFs are component-major over the interior scalar DOFs:
     u = [u_x; u_y; u_z].  ``B`` maps interior velocity to pressure;
-    the boundary contribution of the lid sits in ``rhs_p``.
+    the boundary contribution of the lid sits in ``rhs_p``.  The velocity
+    block is ``A_scalar`` on each component; :attr:`A` holds it as one
+    matrix for callers that want that form.
     """
 
-    A: CsrMatrix            # 3x3 block diagonal vector Laplacian (interior)
     B: CsrMatrix            # n_p x 3*n_int discrete -div
     M_p: CsrMatrix          # pressure mass
     velocity_space: FeSpace
@@ -56,6 +57,15 @@ class StokesSystem:
     rhs_u: np.ndarray
     rhs_p: np.ndarray
     lid_values: np.ndarray  # (n_v_full, 3) Dirichlet data over all velocity DOFs
+    _A: CsrMatrix | None = field(default=None, init=False, repr=False)
+
+    @property
+    def A(self) -> CsrMatrix:
+        """The 3x3 block-diagonal vector Laplacian (interior), built on
+        first use."""
+        if self._A is None:
+            self._A = _adopt(scipy.sparse.block_diag([self.A_scalar.to_scipy()] * 3).tocsr())
+        return self._A
 
     @property
     def n_interior(self):
@@ -81,7 +91,9 @@ class StokesSystem:
 
     def apply_operator(self, x):
         u, p = self.split(x)
-        top = spmv(self.A, u) + spmv(self.B.transpose(), p)
+        # A_scalar on the (n, 3) component view gives A u row for row
+        Au = spmv(self.A_scalar, u.reshape(3, self.n_interior).T).T.ravel()
+        top = Au + spmv(self.B.transpose(), p)
         bot = spmv(self.B, u)
         return np.concatenate([top, bot])
 
@@ -156,9 +168,7 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
     B_int = scipy.sparse.hstack([b.to_scipy()[:, interior] for b in B_blocks]).tocsr()
     rhs_p = -sum(spmv(b, ghat) for b, ghat in zip(B_blocks, ghat_cols))
 
-    A_blk = scipy.sparse.block_diag([A_scalar.to_scipy()] * 3).tocsr()
     return StokesSystem(
-        A=_adopt(A_blk),
         B=_adopt(B_int),
         M_p=M_p,
         velocity_space=vel,
@@ -182,8 +192,9 @@ class BlockPreconditioner:
     """Q_t (upper triangular) or Q_d (block diagonal) action.
 
     ``a_action`` applies one multigrid cycle of the scalar velocity
-    block; the Schur approximation is the pressure mass matrix solved
-    by diagonally preconditioned CG to ``schur_tol``.
+    block to each column of an (n, 3) block, one column per velocity
+    component; the Schur approximation is the pressure mass matrix
+    solved by diagonally preconditioned CG to ``schur_tol``.
 
     Q_t follows the triangular factorisation: z_p = -M_p^{-1} r_p first,
     then z_u = A^{-1}(r_u - B^T z_p).  Q_d drops the coupling and uses
@@ -197,11 +208,16 @@ class BlockPreconditioner:
     schur_tol: float = 1e-2
     schur_max_iters: int = 50
     _mp_diag_inv: np.ndarray = field(init=False, repr=False)
+    _mean_weights: np.ndarray = field(init=False, repr=False)  # M_p 1, as in project_pressure_mean
+    _mean_weight_sum: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("Qt", "Qd"):
             raise ValueError("kind must be 'Qt' or 'Qd'")
-        self._mp_diag_inv = 1.0 / self.system.M_p.diagonal()
+        M_p = self.system.M_p
+        self._mp_diag_inv = 1.0 / M_p.diagonal()
+        self._mean_weights = spmv(M_p, np.ones(M_p.nrows))
+        self._mean_weight_sum = self._mean_weights.sum()
 
     def _mass_solve(self, r_p):
         cfg = SolverConfig(method="cg", rel_tol=self.schur_tol, max_iters=self.schur_max_iters)
@@ -211,11 +227,9 @@ class BlockPreconditioner:
         return z
 
     def _velocity_solve(self, r_u):
-        n = self.system.n_interior
-        z = np.empty_like(r_u)
-        for c in range(3):
-            z[c * n : (c + 1) * n] = self.a_action(r_u[c * n : (c + 1) * n])
-        return z
+        """One ``a_action`` call on the three components as the columns of
+        an (n, 3) block, a view of ``r_u``."""
+        return self.a_action(r_u.reshape(3, self.system.n_interior).T).T.ravel()
 
     def apply(self, r_u, r_p):
         if len(r_u) != self.system.n_velocity or len(r_p) != self.system.n_pressure:
@@ -231,7 +245,7 @@ class BlockPreconditioner:
     def __call__(self, r):
         r_u, r_p = self.system.split(np.asarray(r, dtype=np.float64))
         z_u, z_p = self.apply(r_u, r_p)
-        z_p = project_pressure_mean(z_p, self.system.M_p)
+        z_p = z_p - (self._mean_weights @ z_p) / self._mean_weight_sum  # project_pressure_mean
         return np.concatenate([z_u, z_p])
 
 

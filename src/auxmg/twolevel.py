@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .amg import build_hierarchy, smooth_and_correct, vcycle_apply
-from .csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, matmul, spmv, triple_product
+from .csr import CsrMatrix, GaussSeidel, _as_block, cholesky_factor, cholesky_solve, matmul, spmv, triple_product
 
 
 class TwoLevelPreconditioner:
@@ -76,16 +76,16 @@ class TwoLevelPreconditioner:
         return vcycle_apply(self.hierarchy, r_H)
 
     def apply(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        if r.shape[0] != self.A.nrows:
-            raise ValueError("residual length does not match the operator")
+        """The action on a residual vector or on each column of an (n, k)
+        block."""
+        r = _as_block(r, self.A.nrows, "residual for the operator")
         pre = self.forward if self.presmooth else None
         post = self.backward if self.post == "backward" else self.forward
         return smooth_and_correct(self.A, self.P, r, self.coarse_solve, pre, post)
 
     def apply_transpose(self, r):
         """Adjoint action: smoother order and directions reversed."""
-        r = np.asarray(r, dtype=np.float64)
+        r = _as_block(r, self.A.nrows, "residual for the operator")
         pre = self.forward if self.post == "backward" else self.backward
         post = self.backward if self.presmooth else None
         return smooth_and_correct(self.A, self.P, r, self.coarse_solve, pre, post)

@@ -392,9 +392,9 @@ class TestMatrixMarket:
         assert np.array_equal(B.to_dense(), A.to_dense())
 
     def test_round_trip_assembled_operator(self, tmp_path):
-        # stiffness matrices are symmetric only to roundoff; the stored
-        # lower triangle round-trips exactly and mirrored entries land
-        # within 1e-16 of the original
+        # a stiffness matrix that is symmetric only to roundoff is stored
+        # as general, an exactly symmetric one as its lower triangle;
+        # either way the file reads back exactly
         from auxmg.fem import assemble_operator, build_space
         from auxmg.mesh import build_cube_mesh, perturb_interior
 
@@ -424,6 +424,20 @@ class TestMatrixMarket:
         assert ("symmetric" in path.read_text().splitlines()[0]) == (what == "stiffness")
         B = read_matrix_market(path)
         assert B.shape == A.shape
+        assert np.array_equal(B.row_ptr, A.row_ptr)
+        assert np.array_equal(B.col_idx, A.col_idx)
+        assert np.array_equal(B.values, A.values)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_high_order_stiffness_round_trips_bit_for_bit(self, tmp_path, k):
+        # P3 and P4 stiffness matrices are symmetric only to the last bit,
+        # so the lower triangle would not carry the upper entries
+        A = assemble_operator(build_space(build_cube_mesh(2), k), "stiffness")
+        assert A.is_symmetric() and not A.is_symmetric(tol=0.0)
+        path = tmp_path / f"p{k}.mtx"
+        write_matrix_market(A, path)
+        assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate real general"
+        B = read_matrix_market(path)
         assert np.array_equal(B.row_ptr, A.row_ptr)
         assert np.array_equal(B.col_idx, A.col_idx)
         assert np.array_equal(B.values, A.values)

@@ -67,6 +67,19 @@ class TestAssembly:
         assert np.max(np.abs(F - F.T)) <= 1e-12 * max(1.0, np.max(np.abs(F)))
         assert np.max(np.abs(F[S.n_velocity :, S.n_velocity :])) == 0.0
 
+    def test_operator_on_components_matches_block_diagonal_matrix(self):
+        # apply_operator runs A_scalar on the (n, 3) view of u; the rows of
+        # the block-diagonal A are A_scalar's rows, so every bit agrees
+        S = assemble_stokes(build_cube_mesh(2), 2)
+        x = np.random.default_rng(4).standard_normal(S.dim)
+        u, p = S.split(x)
+        top = spmv(S.A, u) + spmv(S.B.transpose(), p)
+        assert np.array_equal(S.apply_operator(x), np.concatenate([top, spmv(S.B, u)]))
+        n = S.n_interior
+        assert S.A is S.A and S.A.shape == (3 * n, 3 * n)
+        assert np.array_equal(S.A.submatrix(np.arange(n, 2 * n), np.arange(n, 2 * n)).to_dense(),
+                              S.A_scalar.to_dense())
+
     def test_blocks_spd(self):
         S = assemble_stokes(build_cube_mesh(1), 2)
         assert S.A.is_symmetric() and S.M_p.is_symmetric()
