@@ -301,8 +301,12 @@ def cholesky_solve(L, b):
 
     A block is solved column by column: one ``trtrs`` call on several
     right-hand sides blocks the work differently and changes the bits.
+    A right-hand side with an inf or NaN raises ValueError, so a
+    multigrid cycle on a non-finite residual fails at its coarsest level.
     """
     b = _as_block(b, L.shape[0], f"b for a factor of shape {L.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("b must not contain infs or NaNs")
     x = np.empty_like(b)
     if not len(b):  # LAPACK rejects a 0 x 0 factor
         return x

@@ -45,8 +45,7 @@ class StokesSystem:
     Velocity DOFs are component-major over the interior scalar DOFs:
     u = [u_x; u_y; u_z].  ``B`` maps interior velocity to pressure;
     the boundary contribution of the lid sits in ``rhs_p``.  The velocity
-    block is ``A_scalar`` on each component; :attr:`A` holds it as one
-    matrix for callers that want that form.
+    block is ``A_scalar`` on each component.
     """
 
     B: CsrMatrix            # n_p x 3*n_int discrete -div
@@ -57,15 +56,6 @@ class StokesSystem:
     rhs_u: np.ndarray
     rhs_p: np.ndarray
     lid_values: np.ndarray  # (n_v_full, 3) Dirichlet data over all velocity DOFs
-    _A: CsrMatrix | None = field(default=None, init=False, repr=False)
-
-    @property
-    def A(self) -> CsrMatrix:
-        """The 3x3 block-diagonal vector Laplacian (interior), built on
-        first use."""
-        if self._A is None:
-            self._A = _adopt(scipy.sparse.block_diag([self.A_scalar.to_scipy()] * 3).tocsr())
-        return self._A
 
     @property
     def n_interior(self):
@@ -208,16 +198,11 @@ class BlockPreconditioner:
     schur_tol: float = 1e-2
     schur_max_iters: int = 50
     _mp_diag_inv: np.ndarray = field(init=False, repr=False)
-    _mean_weights: np.ndarray = field(init=False, repr=False)  # M_p 1, as in project_pressure_mean
-    _mean_weight_sum: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("Qt", "Qd"):
             raise ValueError("kind must be 'Qt' or 'Qd'")
-        M_p = self.system.M_p
-        self._mp_diag_inv = 1.0 / M_p.diagonal()
-        self._mean_weights = spmv(M_p, np.ones(M_p.nrows))
-        self._mean_weight_sum = self._mean_weights.sum()
+        self._mp_diag_inv = 1.0 / self.system.M_p.diagonal()
 
     def _mass_solve(self, r_p):
         cfg = SolverConfig(method="cg", rel_tol=self.schur_tol, max_iters=self.schur_max_iters)
@@ -245,7 +230,7 @@ class BlockPreconditioner:
     def __call__(self, r):
         r_u, r_p = self.system.split(np.asarray(r, dtype=np.float64))
         z_u, z_p = self.apply(r_u, r_p)
-        z_p = z_p - (self._mean_weights @ z_p) / self._mean_weight_sum  # project_pressure_mean
+        z_p = project_pressure_mean(z_p, self.system.M_p)
         return np.concatenate([z_u, z_p])
 
 

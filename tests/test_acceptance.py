@@ -25,6 +25,8 @@ from auxmg.twolevel import (
     rate_identity_oracle,
 )
 
+from tests.test_stokes import velocity_block
+
 THETA_GRID = (0.2, 0.4, 0.6, 0.8)
 
 
@@ -228,7 +230,7 @@ def test_criterion_8_stokes_cavity():
                                  cfg=SolverConfig(method="fgmres", rel_tol=1e-10, max_iters=400))
         F = np.zeros((S.dim, S.dim))
         nu = S.n_velocity
-        F[:nu, :nu] = S.A.to_dense()
+        F[:nu, :nu] = velocity_block(S).to_dense()
         F[:nu, nu:] = S.B.to_dense().T
         F[nu:, :nu] = S.B.to_dense()
         b = S.rhs()

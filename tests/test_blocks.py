@@ -171,3 +171,16 @@ def test_wrong_length_and_3d_input_named(name):
     for shape in ((n + 1,), (n - 1, 2), (n, 2, 2), ()):
         with pytest.raises(ValueError, match=re.escape(f"has shape {shape}")):
             f(np.zeros(shape))
+
+
+@pytest.mark.parametrize("name", ["cholesky_solve", "vcycle_apply", "apply", "apply_transpose"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("k", [None, 3])
+def test_non_finite_residual_raises(name, bad, k):
+    # a residual with an inf or NaN reaches the coarsest level's Cholesky
+    # solve, which names it instead of passing it on
+    f, n = shape_checked_calls()[name], poisson(2)[0].nrows
+    r = np.ones(n if k is None else (n, k))
+    r[n // 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        f(r)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from auxmg import reference
 from auxmg.csr import CsrMatrix, spmv
@@ -19,10 +20,15 @@ from auxmg.stokes import (
 from auxmg.fem import _element_geometry, build_space
 
 
+def velocity_block(S):
+    """The 3x3 block-diagonal vector Laplacian, A_scalar on each component."""
+    return CsrMatrix.from_scipy(scipy.sparse.block_diag([S.A_scalar.to_scipy()] * 3).tocsr())
+
+
 def dense_saddle(S):
     F = np.zeros((S.dim, S.dim))
     nu = S.n_velocity
-    F[:nu, :nu] = S.A.to_dense()
+    F[:nu, :nu] = velocity_block(S).to_dense()
     F[:nu, nu:] = S.B.to_dense().T
     F[nu:, :nu] = S.B.to_dense()
     return F
@@ -73,17 +79,19 @@ class TestAssembly:
         S = assemble_stokes(build_cube_mesh(2), 2)
         x = np.random.default_rng(4).standard_normal(S.dim)
         u, p = S.split(x)
-        top = spmv(S.A, u) + spmv(S.B.transpose(), p)
+        A = velocity_block(S)
+        top = spmv(A, u) + spmv(S.B.transpose(), p)
         assert np.array_equal(S.apply_operator(x), np.concatenate([top, spmv(S.B, u)]))
         n = S.n_interior
-        assert S.A is S.A and S.A.shape == (3 * n, 3 * n)
-        assert np.array_equal(S.A.submatrix(np.arange(n, 2 * n), np.arange(n, 2 * n)).to_dense(),
+        assert A.shape == (3 * n, 3 * n)
+        assert np.array_equal(A.submatrix(np.arange(n, 2 * n), np.arange(n, 2 * n)).to_dense(),
                               S.A_scalar.to_dense())
 
     def test_blocks_spd(self):
         S = assemble_stokes(build_cube_mesh(1), 2)
-        assert S.A.is_symmetric() and S.M_p.is_symmetric()
-        assert np.linalg.eigvalsh(S.A.to_dense()).min() > 0
+        A = velocity_block(S)
+        assert A.is_symmetric() and S.M_p.is_symmetric()
+        assert np.linalg.eigvalsh(A.to_dense()).min() > 0
         assert np.linalg.eigvalsh(S.M_p.to_dense()).min() > 0
 
     def test_constant_fields_divergence_free(self):
@@ -196,7 +204,7 @@ class TestBlockPreconditioner:
         qt = BlockPreconditioner("Qt", _ExactBlocks(S), S, schur_tol=1e-14, schur_max_iters=500)
         z_u, z_p = qt.apply(r[:nu], r[nu:])
         T = np.zeros((S.dim, S.dim))
-        T[:nu, :nu] = S.A.to_dense()
+        T[:nu, :nu] = velocity_block(S).to_dense()
         T[:nu, nu:] = S.B.to_dense().T
         T[nu:, nu:] = -S.M_p.to_dense()
         z_ref = np.linalg.solve(T, r)
@@ -280,7 +288,7 @@ class TestInfSup:
         smallest = []
         for n in (2, 3):
             S = assemble_stokes(build_cube_mesh(n), 2)
-            Ainv = np.linalg.inv(S.A.to_dense())
+            Ainv = np.linalg.inv(velocity_block(S).to_dense())
             Schur = S.B.to_dense() @ Ainv @ S.B.to_dense().T
             w = np.linalg.eigvalsh(Schur)
             assert w[0] >= -1e-10  # PSD with the constant-pressure kernel
