@@ -15,7 +15,7 @@ from .krylov import SolveReport, SolverConfig, fgmres, minres, pcg
 from .mesh import TetMesh, build_cube_mesh, perturb_interior, refine_uniform
 from .problems import manufactured_solution, poisson_setup
 from .stokes import assemble_stokes, project_pressure_mean, solve_cavity
-from .transfer import build_prolongation, galerkin_coarse
+from .transfer import build_prolongation
 from .twolevel import (
     TwoLevelPreconditioner,
     build_augmented,

@@ -207,10 +207,6 @@ class CsrMatrix:
         """Lower triangle including the diagonal."""
         return _adopt(scipy.sparse.tril(self._scipy, format="csr"))
 
-    def triu(self):
-        """Upper triangle including the diagonal."""
-        return _adopt(scipy.sparse.triu(self._scipy, format="csr"))
-
     def submatrix(self, row_idx, col_idx):
         return _adopt(self._scipy[np.asarray(row_idx)][:, np.asarray(col_idx)])
 

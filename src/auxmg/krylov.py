@@ -1,17 +1,21 @@
 """Preconditioned Krylov solvers: CG, MINRES and flexible GMRES.
 
-All three stop on the recomputed true relative residual
-||b - A x_i|| / ||b|| (or / ||r_0|| when b = 0, the zero-rhs
-random-guess benchmarking protocol), and record that history in the
-returned :class:`SolveReport` so reported iteration counts can never
-drift from the actual residuals.
+All three share one stopping rule, :class:`_Residuals`: they stop on the
+recomputed true relative residual ||b - A x_i|| / ||b|| (or / ||r_0||
+when b = 0, the zero-rhs random-guess benchmarking protocol), and record
+that history in the returned :class:`SolveReport`, whose ``iterations``
+is ``len(residual_history) - 1``, so reported iteration counts can never
+drift from the actual residuals.  A non-finite true residual raises
+FloatingPointError at the iterate that produced it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -32,10 +36,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("cg", "minres", "fgmres"):
             raise ValueError(f"unknown Krylov method {self.method!r}")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.restart < 1:
-            raise ValueError("restart must be at least 1")
+        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+        if not (isinstance(self.max_iters, Integral) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be a non-negative int, got {self.max_iters!r}")
+        if not (isinstance(self.restart, Integral) and self.restart >= 1):
+            raise ValueError(f"restart must be an int of at least 1, got {self.restart!r}")
 
 
 @dataclass
@@ -57,58 +63,80 @@ def _as_operator(obj):
     raise TypeError(f"cannot interpret {type(obj).__name__} as a linear operator")
 
 
-def _start(b, x0):
-    """b and the initial iterate as float arrays; a non-finite entry in
-    either fails here, before it reaches an operator or a recurrence."""
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
-    for name, v in (("b", b), ("x0", x)):
-        bad = np.flatnonzero(~np.isfinite(v))
-        if len(bad):
-            raise ValueError(f"{name} has a non-finite entry at index {bad[0]}: {v[bad[0]]}")
-    return b, x
+class _Residuals:
+    """The stopping rule of all three solvers.
 
+    Validates b and the initial iterate (a non-finite entry in either
+    fails here, before it reaches an operator or a recurrence), forms
+    r0 = b - A x0, and records the true relative residual of every
+    iterate handed to :meth:`check`.
+    """
 
-def _denominator(b, r0):
-    nb = np.linalg.norm(b)
-    return nb if nb > 0.0 else max(np.linalg.norm(r0), np.finfo(float).tiny)
+    def __init__(self, A, b, x0, rel_tol):
+        b = np.asarray(b, dtype=np.float64)
+        x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+        for name, v in (("b", b), ("x0", x)):
+            bad = np.flatnonzero(~np.isfinite(v))
+            if len(bad):
+                raise ValueError(f"{name} has a non-finite entry at index {bad[0]}: {v[bad[0]]}")
+        self.A, self.b, self.x0, self.rel_tol = A, b, x, rel_tol
+        self.t0 = time.perf_counter()
+        self.r0 = b - A(x)
+        nb = np.linalg.norm(b)
+        self.denom = nb if nb > 0.0 else max(np.linalg.norm(self.r0), np.finfo(float).tiny)
+        self.history = []
+        self._record(self.r0)
+
+    @property
+    def iterations(self):
+        return len(self.history) - 1
+
+    def check(self, x):
+        """Record the true residual of iterate x; True once it meets rel_tol."""
+        return self._record(self.b - self.A(x))
+
+    def _record(self, r):
+        rel = np.linalg.norm(r) / self.denom
+        if not np.isfinite(rel):
+            raise FloatingPointError(
+                f"non-finite true residual at iterate {len(self.history)}: "
+                "the operator or the preconditioner returned a non-finite vector")
+        self.history.append(rel)
+        self.converged = bool(rel <= self.rel_tol)
+        return self.converged
+
+    def report(self, **extra):
+        return SolveReport(self.iterations, self.converged, np.asarray(self.history),
+                           time.perf_counter() - self.t0, **extra)
 
 
 def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None, callback=None):
     """Preconditioned conjugate gradients for SPD A with SPD M ~ A^{-1}."""
     cfg = cfg or SolverConfig(method="cg")
     A, M = _as_operator(A), _as_operator(M)
-    b, x = _start(b, x0)
-    t0 = time.perf_counter()
-    r = b - A(x)
-    denom = _denominator(b, r)
-    history = [np.linalg.norm(r) / denom]
+    res = _Residuals(A, b, x0, cfg.rel_tol)
+    x, r = res.x0, res.r0
     z = M(r)
     rz = r @ z
     p = z.copy()
-    converged = history[0] <= cfg.rel_tol
-    it = 0
-    while not converged and it < cfg.max_iters:
+    while not res.converged and res.iterations < cfg.max_iters:
         Ap = A(p)
         pAp = p @ Ap
         if pAp <= 0.0:
-            raise IndefiniteOperatorError(f"nonpositive curvature p'Ap = {pAp:g} at iteration {it}")
+            raise IndefiniteOperatorError(f"nonpositive curvature p'Ap = {pAp:g} at iteration {res.iterations}")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        it += 1
-        true_res = np.linalg.norm(b - A(x)) / denom
-        history.append(true_res)
+        res.check(x)
         if callback is not None:
-            callback(it, x)
-        if true_res <= cfg.rel_tol:
-            converged = True
+            callback(res.iterations, x)
+        if res.converged:
             break
         z = M(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, SolveReport(it, converged, np.asarray(history), time.perf_counter() - t0)
+    return x, res.report()
 
 
 def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
@@ -120,38 +148,28 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
     """
     cfg = cfg or SolverConfig(method="minres")
     Aop, Mop = _as_operator(A), _as_operator(M)
-    b, x = _start(b, x0)
-    t0 = time.perf_counter()
-
-    r1 = b - Aop(x)
-    denom = _denominator(b, r1)
+    res = _Residuals(Aop, b, x0, cfg.rel_tol)
+    x, r1 = res.x0, res.r0
     y = Mop(r1)
     beta1_sq = r1 @ y
     if beta1_sq < 0.0:
         raise IndefiniteOperatorError(f"preconditioner yields negative energy r'Mr = {beta1_sq:g}")
     beta1 = np.sqrt(beta1_sq)
-    history = [np.linalg.norm(r1) / denom]
     phibar_history = [beta1]
-    if history[0] <= cfg.rel_tol:
-        return x, SolveReport(0, True, np.asarray(history), time.perf_counter() - t0,
-                              np.asarray(phibar_history))
-    if beta1 == 0.0:
+    if beta1 == 0.0 and not res.converged:
         raise IndefiniteOperatorError("preconditioner annihilated a nonzero residual")
 
     oldb, beta = 0.0, beta1
     dbar = epsln = 0.0
     phibar = beta1
     cs, sn = -1.0, 0.0
-    w = np.zeros_like(b)
-    w2 = np.zeros_like(b)
+    w = np.zeros_like(res.b)
+    w2 = np.zeros_like(res.b)
     r2 = r1.copy()
-    converged = False
-    it = 0
-    while it < cfg.max_iters:
-        it += 1
+    while not res.converged and res.iterations < cfg.max_iters:
         v = y / beta
         y = Aop(v)
-        if it >= 2:
+        if res.iterations >= 1:
             y -= (beta / oldb) * r1
         alfa = v @ y
         y -= (alfa / beta) * r2
@@ -180,14 +198,9 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
         w = (v - oldeps * w1 - delta * w2) / gamma
         x += phi * w
 
-        true_res = np.linalg.norm(b - Aop(x)) / denom
-        history.append(true_res)
+        res.check(x)
         phibar_history.append(abs(phibar))
-        if true_res <= cfg.rel_tol:
-            converged = True
-            break
-    return x, SolveReport(it, converged, np.asarray(history), time.perf_counter() - t0,
-                          np.asarray(phibar_history))
+    return x, res.report(precond_residual_history=np.asarray(phibar_history))
 
 
 def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
@@ -201,20 +214,10 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
     """
     cfg = cfg or SolverConfig(method="fgmres")
     Aop, Mop = _as_operator(A), _as_operator(M)
-    b, x = _start(b, x0)
-    t0 = time.perf_counter()
-
-    r = b - Aop(x)
-    denom = _denominator(b, r)
-    history = [np.linalg.norm(r) / denom]
-    if history[0] <= cfg.rel_tol:
-        return x, SolveReport(0, True, np.asarray(history), time.perf_counter() - t0)
-
-    it = 0
-    converged = False
-    stagnated = False
-    while it < cfg.max_iters and not converged and not stagnated:
-        cycle_start_res = history[-1]
+    res = _Residuals(Aop, b, x0, cfg.rel_tol)
+    x, r = res.x0, res.r0
+    while not res.converged and res.iterations < cfg.max_iters:
+        cycle_start_res = res.history[-1]
         beta = np.linalg.norm(r)
         V = [r / beta]
         Z = []
@@ -226,7 +229,7 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
         sn = np.zeros(cfg.restart)
         x_new = x
         j = 0
-        while j < cfg.restart and it < cfg.max_iters:
+        while j < cfg.restart and res.iterations < cfg.max_iters:
             z = Mop(V[j])
             wv = Aop(z)
             Z.append(z)
@@ -255,20 +258,13 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
                 y[i] = (g[i] - H[i, i + 1 : j + 1] @ y[i + 1 : j + 1]) / H[i, i]
             x_new = x + sum(yi * zi for yi, zi in zip(y, Z))
 
-            it += 1
             j += 1
-            true_res = np.linalg.norm(b - Aop(x_new)) / denom
-            history.append(true_res)
-            if true_res <= cfg.rel_tol:
-                x = x_new
-                converged = True
-                break
-            if h_new == 0.0:
-                break  # Krylov space exhausted, force a restart
-        if not converged:
-            x = x_new
-            r = b - Aop(x)
-            if history[-1] > cycle_start_res * (1.0 - 1e-14):
-                stagnated = True
-    return x, SolveReport(it, converged, np.asarray(history), time.perf_counter() - t0)
-
+            if res.check(x_new) or h_new == 0.0:
+                break  # converged, or Krylov space exhausted: force a restart
+        x = x_new
+        if res.converged:
+            break
+        r = res.b - Aop(x)
+        if res.history[-1] > cycle_start_res * (1.0 - 1e-14):
+            break  # stagnated
+    return x, res.report()

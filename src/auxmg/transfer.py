@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import reference
-from .csr import CsrMatrix, triple_product
+from .csr import CsrMatrix
 from .fem import FeSpace
 
 
@@ -70,16 +70,3 @@ def build_prolongation(fine: FeSpace, coarse: FeSpace, check=False) -> TransferO
     P = CsrMatrix(fine.n_dofs, coarse.n_dofs, row_ptr, cols[keep], vals[keep])
     return TransferOperator(P, fine, coarse)
 
-
-def galerkin_coarse(A_h: CsrMatrix, transfer) -> CsrMatrix:
-    """Coarse operator I_R A_h I_P.
-
-    ``transfer`` may be a TransferOperator (full DOF sets) or a plain
-    prolongation CsrMatrix with row count matching A_h.
-    """
-    P = transfer.prolongation if isinstance(transfer, TransferOperator) else transfer
-    if A_h.nrows != A_h.ncols:
-        raise ValueError("A_h must be square")
-    if A_h.ncols != P.nrows:
-        raise ValueError(f"dimension mismatch: A_h is {A_h.shape}, prolongation is {P.shape}")
-    return triple_product(P.transpose(), A_h, P)

@@ -113,7 +113,6 @@ def _every_constructor():
         "identity": CsrMatrix.identity(4),
         "transpose": A.transpose(),
         "tril": A.tril(),
-        "triu": A.triu(),
         "submatrix": A.submatrix([0, 2, 4], [5, 1, 3]),
         "triple_product": triple_product(P.transpose(), A, P),
         "matmul": matmul(A, P),

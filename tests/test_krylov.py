@@ -221,6 +221,12 @@ class TestConfig:
             SolverConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(restart=0)
+        for field, bad in [("rel_tol", float("nan")), ("rel_tol", float("inf")), ("rel_tol", -1e-6),
+                           ("max_iters", -3), ("max_iters", 2.5),
+                           ("restart", 2.5), ("restart", -1)]:
+            with pytest.raises(ValueError, match=f"^{field} "):
+                SolverConfig(**{field: bad})
+        SolverConfig(rel_tol=1e-30, max_iters=0, restart=1)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="'gmres'"):
@@ -240,3 +246,29 @@ class TestNonFiniteInput:
         data[name][3] = np.nan if name == "x0" else np.inf
         with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry at index 3"):
             solver(A, M, data["b"], x0=data["x0"])
+
+
+class TestNonFiniteResidual:
+    @staticmethod
+    def _nan_on_third_call(A):
+        calls = []
+
+        def op(v):
+            calls.append(None)
+            y = spmv(A, v)
+            return y * np.nan if len(calls) == 3 else y
+
+        return op
+
+    @pytest.mark.parametrize("solver", [pcg, minres, fgmres])
+    @pytest.mark.parametrize("fault", ["M_nan", "M_inf", "A_nan_third_call"])
+    def test_fails_fast_naming_the_iterate(self, solver, fault):
+        A = poisson_setup(2, 2).system.A
+        b = np.random.default_rng(0).standard_normal(A.nrows)
+        op, M = {
+            "M_nan": (A, lambda v: v * np.nan),
+            "M_inf": (A, lambda v: v * np.inf),
+            "A_nan_third_call": (self._nan_on_third_call(A), None),
+        }[fault]
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="iterate 1"):
+            solver(op, M, b)

@@ -1,7 +1,8 @@
 """Pins of whole preconditioned solves: SHA-256 prefixes of the solution
 and of the true residual history, plus the iteration count, for the
-Stokes cavity under every block preconditioner and velocity engine, and
-for a P3 Poisson solve under the two-level preconditioner.
+Stokes cavity under every block preconditioner and velocity engine, for
+a P3 Poisson solve under the two-level preconditioner, and for P3
+Poisson solves that the iteration cap stops, across FGMRES restarts.
 
 Any change to the solve path that moves a single bit of an operator,
 smoother, coarse solve or Krylov recurrence moves these digests.
@@ -10,7 +11,7 @@ smoother, coarse solve or Krylov recurrence moves these digests.
 import numpy as np
 import pytest
 
-from auxmg.krylov import SolverConfig, fgmres
+from auxmg.krylov import SolverConfig, fgmres, minres, pcg
 from auxmg.mesh import build_cube_mesh
 from auxmg.problems import poisson_setup
 from auxmg.stokes import _solve_preconditioned, assemble_stokes, build_block_preconditioner
@@ -25,6 +26,14 @@ STOKES_PINS = {
 }
 
 POISSON_P3_GAMG_PIN = ("238f2e8fdebb9597", "ff026161552424ed", 15)
+
+# rel_tol=1e-30 is never met, so max_iters=7 stops each solve; with
+# restart=3, FGMRES restarts twice
+CAPPED_PINS = {
+    "fgmres": ("720533cc0b63ddff", "b5754e9c21d0faf4", 7),
+    "minres": ("ea80cabf2d9727b5", "5c3e484980bdf916", 7),
+    "cg": ("f2673ddfa53d5e62", "30259ea541f39e5c", 7),
+}
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +61,17 @@ def test_poisson_p3_gamg_solve_pinned():
     assert report.converged
     got = (digest(x), digest(report.residual_history), report.iterations)
     assert got == POISSON_P3_GAMG_PIN
+
+
+@pytest.mark.parametrize("method", list(CAPPED_PINS))
+def test_poisson_p3_capped_solve_pinned(method):
+    solver = {"fgmres": fgmres, "minres": minres, "cg": pcg}[method]
+    prob = poisson_setup(2, 3)
+    A = prob.system.A
+    M = TwoLevelPreconditioner(A, prob.prolongation_int)
+    x0 = np.random.default_rng(5).standard_normal(A.nrows)
+    cfg = SolverConfig(method=method, rel_tol=1e-30, max_iters=7, restart=3)
+    x, report = solver(A, M, np.zeros(A.nrows), cfg, x0=x0)
+    assert not report.converged
+    got = (digest(x), digest(report.residual_history), report.iterations)
+    assert got == CAPPED_PINS[method]
