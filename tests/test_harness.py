@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from dataclasses import asdict
@@ -148,6 +149,24 @@ class TestRunExperiment:
                                         cfg=harness.SolverConfig(method="minres", rel_tol=1e-6,
                                                                  max_iters=300))
         assert row.iterations == ref.iterations
+
+
+# SHA-256 prefixes of emit_report(run_experiment(cfg), "csv",
+# include_times=False) over refinements [2, 3], theta [0.25, 0.8], seed 4
+REPORT_PINS = {
+    ("poisson", 2, "gamg", "Qt"): "3f4105cebfe7be1f",
+    ("poisson", 1, "amg", "Qt"): "a832c66bb3479061",
+    ("stokes", 2, "gamg", "Qd"): "90cf758bc22c5138",
+    ("stokes", 2, "amg", "Qt"): "8c8d0e2f30c2274f",
+}
+
+
+@pytest.mark.parametrize("problem, k, engine, kind", list(REPORT_PINS))
+def test_report_pinned(problem, k, engine, kind):
+    cfg = ExperimentConfig(problem=problem, k=k, refinements=[2, 3], theta_values=[0.25, 0.8],
+                           engine=engine, precond_kind=kind, seed=4)
+    text = emit_report(run_experiment(cfg), "csv", include_times=False)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPORT_PINS[problem, k, engine, kind]
 
 
 class TestEmitters:
