@@ -77,14 +77,14 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
-    report = run_experiment(cfg)
+    rows = run_experiment(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(emit_report(report, "csv"))
-    md = emit_report(report, "markdown")
+    (out / "report.csv").write_text(emit_report(rows, "csv"))
+    md = emit_report(rows, "markdown")
     (out / "report.md").write_text(md)
     print(md)
-    failures = [r for r in report.rows if r.error]
+    failures = [r for r in rows if r.error]
     for r in failures:
         print(f"FAILED point k={r.k} theta={r.theta}: {r.error}", file=sys.stderr)
     return 1 if failures else 0

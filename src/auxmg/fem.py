@@ -182,10 +182,6 @@ class AssembledSystem:
     interior_to_full: np.ndarray
     full_to_interior: np.ndarray  # -1 for boundary DOFs
 
-    @property
-    def n(self):
-        return self.A.nrows
-
 
 def eliminate_dirichlet(A: CsrMatrix, rhs, space: FeSpace) -> AssembledSystem:
     """Restrict to interior DOFs for homogeneous Dirichlet data: the

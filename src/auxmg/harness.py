@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -59,6 +59,7 @@ class ExperimentConfig:
         for t in self.theta_values:
             if not 0.0 < t < 1.0:
                 raise ValueError(f"theta {t} outside (0,1)")
+        SolverConfig(rel_tol=self.rel_tol, max_iters=self.max_iters)  # raises naming the field
 
 
 @dataclass
@@ -77,63 +78,38 @@ class ReportRow:
     error: str = ""
 
 
-@dataclass
-class ExperimentReport:
-    rows: list
-
-
-CSV_COLUMNS = [
-    "problem", "k", "n_dofs", "theta", "engine", "iterations",
-    "converged", "c_op", "setup_time", "solve_time", "level_count", "error",
-]
+CSV_COLUMNS = [f.name for f in fields(ReportRow)]
 _TIME_COLUMNS = ("setup_time", "solve_time")
 
 
-def build_poisson_preconditioner(problem, engine, theta):
-    """GAMG (two-level with AMG coarse solve) or plain AMG V-cycle.
+def _poisson_setup(n, theta, cfg: ExperimentConfig, rng):
+    """GAMG (two-level with AMG coarse solve) or plain AMG V-cycle, and
+    FGMRES from a seeded random guess.
 
     For k = 1 the auxiliary space coincides with the original one, so
     GAMG degenerates to smoothing around an AMG solve of the same
     operator (identity transfer).
     """
+    problem = poisson_setup(n, cfg.k)
     A = problem.system.A
-    if engine == "amg":
+    if cfg.engine == "amg":
         M = VCyclePreconditioner(build_hierarchy(A, theta=theta))
     else:
         P = problem.prolongation_int if problem.prolongation_int is not None else CsrMatrix.identity(A.nrows)
         M = TwoLevelPreconditioner(A, P, coarse="amg", theta=theta, presmooth=True)
-    return M, M.operator_complexity(), M.level_count()
-
-
-def _poisson_row(k, n, theta, engine, cfg: ExperimentConfig, rng) -> ReportRow:
-    t0 = time.perf_counter()
-    problem = poisson_setup(n, k)
-    M, c_op, levels = build_poisson_preconditioner(problem, engine, theta)
-    setup = time.perf_counter() - t0
-    A = problem.system.A
     x0 = rng.standard_normal(A.nrows)
-    t0 = time.perf_counter()
-    _, report = fgmres(A, M, np.zeros(A.nrows),
-                       SolverConfig(rel_tol=cfg.rel_tol, max_iters=cfg.max_iters), x0=x0)
-    solve = time.perf_counter() - t0
-    return ReportRow(cfg.problem, k, A.nrows, theta, engine, report.iterations,
-                     report.converged, c_op, setup, solve, levels)
+    solver_cfg = SolverConfig(rel_tol=cfg.rel_tol, max_iters=cfg.max_iters)
+    return A.nrows, M, lambda: fgmres(A, M, np.zeros(A.nrows), solver_cfg, x0=x0)[1]
 
 
-def _stokes_row(k, n, theta, engine, cfg: ExperimentConfig, rng) -> ReportRow:
-    t0 = time.perf_counter()
-    S = assemble_stokes(build_cube_mesh(n), k)
-    precond = build_block_preconditioner(S, kind=cfg.precond_kind, engine=engine, theta=theta)
-    setup = time.perf_counter() - t0
-    c_op, levels = precond.a_action.operator_complexity(), precond.a_action.level_count()
+def _stokes_setup(n, theta, cfg: ExperimentConfig, rng):
+    """The cavity with its block preconditioner, and FGMRES (Qt) or
+    MINRES (Qd) from zero."""
+    S = assemble_stokes(build_cube_mesh(n), cfg.k)
+    precond = build_block_preconditioner(S, kind=cfg.precond_kind, engine=cfg.engine, theta=theta)
     method = "fgmres" if cfg.precond_kind == "Qt" else "minres"
-    t0 = time.perf_counter()
-    _, _, report = _solve_preconditioned(
-        S, precond, SolverConfig(method=method, rel_tol=cfg.rel_tol, max_iters=cfg.max_iters)
-    )
-    solve = time.perf_counter() - t0
-    return ReportRow(cfg.problem, k, S.dim, theta, engine, report.iterations,
-                     report.converged, c_op, setup, solve, levels)
+    solver_cfg = SolverConfig(method=method, rel_tol=cfg.rel_tol, max_iters=cfg.max_iters)
+    return S.dim, precond.a_action, lambda: _solve_preconditioned(S, precond, solver_cfg)[2]
 
 
 # numerical breakdowns a grid point may hit; any other exception is a bug
@@ -147,26 +123,39 @@ _RECORDED_FAILURES = (
 )
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """One row per (refinement, theta) grid point; expected numerical
-    failures are recorded as rows with an error string and the run
-    continues."""
+def run_experiment(cfg: ExperimentConfig) -> list:
+    """One ReportRow per (refinement, theta) grid point; expected
+    numerical failures are recorded as rows with an error string and the
+    run continues.
+
+    A point's setup returns its DOF count, the cycle whose
+    operator_complexity() and level_count() the row reports, and the
+    solve, which returns the SolveReport; each of the two is timed.
+    """
     rows = []
-    runner = _poisson_row if cfg.problem == "poisson" else _stokes_row
+    setup = _poisson_setup if cfg.problem == "poisson" else _stokes_setup
     for point, (n, theta) in enumerate(
         (n, theta) for n in cfg.refinements for theta in cfg.theta_values
     ):
         rng = np.random.default_rng([cfg.seed, point])
         try:
-            rows.append(runner(cfg.k, n, theta, cfg.engine, cfg, rng))
+            t0 = time.perf_counter()
+            n_dofs, cycle, solve = setup(n, theta, cfg, rng)
+            t1 = time.perf_counter()
+            report = solve()
+            t2 = time.perf_counter()
+            rows.append(ReportRow(cfg.problem, cfg.k, n_dofs, theta, cfg.engine, report.iterations,
+                                  report.converged, cycle.operator_complexity(), t1 - t0, t2 - t1,
+                                  cycle.level_count()))
         except _RECORDED_FAILURES as exc:  # keep sweeping; the row records the failure
             rows.append(ReportRow(cfg.problem, cfg.k, 0, theta, cfg.engine,
                                   0, False, 0.0, 0.0, 0.0, 0, error=str(exc)))
-    return ExperimentReport(rows)
+    return rows
 
 
-def emit_report(report: ExperimentReport, fmt: str, include_times=True) -> str:
-    """CSV (fixed column order) or a markdown table per (k, engine).
+def emit_report(rows: list, fmt: str, include_times=True) -> str:
+    """The ReportRows as CSV (fixed column order) or a markdown table per
+    (k, engine).
 
     Wall-time columns are real measurements and therefore not covered by
     the fixed-seed determinism contract; ``include_times=False`` zeroes
@@ -176,7 +165,7 @@ def emit_report(report: ExperimentReport, fmt: str, include_times=True) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in report.rows:
+        for row in rows:
             d = asdict(row)
             if not include_times:
                 for c in _TIME_COLUMNS:
@@ -184,22 +173,22 @@ def emit_report(report: ExperimentReport, fmt: str, include_times=True) -> str:
             writer.writerow([repr(d[c]) if isinstance(d[c], float) else d[c] for c in CSV_COLUMNS])
         return buf.getvalue()
     if fmt == "markdown":
-        return _emit_markdown(report)
+        return _emit_markdown(rows)
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _emit_markdown(report: ExperimentReport) -> str:
+def _emit_markdown(rows: list) -> str:
     groups: dict = {}
-    for row in report.rows:
+    for row in rows:
         groups.setdefault((row.problem, row.k, row.engine), []).append(row)
     out = []
-    for (problem, k, engine), rows in groups.items():
-        thetas = sorted({r.theta for r in rows})
+    for (problem, k, engine), group in groups.items():
+        thetas = sorted({r.theta for r in group})
         out.append(f"### {problem} k={k} engine={engine}")
         out.append("| DOF | " + " | ".join(f"theta={t:g}" for t in thetas) + " |")
         out.append("|---:|" + "---:|" * len(thetas))
         by_dof: dict = {}
-        for r in rows:
+        for r in group:
             by_dof.setdefault(r.n_dofs, {})[r.theta] = r
         for dof in sorted(by_dof):
             cells = []

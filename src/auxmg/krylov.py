@@ -69,7 +69,9 @@ class _Residuals:
     Validates b and the initial iterate (a non-finite entry in either
     fails here, before it reaches an operator or a recurrence), forms
     r0 = b - A x0, and records the true relative residual of every
-    iterate handed to :meth:`check`.
+    iterate handed to :meth:`check`.  ``r`` is the last true residual
+    formed, b - A x0 until the first check; a solver that updates a
+    residual in place works on a copy of it.
     """
 
     def __init__(self, A, b, x0, rel_tol):
@@ -81,11 +83,11 @@ class _Residuals:
                 raise ValueError(f"{name} has a non-finite entry at index {bad[0]}: {v[bad[0]]}")
         self.A, self.b, self.x0, self.rel_tol = A, b, x, rel_tol
         self.t0 = time.perf_counter()
-        self.r0 = b - A(x)
+        self.r = b - A(x)
         nb = np.linalg.norm(b)
-        self.denom = nb if nb > 0.0 else max(np.linalg.norm(self.r0), np.finfo(float).tiny)
+        self.denom = nb if nb > 0.0 else max(np.linalg.norm(self.r), np.finfo(float).tiny)
         self.history = []
-        self._record(self.r0)
+        self._record(self.r)
 
     @property
     def iterations(self):
@@ -93,7 +95,8 @@ class _Residuals:
 
     def check(self, x):
         """Record the true residual of iterate x; True once it meets rel_tol."""
-        return self._record(self.b - self.A(x))
+        self.r = self.b - self.A(x)
+        return self._record(self.r)
 
     def _record(self, r):
         rel = np.linalg.norm(r) / self.denom
@@ -115,7 +118,7 @@ def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None, callback=None):
     cfg = cfg or SolverConfig(method="cg")
     A, M = _as_operator(A), _as_operator(M)
     res = _Residuals(A, b, x0, cfg.rel_tol)
-    x, r = res.x0, res.r0
+    x, r = res.x0, res.r.copy()  # r is updated by recurrence, in place
     z = M(r)
     rz = r @ z
     p = z.copy()
@@ -149,7 +152,7 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
     cfg = cfg or SolverConfig(method="minres")
     Aop, Mop = _as_operator(A), _as_operator(M)
     res = _Residuals(Aop, b, x0, cfg.rel_tol)
-    x, r1 = res.x0, res.r0
+    x, r1 = res.x0, res.r
     y = Mop(r1)
     beta1_sq = r1 @ y
     if beta1_sq < 0.0:
@@ -215,7 +218,7 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
     cfg = cfg or SolverConfig(method="fgmres")
     Aop, Mop = _as_operator(A), _as_operator(M)
     res = _Residuals(Aop, b, x0, cfg.rel_tol)
-    x, r = res.x0, res.r0
+    x, r = res.x0, res.r
     while not res.converged and res.iterations < cfg.max_iters:
         cycle_start_res = res.history[-1]
         beta = np.linalg.norm(r)
@@ -264,7 +267,7 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
         x = x_new
         if res.converged:
             break
-        r = res.b - Aop(x)
+        r = res.r  # the true residual of x, formed by its check
         if res.history[-1] > cycle_start_res * (1.0 - 1e-14):
             break  # stagnated
     return x, res.report()

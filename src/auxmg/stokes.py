@@ -89,12 +89,8 @@ class StokesSystem:
 
     def full_velocity(self, u_interior):
         """Assemble the (n_v_full, 3) velocity field including lid data."""
-        space = self.velocity_space
         out = self.lid_values.copy()
-        interior = space.interior_indices()
-        n = self.n_interior
-        for c in range(3):
-            out[interior, c] = u_interior[c * n : (c + 1) * n]
+        out[self.velocity_space.interior_indices()] = u_interior.reshape(3, self.n_interior).T
         return out
 
 
@@ -143,20 +139,15 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
     g = _lid_dirichlet_values(vel, lid_velocity)
 
     interior = vel.interior_indices()
-    sys0 = eliminate_dirichlet(A_full, np.zeros(vel.n_dofs), vel)
-    A_scalar = sys0.A
+    A_scalar = eliminate_dirichlet(A_full, np.zeros(vel.n_dofs), vel).A
 
-    rhs_u = np.empty(3 * len(interior))
-    ghat_cols = []
-    for c in range(3):
-        ghat = np.zeros(vel.n_dofs)
-        ghat[vel.is_boundary] = g[vel.is_boundary, c]
-        ghat_cols.append(ghat)
-        rhs_u[c * len(interior) : (c + 1) * len(interior)] = -spmv(A_full, ghat)[interior]
+    # g vanishes off the boundary, so it is the lift of the Dirichlet data;
+    # one (n_full, 3) spmv lifts all three components, stored component-major
+    rhs_u = -spmv(A_full, g)[interior].T.ravel()
 
     B_blocks = _assemble_divergence(vel, pres)
     B_int = scipy.sparse.hstack([b.to_scipy()[:, interior] for b in B_blocks]).tocsr()
-    rhs_p = -sum(spmv(b, ghat) for b, ghat in zip(B_blocks, ghat_cols))
+    rhs_p = -sum(spmv(b, g[:, c]) for c, b in enumerate(B_blocks))
 
     return StokesSystem(
         B=_adopt(B_int),

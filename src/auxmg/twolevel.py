@@ -60,15 +60,15 @@ class TwoLevelPreconditioner:
             raise ValueError("post must be 'backward' or 'forward'")
         self.A = A
         self.P = P
-        self.A_H = triple_product(P.transpose(), A, P)
+        A_H = triple_product(P.transpose(), A, P)
         self.forward = GaussSeidel(A, "forward")
         self.backward = GaussSeidel(A, "backward")
         self.presmooth = presmooth
         self.post = post
         if coarse == "exact":
-            self.hierarchy = build_hierarchy(self.A_H, max_levels=1)
+            self.hierarchy = build_hierarchy(A_H, max_levels=1)
         elif coarse == "amg":
-            self.hierarchy = build_hierarchy(self.A_H, theta=theta)
+            self.hierarchy = build_hierarchy(A_H, theta=theta)
         else:
             raise ValueError(f"unknown coarse solver {coarse!r}")
 
@@ -107,13 +107,9 @@ class TwoLevelPreconditioner:
 
 @dataclass
 class AugmentedSystem:
-    """Blocks of the singular augmented operator over the redundant
-    coarse+fine basis, plus the pieces of its block Gauss-Seidel split.
-
-    The operator is [[RAP, RA], [AP, A]]; the block diagonal pairs the
-    coarse operator with diag(A), and the sweep matrix is the block
-    lower triangle [[RAP, 0], [AP, tril(A)]].
-    """
+    """Blocks of the singular augmented operator [[RAP, RA], [AP, A]]
+    over the redundant coarse+fine basis, plus the prepared solves of its
+    block Gauss-Seidel sweep."""
 
     A: CsrMatrix
     P: CsrMatrix
@@ -145,19 +141,6 @@ class AugmentedSystem:
         top = np.hstack([self.A_H.to_dense(), self.RA.to_dense()])
         bot = np.hstack([self.AP.to_dense(), self.A.to_dense()])
         return np.vstack([top, bot])
-
-    def block_diag_dense(self):
-        D = np.zeros((self.dim, self.dim))
-        D[: self.n_coarse, : self.n_coarse] = self.A_H.to_dense()
-        D[self.n_coarse :, self.n_coarse :] = np.diag(self.A.diagonal())
-        return D
-
-    def sweep_matrix_dense(self):
-        B = np.zeros((self.dim, self.dim))
-        B[: self.n_coarse, : self.n_coarse] = self.A_H.to_dense()
-        B[self.n_coarse :, : self.n_coarse] = self.AP.to_dense()
-        B[self.n_coarse :, self.n_coarse :] = np.tril(self.A.to_dense())
-        return B
 
 
 def build_augmented(A: CsrMatrix, P: CsrMatrix) -> AugmentedSystem:
@@ -242,13 +225,20 @@ def rate_identity_oracle(S: AugmentedSystem, dense_limit=500, null_tol=1e-10):
     sweep propagator restricted to the range of the augmented operator;
     the right side takes the smallest positive eigenvalue mu of the
     pencil  Aug x = mu (Aug + L D^{-1} L^T) x  and returns 1 - mu.
+
+    The sweep matrix B is the block lower triangle [[RAP, 0], [AP,
+    tril(A)]] and the block diagonal D pairs RAP with diag(A).
     """
     N = S.dim
     if N > dense_limit:
         raise ValueError(f"augmented dimension {N} exceeds dense limit {dense_limit}")
-    Aug = S.to_dense()
-    Aug = 0.5 * (Aug + Aug.T)
-    B = S.sweep_matrix_dense()
+    dense = S.to_dense()
+    coarse = np.s_[: S.n_coarse, : S.n_coarse]
+    B = np.tril(dense)
+    B[coarse] = dense[coarse]
+    D = np.diag(np.diag(B))
+    D[coarse] = dense[coarse]
+    Aug = 0.5 * (dense + dense.T)
 
     # lhs: E = I - B^{-1} Aug on the positive eigenspace of Aug
     E = np.eye(N) - np.linalg.solve(B, Aug)
@@ -262,7 +252,6 @@ def rate_identity_oracle(S: AugmentedSystem, dense_limit=500, null_tol=1e-10):
     lhs = float(np.linalg.eigvalsh(0.5 * (W + W.T)).max())
 
     # rhs: smallest positive eigenvalue of the pencil against Aug + S
-    D = S.block_diag_dense()
     L = D - B  # strictly block-lower part of the splitting
     Ssym = L @ np.linalg.solve(D, L.T)
     pencil_b = Aug + 0.5 * (Ssym + Ssym.T)

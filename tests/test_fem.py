@@ -231,8 +231,9 @@ class TestElimination:
         space = build_space(build_cube_mesh(2), 2)
         A = assemble_operator(space, "stiffness")
         sys = eliminate_dirichlet(A, np.zeros(space.n_dofs), space)
+        assert np.array_equal(sys.interior_to_full, np.flatnonzero(~space.is_boundary))
         assert np.all(sys.full_to_interior[space.is_boundary] == -1)
-        assert np.array_equal(sys.full_to_interior[sys.interior_to_full], np.arange(sys.n))
+        assert np.array_equal(sys.full_to_interior[sys.interior_to_full], np.arange(sys.A.nrows))
 
     def test_size_mismatch(self):
         space = build_space(build_cube_mesh(1), 2)

@@ -12,7 +12,6 @@ from auxmg.csr import read_matrix_market
 from auxmg.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
-    ExperimentReport,
     ReportRow,
     emit_report,
     run_experiment,
@@ -20,8 +19,8 @@ from auxmg.harness import (
 )
 
 
-def parse_report_csv(text: str) -> ExperimentReport:
-    """The report that ``emit_report(report, "csv")`` wrote as ``text``."""
+def parse_report_csv(text: str) -> list:
+    """The rows that ``emit_report(rows, "csv")`` wrote as ``text``."""
     reader = csv.reader(io.StringIO(text))
     assert next(reader) == CSV_COLUMNS
     rows = []
@@ -35,7 +34,7 @@ def parse_report_csv(text: str) -> ExperimentReport:
             solve_time=float(d["solve_time"]), level_count=int(d["level_count"]),
             error=d["error"],
         ))
-    return ExperimentReport(rows)
+    return rows
 
 
 class TestConfig:
@@ -55,6 +54,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(refinements=[])
 
+    @pytest.mark.parametrize("field, value", [
+        ("rel_tol", float("nan")), ("max_iters", -3), ("max_iters", 2.5),
+    ])
+    def test_solver_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_cli_rejects_nan_tol_before_setup(self, tmp_path, monkeypatch):
+        from auxmg import harness
+
+        def never(*a, **k):
+            raise AssertionError("poisson_setup called for an invalid config")
+
+        monkeypatch.setattr(harness, "poisson_setup", never)
+        with pytest.raises(ValueError, match="rel_tol"):
+            cli.main(["solve", "--refine", "1", "--tol", "nan", "--out", str(tmp_path)])
+
     def test_json_round_trip(self, tmp_path):
         # a config file holding every field reads back, through the CLI's
         # --config path, as the same config
@@ -69,16 +85,16 @@ class TestRunExperiment:
     def test_single_point_poisson(self):
         cfg = ExperimentConfig(problem="poisson", k=1, refinements=[2],
                                theta_values=[0.25], engine="amg")
-        report = run_experiment(cfg)
-        assert len(report.rows) == 1
-        row = report.rows[0]
+        rows = run_experiment(cfg)
+        assert len(rows) == 1
+        row = rows[0]
         assert row.converged and row.error == ""
         assert row.n_dofs == 1  # (n-1)^3 interior vertices
 
     def test_gamg_poisson_row(self):
         cfg = ExperimentConfig(problem="poisson", k=2, refinements=[2],
                                theta_values=[0.25], engine="gamg")
-        row = run_experiment(cfg).rows[0]
+        row = run_experiment(cfg)[0]
         assert row.converged
         assert row.c_op > 1.0
         assert row.level_count >= 2
@@ -93,13 +109,14 @@ class TestRunExperiment:
     def test_gamg_c_op_internally_consistent(self):
         # reported value must equal 1 + C_op(coarse hierarchy) * nnz(A_H)/nnz(A_h)
         from auxmg.amg import operator_complexity
-        from auxmg.harness import build_poisson_preconditioner
         from auxmg.problems import poisson_setup
+        from auxmg.twolevel import TwoLevelPreconditioner
 
         prob = poisson_setup(3, 3)
-        M, c_op, _ = build_poisson_preconditioner(prob, "gamg", 0.25)
-        recomputed = 1.0 + operator_complexity(M.hierarchy) * M.A_H.nnz / prob.system.A.nnz
-        assert c_op == pytest.approx(recomputed, rel=1e-12)
+        M = TwoLevelPreconditioner(prob.system.A, prob.prolongation_int, coarse="amg", theta=0.25)
+        A_H = M.hierarchy.levels[0].A
+        recomputed = 1.0 + operator_complexity(M.hierarchy) * A_H.nnz / prob.system.A.nnz
+        assert M.operator_complexity() == pytest.approx(recomputed, rel=1e-12)
 
     def test_failure_recorded_not_raised(self, monkeypatch):
         from auxmg import harness
@@ -110,10 +127,10 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "poisson_setup", boom)
         cfg = ExperimentConfig(problem="poisson", k=2, refinements=[2], theta_values=[0.25])
-        report = run_experiment(cfg)
-        assert len(report.rows) == 1
-        assert report.rows[0].error == "matrix is not positive definite (pivot 3)"
-        assert not report.rows[0].converged
+        rows = run_experiment(cfg)
+        assert len(rows) == 1
+        assert rows[0].error == "matrix is not positive definite (pivot 3)"
+        assert not rows[0].converged
 
     def test_programming_error_propagates(self, monkeypatch):
         from auxmg import harness
@@ -141,7 +158,7 @@ class TestRunExperiment:
         monkeypatch.setattr(stokes, "build_block_preconditioner", counting)
         cfg = ExperimentConfig(problem="stokes", k=2, refinements=[2], theta_values=[0.8],
                                precond_kind="Qd")
-        row = run_experiment(cfg).rows[0]
+        row = run_experiment(cfg)[0]
         assert row.error == "" and row.converged
         assert built == [1]
         _, _, ref = stokes.solve_cavity(stokes.assemble_stokes(harness.build_cube_mesh(2), 2),
@@ -171,23 +188,23 @@ def test_report_pinned(problem, k, engine, kind):
 
 class TestEmitters:
     def _sample(self):
-        return ExperimentReport([
+        return [
             ReportRow("poisson", 2, 343, 0.25, "gamg", 8, True, 1.02, 0.5, 0.25, 3),
             ReportRow("poisson", 2, 343, 0.5, "gamg", 9, True, 1.02, 0.5, 0.21, 3),
             ReportRow("poisson", 2, 2197, 0.25, "gamg", 9, True, 1.01, 1.5, 0.75, 3),
-        ])
+        ]
 
     def test_empty_report_is_header_only(self):
-        text = emit_report(ExperimentReport([]), "csv")
+        text = emit_report([], "csv")
         assert text.strip().split("\n") == [",".join(CSV_COLUMNS)]
 
     def test_single_row_csv(self):
-        text = emit_report(ExperimentReport(self._sample().rows[:1]), "csv")
+        text = emit_report(self._sample()[:1], "csv")
         assert len(text.strip().split("\n")) == 2
 
     def test_csv_round_trip(self):
-        report = self._sample()
-        assert parse_report_csv(emit_report(report, "csv")) == report
+        rows = self._sample()
+        assert parse_report_csv(emit_report(rows, "csv")) == rows
 
     def test_markdown_grouping(self):
         md = emit_report(self._sample(), "markdown")
@@ -211,7 +228,7 @@ class TestPaperGrid:
                 cfg = ExperimentConfig(problem="poisson", k=k, refinements=[2, 3],
                                        theta_values=[0.2, 0.4, 0.6, 0.8],
                                        engine=engine, rel_tol=1e-6, seed=0)
-                rows.extend(run_experiment(cfg).rows)
+                rows.extend(run_experiment(cfg))
         elapsed = time.perf_counter() - t0
         assert elapsed < 600.0
         assert len(rows) == 64
@@ -238,8 +255,8 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "report.md").exists()
-        report = parse_report_csv((tmp_path / "report.csv").read_text())
-        assert report.rows[0].converged
+        rows = parse_report_csv((tmp_path / "report.csv").read_text())
+        assert rows[0].converged
 
     def test_solve_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -249,8 +266,8 @@ class TestCli:
         }))
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 0
-        report = parse_report_csv((tmp_path / "out" / "report.csv").read_text())
-        assert report.rows[0].engine == "amg"
+        rows = parse_report_csv((tmp_path / "out" / "report.csv").read_text())
+        assert rows[0].engine == "amg"
 
     def test_export_matrix(self, tmp_path):
         out = tmp_path / "stiff.mtx"

@@ -185,6 +185,27 @@ class TestFgmres:
             assert rep.iterations == j
             assert np.max(np.abs(x_j - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
 
+    def test_restart_reuses_checked_residual(self):
+        # each restart starts from the true residual its cycle's last check
+        # formed: 1 (r0) + 2 per iteration over 8 iterations, and no apply
+        # at a restart; x and the history are pinned
+        from tests.test_setup_pins import digest
+
+        prob = poisson_setup(2, 3)
+        A = prob.system.A
+        M = TwoLevelPreconditioner(A, prob.prolongation_int)
+        calls = []
+
+        def op(v):
+            calls.append(1)
+            return spmv(A, v)
+
+        x0 = np.random.default_rng(5).standard_normal(A.nrows)
+        cfg = SolverConfig(rel_tol=1e-30, max_iters=8, restart=3)
+        x, rep = fgmres(op, M, np.zeros(A.nrows), cfg, x0=x0)
+        assert rep.iterations == 8 and len(calls) == 17
+        assert (digest(x), digest(rep.residual_history)) == ("3f020197e54592a0", "1b44b4979940d129")
+
     def test_deterministic(self):
         prob = poisson_setup(2, 2)
         A = prob.system.A

@@ -96,7 +96,7 @@ class TestTwoLevelApply:
         A, P, M = two_level(2, 2)
         assert isinstance(M.forward, GaussSeidel) and M.forward.direction == "forward"
         assert isinstance(M.backward, GaussSeidel) and M.backward.direction == "backward"
-        assert not any(isinstance(v, CsrMatrix) and v not in (M.A, M.P, M.A_H) for v in vars(M).values())
+        assert not any(isinstance(v, CsrMatrix) and v not in (M.A, M.P) for v in vars(M).values())
 
     def test_zero_diagonal_fails_at_setup(self):
         A, P, _ = two_level(2, 2, coarse="exact")
