@@ -29,7 +29,7 @@ problem = poisson_setup(2, 2)
 A, P = problem.system.A, problem.prolongation_int
 print(f"P2 cube, {A.nrows} fine unknowns, {P.ncols} coarse unknowns")
 
-method = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=False, post="forward")
+method = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=False)
 aug = build_augmented(A, P)
 
 rng = np.random.default_rng(0)

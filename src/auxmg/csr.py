@@ -264,15 +264,6 @@ def triple_product(R: CsrMatrix, A: CsrMatrix, P: CsrMatrix) -> CsrMatrix:
     return _adopt(S)
 
 
-def matmul(A: CsrMatrix, B: CsrMatrix) -> CsrMatrix:
-    """Sparse product A B with sorted, merged rows."""
-    if A.ncols != B.nrows:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, B is {B.shape}")
-    S = (A.to_scipy() @ B.to_scipy()).tocsr()
-    S.eliminate_zeros()
-    return _adopt(S)
-
-
 # -- dense kernels -------------------------------------------------------
 
 

@@ -155,17 +155,23 @@ def assemble_operator(space: FeSpace, form: str) -> CsrMatrix:
     )
 
 
+def _quadrature(space: FeSpace):
+    """The degree-9 tet rule on every element: weights (nq,), basis
+    values (nq, n_loc), physical points (nt, nq, 3) and volumes (nt,)."""
+    pts_b, wts = reference.tet_quadrature(9)
+    phi = reference.basis_values_at(space.order, tuple(map(tuple, pts_b)))
+    xq = np.einsum("qm,tmc->tqc", pts_b, space.mesh.vertices[space.mesh.tets])
+    _, vol = _element_geometry(space.mesh)
+    return wts, phi, xq, vol
+
+
 def assemble_load(space: FeSpace, f) -> np.ndarray:
     """Load vector f_i = integral of f phi_i, via the degree-9 tet rule.
 
     ``f`` is called with an (m, 3) array of points and must return m
     values.
     """
-    pts_b, wts = reference.tet_quadrature(9)
-    phi = reference.basis_values_at(space.order, tuple(map(tuple, pts_b)))  # (nq, n_loc)
-    verts = space.mesh.vertices[space.mesh.tets]  # (nt,4,3)
-    xq = np.einsum("qm,tmc->tqc", pts_b, verts)  # (nt,nq,3)
-    _, vol = _element_geometry(space.mesh)
+    wts, phi, xq, vol = _quadrature(space)
     fv = np.asarray(f(xq.reshape(-1, 3)), dtype=np.float64).reshape(xq.shape[0], -1)
     local = vol[:, None] * np.einsum("tq,q,qi->ti", fv, wts, phi)
     out = np.zeros(space.n_dofs)
@@ -198,11 +204,7 @@ def eliminate_dirichlet(A: CsrMatrix, rhs, space: FeSpace) -> AssembledSystem:
 
 def l2_error(space: FeSpace, coeffs_full, exact) -> float:
     """L2 norm of (u_h - u) with u_h given by full-set coefficients."""
-    pts_b, wts = reference.tet_quadrature(9)
-    phi = reference.basis_values_at(space.order, tuple(map(tuple, pts_b)))
-    verts = space.mesh.vertices[space.mesh.tets]
-    xq = np.einsum("qm,tmc->tqc", pts_b, verts)
-    _, vol = _element_geometry(space.mesh)
+    wts, phi, xq, vol = _quadrature(space)
     uh = np.einsum("ti,qi->tq", np.asarray(coeffs_full)[space.element_dofs], phi)
     ue = np.asarray(exact(xq.reshape(-1, 3))).reshape(uh.shape)
     err2 = np.einsum("t,q,tq->", vol, wts, (uh - ue) ** 2)

@@ -1,21 +1,20 @@
 """Two-level auxiliary-space preconditioning and its augmented-system
 analysis.
 
-The preconditioner action on a residual r (zero initial guess) is
+The preconditioner acts on a residual r from a zero guess in one of two
+forms.  The symmetric form (``presmooth=True``) is a forward
+Gauss-Seidel sweep, the coarse correction P * solve(P^T A P, P^T
+residual) and a backward sweep; with a symmetric coarse solve it is SPD,
+so it can sit inside CG or MINRES as well as FGMRES.  The plain form
+(``presmooth=False``) is the coarse correction followed by one forward
+sweep, the iteration the convergence theory is about.
 
-    optional forward Gauss-Seidel presmoothing,
-    coarse correction  P * solve(P^T A P, P^T residual),
-    one Gauss-Seidel postsmoothing sweep (backward by default).
-
-With presmoothing on and a symmetric coarse solve the action is a
-symmetric positive definite operator, so it can sit inside CG or
-MINRES as well as FGMRES.
-
-The same iteration is equivalently a block Gauss-Seidel sweep on the
-singular augmented system over the redundant coarse+fine basis; that
-equivalence, the convergence-rate identity |E|^2 = 1 - 1/K of the
-augmented formulation, and a power-iteration contraction estimator are
-implemented here as executable cross-checks of the solver stack.
+With an exact coarse solve the plain form is block Gauss-Seidel on the
+singular augmented system over the redundant coarse+fine basis.  That
+system is held as dense matrices and solved with numpy alone, so it
+shares no kernel with the preconditioner it checks.  The equivalence,
+the rate identity |E|^2 = 1 - 1/K and a power-iteration contraction
+estimator are executable cross-checks of the solver stack.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .amg import build_hierarchy, smooth_and_correct, vcycle_apply
-from .csr import CsrMatrix, GaussSeidel, _as_block, cholesky_factor, cholesky_solve, matmul, spmv, triple_product
+from .csr import CsrMatrix, GaussSeidel, _as_block, spmv, triple_product
 
 
 class TwoLevelPreconditioner:
@@ -46,25 +45,20 @@ class TwoLevelPreconditioner:
         hierarchy built with strength threshold ``theta``, or of a
         one-level hierarchy, whose cycle is the dense Cholesky solve.
     presmooth : bool
-        Forward Gauss-Seidel sweep before the coarse correction; with it
-        the action is symmetric.
-    post : "backward" or "forward"
-        Direction of the single postsmoothing sweep.
+        True: forward sweep, coarse correction, backward sweep (the
+        symmetric form, its own adjoint).  False: coarse correction,
+        then one forward sweep (the plain two-level iteration).
     """
 
-    def __init__(self, A: CsrMatrix, P: CsrMatrix, coarse="amg", theta=0.25,
-                 presmooth=True, post="backward"):
+    def __init__(self, A: CsrMatrix, P: CsrMatrix, coarse="amg", theta=0.25, presmooth=True):
         if A.nrows != A.ncols or A.nrows != P.nrows:
             raise ValueError("A and P dimensions do not match")
-        if post not in ("backward", "forward"):
-            raise ValueError("post must be 'backward' or 'forward'")
         self.A = A
         self.P = P
         A_H = triple_product(P.transpose(), A, P)
         self.forward = GaussSeidel(A, "forward")
         self.backward = GaussSeidel(A, "backward")
         self.presmooth = presmooth
-        self.post = post
         if coarse == "exact":
             self.hierarchy = build_hierarchy(A_H, max_levels=1)
         elif coarse == "amg":
@@ -80,15 +74,17 @@ class TwoLevelPreconditioner:
         block."""
         r = _as_block(r, self.A.nrows, "residual for the operator")
         pre = self.forward if self.presmooth else None
-        post = self.backward if self.post == "backward" else self.forward
+        post = self.backward if self.presmooth else self.forward
         return smooth_and_correct(self.A, self.P, r, self.coarse_solve, pre, post)
 
     def apply_transpose(self, r):
-        """Adjoint action: smoother order and directions reversed."""
+        """Adjoint action.  The symmetric form is its own adjoint; the
+        plain form's adjoint is a backward sweep, then the coarse
+        correction."""
+        if self.presmooth:
+            return self.apply(r)
         r = _as_block(r, self.A.nrows, "residual for the operator")
-        pre = self.forward if self.post == "backward" else self.backward
-        post = self.backward if self.presmooth else None
-        return smooth_and_correct(self.A, self.P, r, self.coarse_solve, pre, post)
+        return smooth_and_correct(self.A, self.P, r, self.coarse_solve, self.backward, None)
 
     __call__ = apply
 
@@ -104,81 +100,67 @@ class TwoLevelPreconditioner:
 
 # -- augmented formulation --------------------------------------------------
 
+# largest coarse+fine dimension build_augmented forms as dense matrices
+MAX_AUGMENTED_DIM = 500
+
 
 @dataclass
 class AugmentedSystem:
-    """Blocks of the singular augmented operator [[RAP, RA], [AP, A]]
-    over the redundant coarse+fine basis, plus the prepared solves of its
-    block Gauss-Seidel sweep."""
+    """The singular augmented operator over the redundant coarse+fine
+    basis, as dense matrices."""
 
-    A: CsrMatrix
-    P: CsrMatrix
-    A_H: CsrMatrix   # R A P
-    RA: CsrMatrix    # R A (coarse-fine coupling)
-    AP: CsrMatrix    # A P
-    forward: GaussSeidel  # tril(A)^{-1}, prepared once
-    coarse_factor: np.ndarray  # dense Cholesky factor of A_H, factored once
+    W: np.ndarray       # [P | I]: augmented coefficients to fine-space ones
+    matrix: np.ndarray  # W^T A W = [[RAP, RA], [AP, A]]
+    sweep: np.ndarray   # block lower triangle [[RAP, 0], [AP, tril(A)]]
 
     @property
     def n_coarse(self):
-        return self.P.ncols
+        return self.dim - self.n_fine
 
     @property
     def n_fine(self):
-        return self.A.nrows
+        return self.W.shape[0]
 
     @property
     def dim(self):
-        return self.n_coarse + self.n_fine
-
-    def matvec(self, v):
-        vc, vf = v[: self.n_coarse], v[self.n_coarse :]
-        top = spmv(self.A_H, vc) + spmv(self.RA, vf)
-        bot = spmv(self.AP, vc) + spmv(self.A, vf)
-        return np.concatenate([top, bot])
-
-    def to_dense(self):
-        top = np.hstack([self.A_H.to_dense(), self.RA.to_dense()])
-        bot = np.hstack([self.AP.to_dense(), self.A.to_dense()])
-        return np.vstack([top, bot])
+        return self.W.shape[1]
 
 
 def build_augmented(A: CsrMatrix, P: CsrMatrix) -> AugmentedSystem:
+    """The augmented system of A over the basis [P | I]; a dimension
+    above MAX_AUGMENTED_DIM raises before anything is allocated."""
     if A.nrows != A.ncols or A.nrows != P.nrows:
         raise ValueError("A and P dimensions do not match")
-    R = P.transpose()
-    RA = matmul(R, A)
-    AP = matmul(A, P)
-    A_H = triple_product(R, A, P)
-    return AugmentedSystem(A=A, P=P, A_H=A_H, RA=RA, AP=AP, forward=GaussSeidel(A, "forward"),
-                           coarse_factor=cholesky_factor(A_H.to_dense()))
+    dim = P.ncols + A.nrows
+    if dim > MAX_AUGMENTED_DIM:
+        raise ValueError(f"augmented dimension {dim} exceeds MAX_AUGMENTED_DIM = {MAX_AUGMENTED_DIM}")
+    W = np.hstack([P.to_dense(), np.eye(A.nrows)])
+    matrix = W.T @ A.to_dense() @ W
+    sweep = np.tril(matrix)
+    sweep[: P.ncols, : P.ncols] = matrix[: P.ncols, : P.ncols]
+    return AugmentedSystem(W=W, matrix=matrix, sweep=sweep)
 
 
 def augmented_rhs(S: AugmentedSystem, f) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    return np.concatenate([spmv(S.P.transpose(), f), f])
+    """The augmented right-hand side W^T f."""
+    return S.W.T @ np.asarray(f, dtype=np.float64)
 
 
 def augmented_gs_step(S: AugmentedSystem, v, f) -> np.ndarray:
-    """One block Gauss-Seidel update v + (D - L)^{-1} (f - A v).
-
-    The coarse block is solved exactly (dense Cholesky), the fine block
-    by one forward Gauss-Seidel sweep fed by the updated coarse value.
-    """
+    """One block Gauss-Seidel update v + B^{-1} (f - Aug v), B = S.sweep:
+    an exact solve of the coarse block, then a forward sweep over the
+    fine unknowns fed by the updated coarse value."""
     v = np.asarray(v, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     if v.shape[0] != S.dim or f.shape[0] != S.dim:
         raise ValueError("augmented vector length mismatch")
-    r = f - S.matvec(v)
-    rc, rf = r[: S.n_coarse], r[S.n_coarse :]
-    zc = cholesky_solve(S.coarse_factor, rc)
-    zf = S.forward(rf - spmv(S.AP, zc))
-    return v + np.concatenate([zc, zf])
+    return v + np.linalg.solve(S.sweep, f - S.matrix @ v)
 
 
 def flatten_augmented(S: AugmentedSystem, v) -> np.ndarray:
-    """Fine-space coefficients P v_coarse + v_fine of an augmented vector."""
-    return spmv(S.P, v[: S.n_coarse]) + v[S.n_coarse :]
+    """Fine-space coefficients W v = P v_coarse + v_fine of an augmented
+    vector."""
+    return S.W @ v
 
 
 # -- convergence-rate oracles ----------------------------------------------
@@ -217,7 +199,7 @@ def contraction_factor_estimate(M: TwoLevelPreconditioner, A: CsrMatrix,
     return ContractionEstimate(float(np.sqrt(rho_old)), False, iters)
 
 
-def rate_identity_oracle(S: AugmentedSystem, dense_limit=500, null_tol=1e-10):
+def rate_identity_oracle(S: AugmentedSystem, null_tol=1e-10):
     """Both sides of the rate identity |E|_aug^2 = 1 - 1/K, computed by
     two independent dense routines.
 
@@ -226,19 +208,15 @@ def rate_identity_oracle(S: AugmentedSystem, dense_limit=500, null_tol=1e-10):
     the right side takes the smallest positive eigenvalue mu of the
     pencil  Aug x = mu (Aug + L D^{-1} L^T) x  and returns 1 - mu.
 
-    The sweep matrix B is the block lower triangle [[RAP, 0], [AP,
-    tril(A)]] and the block diagonal D pairs RAP with diag(A).
+    The sweep matrix B is ``S.sweep`` and the block diagonal D pairs RAP
+    with diag(A).
     """
     N = S.dim
-    if N > dense_limit:
-        raise ValueError(f"augmented dimension {N} exceeds dense limit {dense_limit}")
-    dense = S.to_dense()
     coarse = np.s_[: S.n_coarse, : S.n_coarse]
-    B = np.tril(dense)
-    B[coarse] = dense[coarse]
+    B = S.sweep
     D = np.diag(np.diag(B))
-    D[coarse] = dense[coarse]
-    Aug = 0.5 * (dense + dense.T)
+    D[coarse] = B[coarse]
+    Aug = 0.5 * (S.matrix + S.matrix.T)
 
     # lhs: E = I - B^{-1} Aug on the positive eigenspace of Aug
     E = np.eye(N) - np.linalg.solve(B, Aug)

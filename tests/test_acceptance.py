@@ -78,7 +78,7 @@ def test_criterion_2_block_gs_equivalence():
         for n, k in ((1, 2), (1, 3), (2, 2)):
             prob = poisson_setup(n, k)
             A, P = prob.system.A, prob.prolongation_int
-            M = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=False, post="forward")
+            M = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=False)
             S = build_augmented(A, P)
             rng = np.random.default_rng(2)
             f = rng.standard_normal(A.nrows)

@@ -11,7 +11,6 @@ from auxmg.csr import (
     NotPositiveDefiniteError,
     cholesky_factor,
     cholesky_solve,
-    matmul,
     read_matrix_market,
     spmv,
     triple_product,
@@ -115,7 +114,6 @@ def _every_constructor():
         "tril": A.tril(),
         "submatrix": A.submatrix([0, 2, 4], [5, 1, 3]),
         "triple_product": triple_product(P.transpose(), A, P),
-        "matmul": matmul(A, P),
         "assemble_operator": assemble_operator(p2, "stiffness"),
         "divergence": _assemble_divergence(p2, p1)[2],
         "prolongation": build_prolongation(p2, p1).prolongation,

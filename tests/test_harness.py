@@ -71,6 +71,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="rel_tol"):
             cli.main(["solve", "--refine", "1", "--tol", "nan", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"precond_kind": "Qx"}, "precond_kind"),
+        ({"problem": "stokes", "precond_kind": "qd"}, "precond_kind"),
+        ({"k": 7}, "k"), ({"k": 0}, "k"), ({"k": 2.0}, "k"),
+        ({"problem": "stokes", "k": 1}, "k"), ({"problem": "stokes", "k": 5}, "k"),
+    ])
+    def test_bad_kind_or_order_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize("problem, k", [("poisson", 1), ("poisson", 4), ("stokes", 2), ("stokes", 4)])
+    def test_order_range_ends_accepted(self, problem, k):
+        assert ExperimentConfig(problem=problem, k=k).k == k
+
+    def test_cli_rejects_bad_precond_kind_before_setup(self, tmp_path, monkeypatch):
+        from auxmg import harness
+
+        def never(*a, **k):
+            raise AssertionError("assemble_stokes called for an invalid config")
+
+        monkeypatch.setattr(harness, "assemble_stokes", never)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": "stokes", "refinements": [2], "precond_kind": "Qx"}))
+        with pytest.raises(ValueError, match="precond_kind"):
+            cli.main(["solve", "--config", str(path), "--out", str(tmp_path)])
+
     def test_json_round_trip(self, tmp_path):
         # a config file holding every field reads back, through the CLI's
         # --config path, as the same config
@@ -243,6 +269,29 @@ class TestVerificationReport:
         assert {"galerkin_consistency", "augmented_null_space", "block_gs_equivalence",
                 "rate_identity", "coarse_energy_bound", "contraction_vs_rate_identity"} <= oracles
         json.dumps(result)  # must be serialisable as-is
+
+    def test_unconverged_contraction_estimate_fails(self, monkeypatch):
+        from auxmg import harness
+
+        estimate = harness.contraction_factor_estimate
+
+        def unconverged(*args, **kwargs):
+            return estimate(*args, **kwargs)._replace(converged=False)
+
+        monkeypatch.setattr(harness, "contraction_factor_estimate", unconverged)
+        result = verification_report(seed=0)
+        (rec,) = [r for r in result["records"] if r["oracle"] == "contraction_vs_rate_identity"]
+        assert rec["diff"] <= rec["tolerance"] and not rec["pass"]
+        assert not result["all_pass"]
+
+    def test_rate_identity_needs_a_contraction(self, monkeypatch):
+        # lhs == rhs, but |E|^2 = 1.5 is no contraction, perturbed or not
+        from auxmg import harness
+
+        monkeypatch.setattr(harness, "rate_identity_oracle", lambda S: (1.5, 1.5))
+        records = [r for r in verification_report(seed=0)["records"] if r["oracle"] == "rate_identity"]
+        assert len(records) == 6 and sum("perturbed" in r["instance"] for r in records) == 2
+        assert all(r["diff"] == 0.0 and not r["pass"] for r in records)
 
 
 class TestCli:

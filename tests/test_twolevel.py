@@ -5,7 +5,7 @@ from auxmg.amg import AmgHierarchy, _Level, build_hierarchy, vcycle_apply
 from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, spmv, triple_product
 from auxmg.problems import poisson_setup
 from auxmg.twolevel import (
-    AugmentedSystem,
+    MAX_AUGMENTED_DIM,
     TwoLevelPreconditioner,
     augmented_gs_step,
     augmented_rhs,
@@ -70,7 +70,7 @@ class TestTwoLevelApply:
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
     def test_transpose_is_adjoint(self):
-        A, P, M = two_level(2, 2, coarse="exact", presmooth=False, post="forward")
+        A, P, M = two_level(2, 2, coarse="exact", presmooth=False)
         rng = np.random.default_rng(3)
         for _ in range(4):
             x, y = rng.standard_normal(A.nrows), rng.standard_normal(A.nrows)
@@ -127,11 +127,13 @@ def _composed(A, P, coarse_solve, r, pre, post):
 
 class TestPinnedComposition:
     @pytest.mark.parametrize("coarse", ["amg", "exact"])
-    @pytest.mark.parametrize("presmooth", [True, False])
-    @pytest.mark.parametrize("post", ["backward", "forward"])
-    def test_apply_and_transpose_equal_written_out_composition(self, p2_n6, coarse, presmooth, post):
+    # the id names the direction of the last sweep of ``apply``, which
+    # ``presmooth`` fixes: backward in the symmetric form, forward in the plain
+    @pytest.mark.parametrize("presmooth", [pytest.param(True, id="backward-True"),
+                                           pytest.param(False, id="forward-False")])
+    def test_apply_and_transpose_equal_written_out_composition(self, p2_n6, coarse, presmooth):
         A, P = p2_n6
-        M = TwoLevelPreconditioner(A, P, coarse=coarse, presmooth=presmooth, post=post)
+        M = TwoLevelPreconditioner(A, P, coarse=coarse, presmooth=presmooth)
         A_H = triple_product(P.transpose(), A, P)
         if coarse == "amg":
             H = build_hierarchy(A_H, theta=0.25)
@@ -141,20 +143,21 @@ class TestPinnedComposition:
             L_H = cholesky_factor(A_H.to_dense())
             coarse_solve = lambda r_H: cholesky_solve(L_H, r_H)  # noqa: E731
         fwd, bwd = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
-        sweep = {"forward": fwd, "backward": bwd}
-        flip = {"forward": bwd, "backward": fwd}
         rng = np.random.default_rng(40)
         for _ in range(2):
             r = rng.standard_normal(A.nrows)
-            ref = _composed(A, P, coarse_solve, r, fwd if presmooth else None, sweep[post])
+            if presmooth:
+                ref = ref_t = _composed(A, P, coarse_solve, r, fwd, bwd)
+            else:
+                ref = _composed(A, P, coarse_solve, r, None, fwd)
+                ref_t = _composed(A, P, coarse_solve, r, bwd, None)
             assert np.array_equal(M.apply(r), ref)
-            ref_t = _composed(A, P, coarse_solve, r, flip[post], bwd if presmooth else None)
             assert np.array_equal(M.apply_transpose(r), ref_t)
 
     def test_gamg_is_the_top_level_of_a_vcycle(self, p2_n6):
         # GAMG equals a V-cycle over [(A, P)] followed by the AMG levels of A_H
         A, P = p2_n6
-        M = TwoLevelPreconditioner(A, P, coarse="amg", presmooth=True, post="backward")
+        M = TwoLevelPreconditioner(A, P, coarse="amg", presmooth=True)
         top = _Level(A, P)
         H = AmgHierarchy([top] + M.hierarchy.levels, M.hierarchy.coarsest_factor, M.hierarchy.theta)
         r = np.random.default_rng(41).standard_normal(A.nrows)
@@ -174,37 +177,54 @@ class TestPinnedComposition:
 
 class TestAugmentedSystem:
     def test_top_left_block_is_galerkin(self):
+        # dense and sparse products sum in different orders
         prob = poisson_setup(2, 2)
         A, P = prob.system.A, prob.prolongation_int
         S = build_augmented(A, P)
-        assert np.array_equal(S.A_H.to_dense(), triple_product(P.transpose(), A, P).to_dense())
+        nc = S.n_coarse
+        A_H = triple_product(P.transpose(), A, P).to_dense()
+        assert np.max(np.abs(S.matrix[:nc, :nc] - A_H)) <= 1e-14 * np.max(np.abs(A_H))
+
+    def test_fine_block_and_sweep(self):
+        prob = poisson_setup(2, 2)
+        A, P = prob.system.A, prob.prolongation_int
+        S = build_augmented(A, P)
+        nc = S.n_coarse
+        assert (S.n_coarse, S.n_fine, S.dim) == (P.ncols, A.nrows, P.ncols + A.nrows)
+        assert np.array_equal(S.W, np.hstack([P.to_dense(), np.eye(A.nrows)]))
+        assert np.array_equal(S.matrix[nc:, nc:], A.to_dense())
+        assert np.array_equal(S.sweep[:nc, :nc], S.matrix[:nc, :nc])
+        assert not S.sweep[:nc, nc:].any()
+        assert np.array_equal(S.sweep[nc:, :], np.tril(S.matrix)[nc:, :])
 
     def test_symmetric(self):
         prob = poisson_setup(2, 2)
         S = build_augmented(prob.system.A, prob.prolongation_int)
-        dense = S.to_dense()
+        dense = S.matrix
         assert np.max(np.abs(dense - dense.T)) <= 1e-13 * max(1.0, np.max(np.abs(dense)))
 
     def test_null_space_characterisation(self):
         prob = poisson_setup(2, 3, perturb_seed=5)
-        S = build_augmented(prob.system.A, prob.prolongation_int)
-        dense_norm = np.max(np.abs(S.to_dense()))
+        P = prob.prolongation_int
+        S = build_augmented(prob.system.A, P)
+        dense_norm = np.max(np.abs(S.matrix))
         rng = np.random.default_rng(6)
         for _ in range(5):
             c = rng.standard_normal(S.n_coarse)
-            null_vec = np.concatenate([c, -spmv(S.P, c)])
-            img = S.matvec(null_vec)
+            null_vec = np.concatenate([c, -spmv(P, c)])
+            img = S.matrix @ null_vec
             assert np.max(np.abs(img)) <= 1e-12 * dense_norm * max(1.0, np.max(np.abs(c)))
 
     def test_range_is_invariant(self):
         # vectors of the form (R v, v) map into vectors of the same form
         prob = poisson_setup(2, 2)
+        R = prob.prolongation_int.transpose()
         S = build_augmented(prob.system.A, prob.prolongation_int)
         rng = np.random.default_rng(7)
         v = rng.standard_normal(S.n_fine)
-        w = S.matvec(np.concatenate([spmv(S.P.transpose(), v), v]))
+        w = S.matrix @ np.concatenate([spmv(R, v), v])
         wc, wf = w[: S.n_coarse], w[S.n_coarse :]
-        assert np.max(np.abs(wc - spmv(S.P.transpose(), wf))) <= 1e-12 * max(1.0, np.max(np.abs(wf)))
+        assert np.max(np.abs(wc - spmv(R, wf))) <= 1e-12 * max(1.0, np.max(np.abs(wf)))
 
     def test_dimension_mismatch(self):
         prob = poisson_setup(2, 2)
@@ -218,7 +238,7 @@ class TestAugmentedGaussSeidel:
         S = build_augmented(prob.system.A, prob.prolongation_int)
         rng = np.random.default_rng(8)
         v = rng.standard_normal(S.dim)
-        f = S.matvec(v)
+        f = S.matrix @ v
         v_next = augmented_gs_step(S, v, f)
         assert np.max(np.abs(v_next - v)) <= 1e-13 * max(1.0, np.max(np.abs(v)))
 
@@ -233,26 +253,33 @@ class TestAugmentedGaussSeidel:
         # fine:   r_f = 0.4 - 1.0*0.2 - 2.0*(-0.3) = 0.8; z_f = (0.8 - 1.0*2.4)/2 = -0.8
         assert np.allclose(v_next, [0.2 + 2.4, -0.3 - 0.8], atol=1e-14)
 
-    def test_steps_reuse_the_coarse_factor(self, monkeypatch):
-        from auxmg import csr
+    def test_shares_no_kernel_with_the_preconditioner(self, monkeypatch):
+        # the reference runs with the sparse and sweep kernels disabled
+        from auxmg import amg, csr, twolevel
 
         prob = poisson_setup(2, 2)
         S = build_augmented(prob.system.A, prob.prolongation_int)
         rng = np.random.default_rng(10)
-        v, f = rng.standard_normal(S.dim), rng.standard_normal(S.dim)
-        before = augmented_gs_step(S, v, f)
+        v, f = rng.standard_normal(S.dim), rng.standard_normal(S.n_fine)
 
-        def refactor(M):
-            raise AssertionError("augmented_gs_step refactored the coarse block")
+        def boom(*args, **kwargs):
+            raise AssertionError("the augmented reference called a preconditioner kernel")
 
-        monkeypatch.setattr(csr, "cholesky_factor", refactor)
-        assert np.array_equal(augmented_gs_step(S, v, f), before)
+        monkeypatch.setattr(csr.GaussSeidel, "__call__", boom)
+        for module in (csr, amg, twolevel):
+            for name in ("spmv", "cholesky_solve"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, boom)
+        v = augmented_gs_step(S, v, augmented_rhs(S, f))
+        assert flatten_augmented(S, v).shape == (S.n_fine,)
+        lhs, rhs = rate_identity_oracle(S)
+        assert abs(lhs - rhs) <= 1e-8
 
     @pytest.mark.parametrize("n,k", [(1, 2), (1, 3), (2, 2)])
     def test_equivalent_to_two_level_iteration(self, n, k):
         prob = poisson_setup(n, k)
         A, P = prob.system.A, prob.prolongation_int
-        M = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=False, post="forward")
+        M = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=False)
         S = build_augmented(A, P)
         rng = np.random.default_rng(9)
         f = rng.standard_normal(A.nrows)
@@ -275,11 +302,16 @@ class TestConvergenceRateOracles:
         assert abs(lhs - rhs) <= 1e-8
         assert lhs < 1.0
 
-    def test_dense_limit_enforced(self):
-        prob = poisson_setup(3, 3)  # 125 coarse-interior? no: fine interior 343 + coarse 8
-        S = build_augmented(prob.system.A, prob.prolongation_int)
-        with pytest.raises(ValueError):
-            rate_identity_oracle(S, dense_limit=100)
+    def test_dense_limit_enforced(self, monkeypatch):
+        prob = poisson_setup(3, 3)  # 512 fine interior + 8 coarse = 520 unknowns
+        assert MAX_AUGMENTED_DIM == 500
+
+        def never(self):
+            raise AssertionError("build_augmented densified before checking the dimension")
+
+        monkeypatch.setattr(CsrMatrix, "to_dense", never)
+        with pytest.raises(ValueError, match="augmented dimension 520 exceeds MAX_AUGMENTED_DIM"):
+            build_augmented(prob.system.A, prob.prolongation_int)
 
     def test_exact_preconditioner_contracts_to_zero(self):
         prob = poisson_setup(2, 2)
@@ -298,7 +330,7 @@ class TestConvergenceRateOracles:
 
         prob = poisson_setup(2, 2)
         A, P = prob.system.A, prob.prolongation_int
-        M = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=False, post="forward")
+        M = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=False)
         est = contraction_factor_estimate(M, A, iters=500, seed=11)
         n = A.nrows
         E = np.eye(n) - np.column_stack([M.apply(col) for col in A.to_dense().T])
@@ -328,7 +360,7 @@ class TestConvergenceRateOracles:
         # forward postsmoothing == augmented block Gauss-Seidel
         prob = poisson_setup(2, 2)
         A, P = prob.system.A, prob.prolongation_int
-        M = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=False, post="forward")
+        M = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=False)
         S = build_augmented(A, P)
         lhs, _ = rate_identity_oracle(S)
         est = contraction_factor_estimate(M, A, iters=500, seed=12)
