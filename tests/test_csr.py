@@ -437,6 +437,35 @@ class TestMatrixMarket:
         assert np.array_equal(B.col_idx, A.col_idx)
         assert np.array_equal(B.values, A.values)
 
+    def test_parent_layout_reads_back(self, tmp_path):
+        # the column-major, %.16e, lower-triangle layout this library wrote
+        # before it handed Matrix Market to scipy.io: an explicit zero, a
+        # subnormal, -0.0 and a value near the top of the range
+        path = tmp_path / "parent.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "4 4 7\n"
+            "1 1 4.0000000000000000e+00\n"
+            "2 1 -3.3333333333333331e-01\n"
+            "4 1 4.9406564584124654e-324\n"
+            "2 2 2.0000000000000000e+00\n"
+            "3 2 0.0000000000000000e+00\n"
+            "3 3 1.0000000000000001e+300\n"
+            "4 4 -0.0000000000000000e+00\n"
+        )
+        A = CsrMatrix.from_coo(
+            4, 4,
+            [0, 0, 1, 1, 1, 2, 2, 3, 0, 3],
+            [0, 1, 0, 1, 2, 1, 2, 0, 3, 3],
+            [4.0, -1 / 3, -1 / 3, 2.0, 0.0, 0.0, 1e300, 5e-324, 5e-324, -0.0],
+        )
+        B = read_matrix_market(path)
+        assert B.shape == A.shape
+        assert np.array_equal(B.row_ptr, A.row_ptr)
+        assert np.array_equal(B.col_idx, A.col_idx)
+        assert np.array_equal(B.values, A.values)
+        assert np.array_equal(np.signbit(B.values), np.signbit(A.values))
+
     def test_entry_count_checked(self, tmp_path):
         path = tmp_path / "short.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 2 1.0\n")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -5,7 +7,7 @@ import scipy.sparse
 from auxmg import reference
 from auxmg.csr import CsrMatrix, spmv
 from auxmg.krylov import SolverConfig
-from auxmg.mesh import build_cube_mesh
+from auxmg.mesh import build_cube_mesh, perturb_interior
 from auxmg.stokes import (
     BlockPreconditioner,
     InnerSolveError,
@@ -309,3 +311,17 @@ class TestVtk:
         assert "CELL_TYPES 6" in text
         assert "VECTORS velocity double" in text
         assert "SCALARS pressure double 1" in text
+
+    @pytest.mark.parametrize("with_fields, digest", [
+        (True, "5d0b3b739dde4b47fd4ad562f559a5ac3f55faf3a4f90d1837a5736afb5ba8c9"),
+        (False, "515e921b1a8e185b1a6f9202ae6a09b70e2205d97f670ce4b67e12ebad447091"),
+    ])
+    def test_bytes_pinned(self, tmp_path, with_fields, digest):
+        # the exact bytes on a perturbed mesh, with a vector and a scalar
+        # field and with none
+        mesh = perturb_interior(build_cube_mesh(3), seed=1)
+        x = mesh.vertices
+        fields = {"velocity": x[:, ::-1] - 0.5, "pressure": x[:, 0] * x[:, 1] - x[:, 2] / 3.0}
+        path = tmp_path / "pinned.vtk"
+        write_vtk(path, mesh, fields if with_fields else None)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
