@@ -380,54 +380,38 @@ def tri_lower_solve(L: CsrMatrix, b):
 
 
 # -- Matrix Market I/O ---------------------------------------------------
+# scipy.io is imported inside these functions: it adds about 20 ms to
+# ``import auxmg``, which every process pays and no solve needs.
 
 
 def write_matrix_market(A: CsrMatrix, path):
-    """Write coordinate Matrix Market (1-based, 17 significant digits).
+    """Write coordinate Matrix Market through ``scipy.io.mmwrite``.
 
     An exactly symmetric matrix is stored as its lower triangle under the
     ``symmetric`` qualifier; any other, including one symmetric only to
     roundoff, under ``general``, so every file reads back bit for bit.
     """
-    S = A.to_scipy().tocoo()
-    if A.is_symmetric(tol=0.0):
-        keep = S.row >= S.col
-        rows, cols, vals = S.row[keep], S.col[keep], S.data[keep]
-        qualifier = "symmetric"
-    else:
-        rows, cols, vals = S.row, S.col, S.data
-        qualifier = "general"
-    order = np.lexsort((rows, cols))  # column-major, the conventional MM layout
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {qualifier}\n")
-        fh.write(f"{A.nrows} {A.ncols} {len(vals)}\n")
-        for t in order:
-            fh.write(f"{rows[t] + 1} {cols[t] + 1} {vals[t]:.16e}\n")
+    import scipy.io
+
+    symmetry = "symmetric" if A.is_symmetric(tol=0.0) else "general"
+    # an open binary file: given a path, mmwrite would append ".mtx" to it
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, A.to_scipy(), symmetry=symmetry)
 
 
 def read_matrix_market(path) -> CsrMatrix:
-    """Read a coordinate Matrix Market file written by :func:`write_matrix_market`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) < 5 or header[0] != "%%MatrixMarket" or header[2] != "coordinate":
-            raise ValueError(f"unsupported Matrix Market header in {path}")
-        qualifier = header[4]
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        nrows, ncols, nnz = (int(t) for t in line.split())
-        entry = [("row", np.int64), ("col", np.int64), ("val", np.float64)]
-        body = np.loadtxt(fh, dtype=entry, ndmin=1, max_rows=nnz) if nnz else np.empty(0, dtype=entry)
-    if len(body) != nnz:
-        raise ValueError(f"{path} declares {nnz} entries but holds {len(body)}")
-    rows, cols, vals = body["row"] - 1, body["col"] - 1, body["val"]
-    if qualifier == "symmetric":
-        off = rows != cols
-        rows, cols = (
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-        )
-        vals = np.concatenate([vals, vals[off]])
-    elif qualifier != "general":
-        raise ValueError(f"unsupported qualifier {qualifier!r}")
-    return CsrMatrix.from_coo(nrows, ncols, rows, cols, vals)
+    """Read a real coordinate Matrix Market file through ``scipy.io.mmread``.
+
+    Raises ValueError for a malformed file, and one naming the file for a
+    dense ``array`` file, complex values or a value that is not finite.
+    """
+    import scipy.io
+
+    S = scipy.io.mmread(path)  # raises ValueError for a malformed file
+    if not scipy.sparse.issparse(S):
+        raise ValueError(f"{path} is a dense array file, not a coordinate one")
+    if np.iscomplexobj(S.data):
+        raise ValueError(f"{path} holds complex values")
+    if not np.all(np.isfinite(S.data)):
+        raise ValueError(f"{path} holds a value that is not finite")
+    return CsrMatrix.from_coo(S.shape[0], S.shape[1], S.row, S.col, S.data)

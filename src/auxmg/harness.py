@@ -38,6 +38,10 @@ from .mesh import build_cube_mesh
 from .fem import assemble_operator
 
 
+def _is_int(x):
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     problem: str = "poisson"
@@ -59,10 +63,15 @@ class ExperimentConfig:
         if self.precond_kind not in ("Qt", "Qd"):
             raise ValueError(f"precond_kind must be 'Qt' or 'Qd', got {self.precond_kind!r}")
         k_min = 1 if self.problem == "poisson" else 2
-        if not (isinstance(self.k, Integral) and k_min <= self.k <= MAX_ORDER):
+        if not (_is_int(self.k) and k_min <= self.k <= MAX_ORDER):
             raise ValueError(f"k must be an int in {k_min}..{MAX_ORDER} for {self.problem}, got {self.k!r}")
         if not self.refinements:
             raise ValueError("refinements must be nonempty")
+        for n in self.refinements:  # a Poisson cube has (k n - 1)^3 interior DOFs
+            if not (_is_int(n) and n >= 1 and (self.problem == "stokes" or self.k * n >= 2)):
+                raise ValueError(f"refinements must hold ints >= 1, and >= 2 for poisson with k = 1, got {n!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
         if not self.theta_values:
             raise ValueError("theta_values must be nonempty")
         for t in self.theta_values:

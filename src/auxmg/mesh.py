@@ -30,6 +30,10 @@ class TetMesh:
     def __init__(self, vertices, tets):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         tets = np.ascontiguousarray(tets, dtype=np.int64)
+        nv = len(self.vertices)
+        if tets.size and (tets.min() < 0 or tets.max() >= nv):
+            bad = int(np.argmax(np.any((tets < 0) | (tets >= nv), axis=1)))
+            raise ValueError(f"tet {bad} has a vertex index outside 0..{nv - 1}: {tets[bad].tolist()}")
         vol = signed_volumes(self.vertices, tets)
         flip = vol < 0
         if np.any(flip):
@@ -176,28 +180,33 @@ def perturb_interior(mesh: TetMesh, magnitude=0.2, seed=0) -> TetMesh:
 
 
 def write_mesh(mesh: TetMesh, basename):
-    """Write ``basename.node`` and ``basename.ele`` (0-based indices)."""
-    with open(str(basename) + ".node", "w") as fh:
-        fh.write(f"{mesh.num_vertices} 3 0 0\n")
-        for i, (x, y, z) in enumerate(mesh.vertices):
-            fh.write(f"{i} {float(x)!r} {float(y)!r} {float(z)!r}\n")
-    with open(str(basename) + ".ele", "w") as fh:
-        fh.write(f"{mesh.num_tets} 4 0\n")
-        for i, t in enumerate(mesh.tets):
-            fh.write(f"{i} {t[0]} {t[1]} {t[2]} {t[3]}\n")
+    """Write ``basename.node`` and ``basename.ele`` (0-based indices; 17
+    significant digits, so the coordinates read back exactly)."""
+    np.savetxt(f"{basename}.node", np.column_stack([np.arange(mesh.num_vertices), mesh.vertices]),
+               fmt=["%d"] + ["%.17g"] * 3, header=f"{mesh.num_vertices} 3 0 0", comments="")
+    np.savetxt(f"{basename}.ele", np.column_stack([np.arange(mesh.num_tets), mesh.tets]),
+               fmt="%d", header=f"{mesh.num_tets} 4 0", comments="")
+
+
+def _read_table(path, width, dtype):
+    """The rows of a ``.node`` or ``.ele`` file, each an index and ``width``
+    values after a header line that starts with the row count, returned
+    in index order; the indices must be 0..count-1, in any order."""
+    with open(path) as fh:
+        try:
+            count = int(fh.readline().split()[0])  # IndexError: an empty header line
+            rows = np.loadtxt(fh, dtype=dtype, ndmin=2, max_rows=count)
+        except (IndexError, ValueError) as e:
+            raise ValueError(f"{path}: bad header or rows: {e}") from e
+    if rows.shape != (count, 1 + width):
+        raise ValueError(f"{path} declares {count} rows of an index and {width} values, holds {rows.shape}")
+    order = np.argsort(rows[:, 0])
+    if not np.array_equal(rows[order, 0], np.arange(count)):
+        raise ValueError(f"{path}: the index column is not a permutation of 0..{count - 1}")
+    return rows[order, 1:]
 
 
 def read_mesh(basename) -> TetMesh:
-    with open(str(basename) + ".node") as fh:
-        nv = int(fh.readline().split()[0])
-        vertices = np.empty((nv, 3))
-        for _ in range(nv):
-            parts = fh.readline().split()
-            vertices[int(parts[0])] = [float(p) for p in parts[1:4]]
-    with open(str(basename) + ".ele") as fh:
-        nt = int(fh.readline().split()[0])
-        tets = np.empty((nt, 4), dtype=np.int64)
-        for _ in range(nt):
-            parts = fh.readline().split()
-            tets[int(parts[0])] = [int(p) for p in parts[1:5]]
-    return TetMesh(vertices, tets)
+    """Read the files :func:`write_mesh` writes; a malformed one raises ValueError."""
+    vertices = _read_table(f"{basename}.node", 3, np.float64)
+    return TetMesh(vertices, _read_table(f"{basename}.ele", 4, np.int64))

@@ -286,24 +286,19 @@ def write_vtk(path, mesh: TetMesh, point_data=None):
     """
     point_data = point_data or {}
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\ncavity solution\nASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write("# vtk DataFile Version 3.0\ncavity solution\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.num_vertices} double\n")
-        for x, y, z in mesh.vertices:
-            fh.write(f"{x:.16e} {y:.16e} {z:.16e}\n")
+        np.savetxt(fh, mesh.vertices, fmt="%.16e")
         fh.write(f"CELLS {mesh.num_tets} {5 * mesh.num_tets}\n")
-        for t in mesh.tets:
-            fh.write(f"4 {t[0]} {t[1]} {t[2]} {t[3]}\n")
+        np.savetxt(fh, np.column_stack([np.full(mesh.num_tets, 4), mesh.tets]), fmt="%d")
         fh.write(f"CELL_TYPES {mesh.num_tets}\n")
-        fh.write("\n".join(["10"] * mesh.num_tets) + "\n")
+        np.savetxt(fh, np.full(mesh.num_tets, 10), fmt="%d")  # 10 is VTK_TETRA
         if point_data:
             fh.write(f"POINT_DATA {mesh.num_vertices}\n")
-            for name, arr in point_data.items():
-                arr = np.asarray(arr)
-                if arr.ndim == 2 and arr.shape[1] == 3:
-                    fh.write(f"VECTORS {name} double\n")
-                    for row in arr:
-                        fh.write(f"{row[0]:.16e} {row[1]:.16e} {row[2]:.16e}\n")
-                else:
-                    fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                    fh.write("\n".join(f"{v:.16e}" for v in arr) + "\n")
+        for name, arr in point_data.items():
+            arr = np.asarray(arr)
+            if arr.ndim == 2 and arr.shape[1] == 3:
+                fh.write(f"VECTORS {name} double\n")
+            else:
+                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            np.savetxt(fh, arr, fmt="%.16e")

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import auxmg
 from auxmg.amg import build_hierarchy
 from auxmg.csr import (
     CsrMatrix,
@@ -366,7 +372,7 @@ class TestMatrixMarket:
         write_matrix_market(CsrMatrix.identity(2), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
-        assert lines[1] == "2 2 2"
+        assert next(line for line in lines if not line.startswith("%")) == "2 2 2"
 
     def test_round_trip_general(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -466,10 +472,55 @@ class TestMatrixMarket:
         assert np.array_equal(B.values, A.values)
         assert np.array_equal(np.signbit(B.values), np.signbit(A.values))
 
+    @pytest.mark.parametrize("qualifier, shape, rows, cols, vals", [
+        ("symmetric", (4, 4), [0, 1, 1, 2, 3, 0, 3], [0, 2, 1, 1, 3, 3, 0],
+         [-0.0, 0.0, 5e-324, 0.0, 1e300, 5e-324, 5e-324]),
+        ("general", (3, 5), [0, 2, 2], [4, 0, 1], [-0.0, 0.0, 5e-324]),
+        ("general", (3, 2), [], [], []),
+    ])
+    def test_edge_values_round_trip(self, tmp_path, qualifier, shape, rows, cols, vals):
+        # -0.0, subnormals and explicit zeros survive a write and a read
+        A = CsrMatrix.from_coo(*shape, rows, cols, vals)
+        path = tmp_path / "edge.mtx"
+        write_matrix_market(A, path)
+        assert path.read_text().splitlines()[0].endswith(qualifier)
+        B = read_matrix_market(path)
+        assert B.shape == A.shape
+        assert np.array_equal(B.row_ptr, A.row_ptr)
+        assert np.array_equal(B.col_idx, A.col_idx)
+        assert np.array_equal(B.values, A.values)
+        assert np.array_equal(np.signbit(B.values), np.signbit(A.values))
+
     def test_entry_count_checked(self, tmp_path):
         path = tmp_path / "short.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n2 2 1.0\n")
-        with pytest.raises(ValueError, match="declares 3 entries but holds 2"):
+        with pytest.raises(ValueError, match="Truncated file"):
             read_matrix_market(path)
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 0\n")
         assert read_matrix_market(path).nnz == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n", "bad.mtx holds a value that is"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n2 1 -inf\n", "bad.mtx holds a value that is"),
+        ("%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0 2.0\n", "bad.mtx holds complex values"),
+        ("%%MatrixMarket matrix array real general\n1 1\n1.0\n", "bad.mtx is a dense array file"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", "Row index out of bounds"),
+        ("2 2 1\n1 1 1.0\n", "Missing banner"),
+    ], ids=["nan", "inf", "complex", "array", "index", "banner"])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_matrix_market(path)
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        # given a path rather than a file, scipy's mmwrite appends ".mtx"
+        write_matrix_market(CsrMatrix.identity(2), tmp_path / "a.dat")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.dat"]
+
+    def test_import_leaves_scipy_io_out(self):
+        # scipy.io is imported by the two functions above, not by the package
+        code = "import sys, auxmg; print('scipy.io' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(auxmg.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -81,6 +81,34 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} "):
             ExperimentConfig(**fields)
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"refinements": [2.5]}, "refinements"), ({"refinements": [0]}, "refinements"),
+        ({"refinements": [-1]}, "refinements"), ({"refinements": [2, 0]}, "refinements"),
+        ({"refinements": [True]}, "refinements"), ({"refinements": ["2"]}, "refinements"),
+        ({"k": 1, "refinements": [1]}, "refinements"), ({"k": 1, "refinements": [2, 1]}, "refinements"),
+        ({"k": True}, "k"), ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
+    ])
+    def test_bad_refinement_or_seed_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"k": 1, "refinements": [2]}, {"k": 2, "refinements": [1]},
+        {"problem": "stokes", "k": 2, "refinements": [1]}, {"refinements": [np.int64(2)], "seed": np.int64(3)},
+    ])
+    def test_smallest_grids_accepted(self, fields):
+        assert ExperimentConfig(**fields).refinements == fields["refinements"]
+
+    def test_cli_rejects_empty_p1_interior_before_setup(self, tmp_path, monkeypatch):
+        from auxmg import harness
+
+        def never(*a, **k):
+            raise AssertionError("poisson_setup called for an invalid config")
+
+        monkeypatch.setattr(harness, "poisson_setup", never)
+        with pytest.raises(ValueError, match="refinements"):
+            cli.main(["solve", "--k", "1", "--refine", "1", "--out", str(tmp_path)])
+
     @pytest.mark.parametrize("problem, k", [("poisson", 1), ("poisson", 4), ("stokes", 2), ("stokes", 4)])
     def test_order_range_ends_accepted(self, problem, k):
         assert ExperimentConfig(problem=problem, k=k).k == k

@@ -98,11 +98,82 @@ class TestMeshIO:
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.tets, mesh.tets)
 
+    def test_extreme_coordinates_round_trip(self, tmp_path):
+        # -0.0, a subnormal and values that need all 17 digits read back exactly
+        mesh = REFERENCE_TET
+        vertices = mesh.vertices + np.array([[-0.0, 5e-324, 1 / 3]])
+        vertices[0, 0] = -0.0
+        mesh = TetMesh(vertices, mesh.tets)
+        write_mesh(mesh, tmp_path / "t")
+        back = read_mesh(tmp_path / "t")
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(np.signbit(back.vertices), np.signbit(mesh.vertices))
+
+
+class TestMalformedMeshFiles:
+    @pytest.fixture
+    def base(self, tmp_path):
+        base = tmp_path / "m"
+        write_mesh(build_cube_mesh(1), base)
+        return base
+
+    @staticmethod
+    def edit(path, row, text):
+        """Replace line ``row`` (0 is the header) of ``path`` by ``text``;
+        None drops the line."""
+        lines = path.read_text().splitlines()
+        if text is None:
+            del lines[row]
+        else:
+            lines[row] = text
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_truncated_node_file(self, base):
+        self.edit(base.with_suffix(".node"), -1, None)
+        with pytest.raises(ValueError, match=r"m\.node declares 8 rows"):
+            read_mesh(base)
+
+    def test_repeated_node_index(self, base):
+        self.edit(base.with_suffix(".node"), 2, "0 0.5 0.5 0.5")
+        with pytest.raises(ValueError, match=r"m\.node: the index column is not a permutation"):
+            read_mesh(base)
+
+    def test_short_node_row(self, base):
+        self.edit(base.with_suffix(".node"), 3, "2 0.5 0.5")
+        with pytest.raises(ValueError, match=r"m\.node: bad header or rows: the number of columns changed"):
+            read_mesh(base)
+
+    def test_empty_ele_file(self, base):
+        base.with_suffix(".ele").write_text("")
+        with pytest.raises(ValueError, match=r"m\.ele: bad header or rows"):
+            read_mesh(base)
+
+    @pytest.mark.parametrize("vertex", [99, -1])
+    def test_vertex_index_out_of_range(self, base, vertex):
+        self.edit(base.with_suffix(".ele"), 4, f"3 0 1 2 {vertex}")
+        with pytest.raises(ValueError, match=f"tet 3 has a vertex index outside 0..7: \\[0, 1, 2, {vertex}\\]"):
+            read_mesh(base)
+
+    def test_rows_in_any_order(self, base):
+        mesh = read_mesh(base)
+        for ext in (".node", ".ele"):
+            path = base.with_suffix(ext)
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        back = read_mesh(base)
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(back.tets, mesh.tets)
+
 
 class TestOrientation:
     def test_flipped_input_is_fixed(self):
         mesh = TetMesh(REFERENCE_TET.vertices, np.array([[0, 1, 3, 2]]))
         assert mesh.volumes()[0] > 0
+
+    def test_vertex_index_out_of_range_rejected_by_name(self):
+        # a negative index would otherwise wrap to the last vertex
+        with pytest.raises(ValueError, match="tet 0 has a vertex index outside 0..7"):
+            TetMesh(build_cube_mesh(1).vertices, [[0, 1, 2, -1]])
 
     def test_degenerate_tet_rejected_by_name(self):
         flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])

@@ -315,7 +315,7 @@ class TestVtk:
     @pytest.mark.parametrize("with_fields, digest", [
         (True, "5d0b3b739dde4b47fd4ad562f559a5ac3f55faf3a4f90d1837a5736afb5ba8c9"),
         (False, "515e921b1a8e185b1a6f9202ae6a09b70e2205d97f670ce4b67e12ebad447091"),
-    ])
+    ], ids=["fields", "no_fields"])
     def test_bytes_pinned(self, tmp_path, with_fields, digest):
         # the exact bytes on a perturbed mesh, with a vector and a scalar
         # field and with none
