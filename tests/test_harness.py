@@ -227,6 +227,7 @@ class TestRunExperiment:
 REPORT_PINS = {
     ("poisson", 2, "gamg", "Qt"): "3f4105cebfe7be1f",
     ("poisson", 1, "amg", "Qt"): "a832c66bb3479061",
+    ("poisson", 1, "gamg", "Qt"): "f47215b23757a800",
     ("stokes", 2, "gamg", "Qd"): "90cf758bc22c5138",
     ("stokes", 2, "amg", "Qt"): "8c8d0e2f30c2274f",
 }
