@@ -18,10 +18,11 @@ import json
 import sys
 from pathlib import Path
 
-from .fem import assemble_operator
+from .fem import assemble_operator, build_space
 from .harness import ExperimentConfig, emit_report, run_experiment, verification_report
 from .csr import write_matrix_market
-from .problems import poisson_setup
+from .mesh import build_cube_mesh
+from .transfer import build_prolongation
 
 
 def _build_parser():
@@ -29,19 +30,19 @@ def _build_parser():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="run a benchmark sweep")
+    ps = sub.add_parser("solve", help="run a benchmark sweep", argument_default=argparse.SUPPRESS)
     ps.add_argument("--config", type=Path, help="JSON experiment config")
     ps.add_argument("--problem", choices=["poisson", "stokes"])
     ps.add_argument("--k", type=int)
-    ps.add_argument("--refine", type=int, action="append",
+    ps.add_argument("--refine", dest="refinements", type=int, action="append",
                     help="mesh subdivisions per axis (repeatable)")
-    ps.add_argument("--theta", type=float, action="append",
+    ps.add_argument("--theta", dest="theta_values", type=float, action="append",
                     help="strength threshold (repeatable)")
     ps.add_argument("--engine", choices=["amg", "gamg"])
-    ps.add_argument("--precond", choices=["Qt", "Qd"])
-    ps.add_argument("--tol", type=float)
+    ps.add_argument("--precond", dest="precond_kind", choices=["Qt", "Qd"])
+    ps.add_argument("--tol", dest="rel_tol", type=float)
     ps.add_argument("--seed", type=int)
-    ps.add_argument("--out", type=Path)
+    ps.add_argument("--out", dest="output_dir")
 
     pv = sub.add_parser("verify", help="run the algebraic oracle suite")
     pv.add_argument("--seed", type=int, default=0)
@@ -56,23 +57,15 @@ def _build_parser():
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config file's fields, overridden by the flags given (each
+    flag's dest is the field it sets)."""
+    flags = dict(vars(args))
+    del flags["command"]
     values = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            values.update(json.load(fh))
-    overrides = {
-        "problem": args.problem,
-        "k": args.k,
-        "refinements": args.refine,
-        "theta_values": args.theta,
-        "engine": args.engine,
-        "precond_kind": args.precond,
-        "rel_tol": args.tol,
-        "seed": args.seed,
-        "output_dir": str(args.out) if args.out is not None else None,
-    }
-    values.update({key: v for key, v in overrides.items() if v is not None})
-    return ExperimentConfig(**values)
+    if "config" in flags:
+        with open(flags.pop("config")) as fh:
+            values = json.load(fh)
+    return ExperimentConfig(**{**values, **flags})
 
 
 def cmd_solve(args) -> int:
@@ -102,15 +95,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    problem = poisson_setup(args.refine, args.k)
+    space = build_space(build_cube_mesh(args.refine), args.k)
     if args.what == "matrix":
-        A = assemble_operator(problem.fine_space, "stiffness")
-        write_matrix_market(A, args.out)
+        matrix = assemble_operator(space, "stiffness")
     else:
-        if problem.transfer is None:
-            print("prolongation needs k >= 2", file=sys.stderr)
-            return 2
-        write_matrix_market(problem.transfer.prolongation, args.out)
+        matrix = build_prolongation(space, build_space(space.mesh, 1)).prolongation
+    write_matrix_market(matrix, args.out)
     print(f"wrote {args.out}")
     return 0
 

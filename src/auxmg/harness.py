@@ -20,7 +20,7 @@ from numbers import Integral
 import numpy as np
 
 from .amg import CoarseLevelTooLargeError, VCyclePreconditioner, build_hierarchy
-from .csr import CsrMatrix, NotPositiveDefiniteError, spmv, triple_product
+from .csr import NotPositiveDefiniteError, spmv, triple_product
 from .krylov import IndefiniteOperatorError, SolverConfig, fgmres
 from .problems import poisson_setup
 from .reference import MAX_ORDER
@@ -97,7 +97,6 @@ class ReportRow:
 
 
 CSV_COLUMNS = [f.name for f in fields(ReportRow)]
-_TIME_COLUMNS = ("setup_time", "solve_time")
 
 
 def _poisson_setup(n, theta, cfg: ExperimentConfig, rng):
@@ -106,15 +105,14 @@ def _poisson_setup(n, theta, cfg: ExperimentConfig, rng):
 
     For k = 1 the auxiliary space coincides with the original one, so
     GAMG degenerates to smoothing around an AMG solve of the same
-    operator (identity transfer).
+    operator; ``build_prolongation`` gives the identity transfer.
     """
     problem = poisson_setup(n, cfg.k)
     A = problem.system.A
     if cfg.engine == "amg":
         M = VCyclePreconditioner(build_hierarchy(A, theta=theta))
     else:
-        P = problem.prolongation_int if problem.prolongation_int is not None else CsrMatrix.identity(A.nrows)
-        M = TwoLevelPreconditioner(A, P, coarse="amg", theta=theta, presmooth=True)
+        M = TwoLevelPreconditioner(A, problem.prolongation_int, coarse="amg", theta=theta, presmooth=True)
     x0 = rng.standard_normal(A.nrows)
     solver_cfg = SolverConfig(rel_tol=cfg.rel_tol, max_iters=cfg.max_iters)
     return A.nrows, M, lambda: fgmres(A, M, np.zeros(A.nrows), solver_cfg, x0=x0)[1]
@@ -171,13 +169,12 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def emit_report(rows: list, fmt: str, include_times=True) -> str:
+def emit_report(rows: list, fmt: str) -> str:
     """The ReportRows as CSV (fixed column order) or a markdown table per
     (k, engine).
 
     Wall-time columns are real measurements and therefore not covered by
-    the fixed-seed determinism contract; ``include_times=False`` zeroes
-    them for byte-stable comparisons.
+    the fixed-seed determinism contract.
     """
     if fmt == "csv":
         buf = io.StringIO()
@@ -185,9 +182,6 @@ def emit_report(rows: list, fmt: str, include_times=True) -> str:
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             d = asdict(row)
-            if not include_times:
-                for c in _TIME_COLUMNS:
-                    d[c] = 0.0
             writer.writerow([repr(d[c]) if isinstance(d[c], float) else d[c] for c in CSV_COLUMNS])
         return buf.getvalue()
     if fmt == "markdown":
@@ -252,7 +246,7 @@ def verification_report(seed: int = 0) -> dict:
         for n in (1, 2):
             problem = poisson_setup(n, k)
             A_full = assemble_operator(problem.fine_space, "stiffness")
-            direct = assemble_operator(problem.coarse_space, "stiffness")
+            direct = assemble_operator(problem.transfer.coarse_space, "stiffness")
             P_full = problem.transfer.prolongation
             gal = triple_product(P_full.transpose(), A_full, P_full)
             diff = np.max(np.abs(gal.to_dense() - direct.to_dense()))

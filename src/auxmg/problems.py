@@ -7,18 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import AssembledSystem, FeSpace, assemble_load, assemble_operator, build_space, eliminate_dirichlet
-from .mesh import TetMesh, build_cube_mesh, perturb_interior
+from .mesh import build_cube_mesh, perturb_interior
 from .csr import CsrMatrix
 from .transfer import TransferOperator, build_prolongation
 
 
 @dataclass
 class PoissonProblem:
-    """Dirichlet Poisson problem on the unit cube with its P1 transfer."""
+    """Dirichlet Poisson problem on the unit cube with its P1 transfer
+    (the identity at k = 1)."""
 
-    mesh: TetMesh
     fine_space: FeSpace
-    coarse_space: FeSpace
     system: AssembledSystem
     transfer: TransferOperator
     prolongation_int: CsrMatrix  # interior x interior
@@ -37,15 +36,8 @@ def poisson_setup(n: int, k: int, f=None, perturb_seed=None) -> PoissonProblem:
     A = assemble_operator(fine, "stiffness")
     rhs = assemble_load(fine, f) if f is not None else np.zeros(fine.n_dofs)
     system = eliminate_dirichlet(A, rhs, fine)
-    if k >= 2:
-        coarse = build_space(mesh, 1)
-        transfer = build_prolongation(fine, coarse)
-        P_int = transfer.eliminated()
-    else:
-        coarse = fine
-        transfer = None
-        P_int = None
-    return PoissonProblem(mesh, fine, coarse, system, transfer, P_int)
+    transfer = build_prolongation(fine, build_space(mesh, 1))
+    return PoissonProblem(fine, system, transfer, transfer.eliminated())
 
 
 def manufactured_solution():

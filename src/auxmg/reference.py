@@ -29,12 +29,7 @@ def lattice_points(k: int):
     Order is lexicographically descending, so the four vertices come
     first for k = 1.
     """
-    pts = []
-    for a0 in range(k, -1, -1):
-        for a1 in range(k - a0, -1, -1):
-            for a2 in range(k - a0 - a1, -1, -1):
-                pts.append((a0, a1, a2, k - a0 - a1 - a2))
-    return tuple(pts)
+    return tuple(_compositions(k, 4))
 
 
 def num_local_dofs(k: int) -> int:
@@ -225,6 +220,8 @@ def tet_quadrature(degree: int = 9):
 
 
 def _compositions(total, parts):
+    """Tuples of ``parts`` non-negative ints summing to ``total``, in
+    lexicographically descending order."""
     if parts == 1:
         yield (total,)
         return

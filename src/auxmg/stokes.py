@@ -284,7 +284,11 @@ def write_vtk(path, mesh: TetMesh, point_data=None):
     ``point_data`` maps names to per-vertex scalars (nv,) or vectors
     (nv, 3).
     """
-    point_data = point_data or {}
+    point_data = {name: np.asarray(arr) for name, arr in (point_data or {}).items()}
+    for name, arr in point_data.items():
+        if arr.shape not in ((mesh.num_vertices,), (mesh.num_vertices, 3)):
+            raise ValueError(f"point field {name!r} has shape {arr.shape}, "
+                             f"expected ({mesh.num_vertices},) or ({mesh.num_vertices}, 3)")
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\ncavity solution\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.num_vertices} double\n")
@@ -296,8 +300,7 @@ def write_vtk(path, mesh: TetMesh, point_data=None):
         if point_data:
             fh.write(f"POINT_DATA {mesh.num_vertices}\n")
         for name, arr in point_data.items():
-            arr = np.asarray(arr)
-            if arr.ndim == 2 and arr.shape[1] == 3:
+            if arr.ndim == 2:
                 fh.write(f"VECTORS {name} double\n")
             else:
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")

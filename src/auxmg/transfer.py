@@ -3,7 +3,8 @@
 The prolongation row of a fine node is just its barycentric coordinates
 with respect to the vertices of a containing tet, so every row has at
 most 4 entries, each a rational multiple of 1/k, and rows sum to 1 over
-the full DOF sets.
+the full DOF sets.  At k = 1 the fine nodes are the vertices and the
+prolongation is the identity.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ def build_prolongation(fine: FeSpace, coarse: FeSpace, check=False) -> TransferO
     Entry (i, j) is the value of the hat function of vertex j at fine
     node i.  Values come from the lowest-id tet containing each node;
     with ``check=True`` agreement across all containing tets is
-    asserted (a conformity sanity check).
+    asserted (a conformity sanity check).  A P1 fine space gives the
+    identity.
     """
     if coarse.order != 1:
         raise ValueError("coarse space must have order 1")
-    if fine.order < 2:
-        raise ValueError("fine space must have order >= 2")
     if coarse.mesh is not fine.mesh and not (
         coarse.mesh.num_vertices == fine.mesh.num_vertices
         and np.array_equal(coarse.mesh.tets, fine.mesh.tets)

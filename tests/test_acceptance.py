@@ -62,7 +62,7 @@ def test_criterion_1_galerkin_consistency():
             for n in (1, 2):
                 prob = poisson_setup(n, k)
                 A_h = assemble_operator(prob.fine_space, "stiffness")
-                direct = assemble_operator(prob.coarse_space, "stiffness").to_dense()
+                direct = assemble_operator(prob.transfer.coarse_space, "stiffness").to_dense()
                 P = prob.transfer.prolongation
                 gal = triple_product(P.transpose(), A_h, P).to_dense()
                 rel = np.max(np.abs(gal - direct)) / np.max(np.abs(direct))

@@ -2,7 +2,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,11 @@ def parse_report_csv(text: str) -> list:
             error=d["error"],
         ))
     return rows
+
+
+def _untimed(rows: list) -> list:
+    """The rows with their wall times zeroed, for byte-stable reports."""
+    return [replace(r, setup_time=0.0, solve_time=0.0) for r in rows]
 
 
 class TestConfig:
@@ -134,6 +139,17 @@ class TestConfig:
         args = cli._build_parser().parse_args(["solve", "--config", str(path)])
         assert cli._config_from_args(args) == cfg
 
+    def test_flags_override_config_fields(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k": 1, "refinements": [2], "engine": "amg", "seed": 3}))
+        args = cli._build_parser().parse_args([
+            "solve", "--config", str(path), "--k", "3", "--refine", "1", "--refine", "2",
+            "--theta", "0.5", "--precond", "Qd", "--tol", "1e-8", "--out", "dir",
+        ])
+        assert cli._config_from_args(args) == ExperimentConfig(
+            k=3, refinements=[1, 2], theta_values=[0.5], engine="amg", precond_kind="Qd",
+            rel_tol=1e-8, seed=3, output_dir="dir")
+
 
 class TestRunExperiment:
     def test_single_point_poisson(self):
@@ -156,8 +172,8 @@ class TestRunExperiment:
     def test_deterministic_given_seed(self):
         cfg = ExperimentConfig(problem="poisson", k=2, refinements=[2, 3],
                                theta_values=[0.25, 0.5], engine="gamg", seed=7)
-        a = emit_report(run_experiment(cfg), "csv", include_times=False)
-        b = emit_report(run_experiment(cfg), "csv", include_times=False)
+        a = emit_report(_untimed(run_experiment(cfg)), "csv")
+        b = emit_report(_untimed(run_experiment(cfg)), "csv")
         assert a == b  # byte-identical modulo wall-time columns
 
     def test_gamg_c_op_internally_consistent(self):
@@ -222,8 +238,8 @@ class TestRunExperiment:
         assert row.iterations == ref.iterations
 
 
-# SHA-256 prefixes of emit_report(run_experiment(cfg), "csv",
-# include_times=False) over refinements [2, 3], theta [0.25, 0.8], seed 4
+# SHA-256 prefixes of emit_report(_untimed(run_experiment(cfg)), "csv")
+# over refinements [2, 3], theta [0.25, 0.8], seed 4
 REPORT_PINS = {
     ("poisson", 2, "gamg", "Qt"): "3f4105cebfe7be1f",
     ("poisson", 1, "amg", "Qt"): "a832c66bb3479061",
@@ -237,7 +253,7 @@ REPORT_PINS = {
 def test_report_pinned(problem, k, engine, kind):
     cfg = ExperimentConfig(problem=problem, k=k, refinements=[2, 3], theta_values=[0.25, 0.8],
                            engine=engine, precond_kind=kind, seed=4)
-    text = emit_report(run_experiment(cfg), "csv", include_times=False)
+    text = emit_report(_untimed(run_experiment(cfg)), "csv")
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPORT_PINS[problem, k, engine, kind]
 
 
@@ -361,6 +377,12 @@ class TestCli:
         assert rc == 0
         P = read_matrix_market(out)
         assert P.shape == (27, 8)
+
+    def test_export_p1_prolongation_is_identity(self, tmp_path):
+        out = tmp_path / "prol.mtx"
+        rc = cli.main(["export", "--what", "prolongation", "--k", "1", "--refine", "1", "--out", str(out)])
+        assert rc == 0
+        assert np.array_equal(read_matrix_market(out).to_dense(), np.eye(8))
 
     def test_verify_writes_json(self, tmp_path, capsys):
         out = tmp_path / "verify.json"

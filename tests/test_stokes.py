@@ -325,3 +325,10 @@ class TestVtk:
         path = tmp_path / "pinned.vtk"
         write_vtk(path, mesh, fields if with_fields else None)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("field", [np.zeros(3), np.zeros((8, 2))], ids=["short", "two_columns"])
+    def test_malformed_point_field_rejected(self, tmp_path, field):
+        path = tmp_path / "bad.vtk"
+        with pytest.raises(ValueError, match=rf"'f' has shape \({field.shape[0]},"):
+            write_vtk(path, build_cube_mesh(1), {"f": field})
+        assert not path.exists()

@@ -3,7 +3,7 @@ import pytest
 
 from auxmg.csr import CsrMatrix, spmv, triple_product
 from auxmg.fem import assemble_operator, build_space, eliminate_dirichlet
-from auxmg.mesh import build_cube_mesh, perturb_interior
+from auxmg.mesh import build_cube_mesh, perturb_interior, refine_uniform
 from auxmg.transfer import build_prolongation
 
 
@@ -60,11 +60,22 @@ class TestProlongationEntries:
         assert np.array_equal(T.prolongation.transpose().to_dense(), T.prolongation.to_dense().T)
 
     def test_rejects_wrong_orders(self):
-        fine, coarse = make_pair(1, 2)
-        with pytest.raises(ValueError):
-            build_prolongation(coarse, coarse)
+        fine, _ = make_pair(1, 2)
         with pytest.raises(ValueError):
             build_prolongation(fine, fine)
+
+    @pytest.mark.parametrize("mesh", [
+        build_cube_mesh(3), perturb_interior(build_cube_mesh(4), seed=2), refine_uniform(build_cube_mesh(2)),
+    ], ids=["cube3", "perturbed4", "refined2"])
+    def test_p1_to_p1_is_identity(self, mesh):
+        space = build_space(mesh, 1)
+        T = build_prolongation(space, build_space(mesh, 1), check=True)
+        n_int = len(space.interior_indices())
+        for P, n in ((T.prolongation, space.n_dofs), (T.eliminated(), n_int)):
+            identity = CsrMatrix.identity(n)
+            for name in ("row_ptr", "col_idx", "values"):
+                got, want = getattr(P, name), getattr(identity, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_rejects_mismatched_meshes(self):
         fine, _ = make_pair(1, 2)
