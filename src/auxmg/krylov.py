@@ -1,12 +1,26 @@
 """Preconditioned Krylov solvers: CG, MINRES and flexible GMRES.
 
-All three share one stopping rule, :class:`_Residuals`: they stop on the
-recomputed true relative residual ||b - A x_i|| / ||b|| (or / ||r_0||
-when b = 0, the zero-rhs random-guess benchmarking protocol), and record
-that history in the returned :class:`SolveReport`, whose ``iterations``
-is ``len(residual_history) - 1``, so reported iteration counts can never
-drift from the actual residuals.  A non-finite true residual raises
-FloatingPointError at the iterate that produced it.
+Each solver applies the operator once per iteration and tracks its
+residual by recurrence: CG carries r, MINRES carries A w next to its
+direction w, and FGMRES reads |g_{j+1}| off its Givens rotations.  All
+three share one stopping rule, :class:`_Residuals`, on the relative
+residual ||r_i|| / ||b|| (or / ||r_0|| when b = 0, the zero-rhs
+random-guess benchmarking protocol).  When the recurrence value reaches
+rel_tol, or the iteration cap is reached, the true residual b - A x_i is
+formed and replaces it (residual replacement, van der Vorst & Ye, SIAM
+J. Sci. Comput. 22, 2000); the solve stops only if that true value meets
+rel_tol too, and otherwise CG (with a fresh search direction) and MINRES
+continue from it and FGMRES restarts from it.  FGMRES forms its iterate,
+and that iterate's true residual, only there and at each restart.
+
+The returned :class:`SolveReport` records one value per iterate, so
+``iterations`` is ``len(residual_history) - 1``.  The entries are
+recurrence values, except the first, the last and each restart or
+replacement point, which are true residuals; a converged report's last
+entry is always a true residual <= rel_tol.  A non-finite residual,
+recurrence or true, raises FloatingPointError at the iterate that
+produced it.  Operators must return a new array, which the solvers may
+update in place.
 """
 
 from __future__ import annotations
@@ -48,7 +62,9 @@ class SolverConfig:
 class SolveReport:
     iterations: int
     converged: bool
-    residual_history: np.ndarray  # true relative residuals, length iterations+1
+    # relative residuals, length iterations+1: recurrence values, except the
+    # first, the last and each restart or replacement point, which are true
+    residual_history: np.ndarray
     wall_time: float
     precond_residual_history: np.ndarray | None = None  # MINRES: M-norm recurrence
 
@@ -67,46 +83,59 @@ class _Residuals:
     """The stopping rule of all three solvers.
 
     Validates b and the initial iterate (a non-finite entry in either
-    fails here, before it reaches an operator or a recurrence), forms
-    r0 = b - A x0, and records the true relative residual of every
-    iterate handed to :meth:`check`.  ``r`` is the last true residual
-    formed, b - A x0 until the first check; a solver that updates a
-    residual in place works on a copy of it.
+    fails here, before it reaches an operator or a recurrence) and forms
+    r0 = b - A x0, with no product for a zero guess.  ``r`` is r0; the
+    solver owns it and may update it in place.  Every iteration records
+    its recurrence residual norm with :meth:`check`, and :meth:`replace`
+    puts the true residual of an iterate in place of that value.
     """
 
-    def __init__(self, A, b, x0, rel_tol):
+    def __init__(self, A, b, x0, cfg: SolverConfig):
         b = np.asarray(b, dtype=np.float64)
         x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
         for name, v in (("b", b), ("x0", x)):
             bad = np.flatnonzero(~np.isfinite(v))
             if len(bad):
                 raise ValueError(f"{name} has a non-finite entry at index {bad[0]}: {v[bad[0]]}")
-        self.A, self.b, self.x0, self.rel_tol = A, b, x, rel_tol
+        self.A, self.b, self.x0 = A, b, x
+        self.rel_tol, self.max_iters = cfg.rel_tol, cfg.max_iters
         self.t0 = time.perf_counter()
-        self.r = b - A(x)
+        self.r = b.copy() if x0 is None else b - A(x)
         nb = np.linalg.norm(b)
         self.denom = nb if nb > 0.0 else max(np.linalg.norm(self.r), np.finfo(float).tiny)
-        self.history = []
-        self._record(self.r)
+        self.history = [self._relative(np.linalg.norm(self.r), "true residual", 0)]
+        self.converged = bool(self.history[0] <= self.rel_tol)
 
     @property
     def iterations(self):
         return len(self.history) - 1
 
-    def check(self, x):
-        """Record the true residual of iterate x; True once it meets rel_tol."""
-        self.r = self.b - self.A(x)
-        return self._record(self.r)
+    def check(self, rnorm):
+        """Record the recurrence residual norm of the next iterate.  True
+        when that iterate needs its true residual: the value meets
+        rel_tol, or the iteration cap is reached."""
+        rel = self._relative(rnorm, "residual", len(self.history))
+        self.history.append(rel)
+        return rel <= self.rel_tol or self.iterations >= self.max_iters
 
-    def _record(self, r):
-        rel = np.linalg.norm(r) / self.denom
+    def replace(self, x, r):
+        """Form the true residual b - A x of the newest iterate into r and
+        record it in place of the recurrence value.  True when the solve
+        stops: the true value meets rel_tol, or the iteration cap is
+        reached."""
+        np.subtract(self.b, self.A(x), out=r)
+        self.history[-1] = self._relative(np.linalg.norm(r), "true residual", self.iterations)
+        self.converged = bool(self.history[-1] <= self.rel_tol)
+        return self.converged or self.iterations >= self.max_iters
+
+    def _relative(self, rnorm, kind, iterate):
+        # tested before any comparison with rel_tol: nan <= tol is False
+        rel = rnorm / self.denom
         if not np.isfinite(rel):
             raise FloatingPointError(
-                f"non-finite true residual at iterate {len(self.history)}: "
+                f"non-finite {kind} at iterate {iterate}: "
                 "the operator or the preconditioner returned a non-finite vector")
-        self.history.append(rel)
-        self.converged = bool(rel <= self.rel_tol)
-        return self.converged
+        return rel
 
     def report(self, **extra):
         return SolveReport(self.iterations, self.converged, np.asarray(self.history),
@@ -117,8 +146,8 @@ def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None, callback=None):
     """Preconditioned conjugate gradients for SPD A with SPD M ~ A^{-1}."""
     cfg = cfg or SolverConfig(method="cg")
     A, M = _as_operator(A), _as_operator(M)
-    res = _Residuals(A, b, x0, cfg.rel_tol)
-    x, r = res.x0, res.r.copy()  # r is updated by recurrence, in place
+    res = _Residuals(A, b, x0, cfg)
+    x, r = res.x0, res.r  # r is updated by recurrence, in place
     z = M(r)
     rz = r @ z
     p = z.copy()
@@ -130,14 +159,16 @@ def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None, callback=None):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        res.check(x)
+        verify = res.check(np.linalg.norm(r))
         if callback is not None:
             callback(res.iterations, x)
-        if res.converged:
+        if verify and res.replace(x, r):
             break
         z = M(r)
         rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        # after a replacement r is no longer the residual the directions were
+        # built on, so the search direction restarts from it
+        p = z.copy() if verify else z + (rz_new / rz) * p
         rz = rz_new
     return x, res.report()
 
@@ -147,14 +178,14 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
 
     M must be symmetric positive definite; the M-norm of the residual
     is minimised and its recurrence values are reported alongside the
-    true unpreconditioned residuals.
+    unpreconditioned residuals.
     """
     cfg = cfg or SolverConfig(method="minres")
     Aop, Mop = _as_operator(A), _as_operator(M)
-    res = _Residuals(Aop, b, x0, cfg.rel_tol)
-    x, r1 = res.x0, res.r
-    y = Mop(r1)
-    beta1_sq = r1 @ y
+    res = _Residuals(Aop, b, x0, cfg)
+    x, r = res.x0, res.r  # r is updated by recurrence, in place
+    y = Mop(r)
+    beta1_sq = r @ y
     if beta1_sq < 0.0:
         raise IndefiniteOperatorError(f"preconditioner yields negative energy r'Mr = {beta1_sq:g}")
     beta1 = np.sqrt(beta1_sq)
@@ -168,12 +199,13 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
     cs, sn = -1.0, 0.0
     w = np.zeros_like(res.b)
     w2 = np.zeros_like(res.b)
-    r2 = r1.copy()
+    Aw = np.zeros_like(res.b)
+    Aw2 = np.zeros_like(res.b)
+    r1, r2 = None, r.copy()  # Lanczos vectors; r1 is first read at iteration 2
     while not res.converged and res.iterations < cfg.max_iters:
         v = y / beta
-        y = Aop(v)
-        if res.iterations >= 1:
-            y -= (beta / oldb) * r1
+        Av = Aop(v)
+        y = Av - (beta / oldb) * r1 if res.iterations >= 1 else Av.copy()
         alfa = v @ y
         y -= (alfa / beta) * r2
         r1 = r2
@@ -199,10 +231,15 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
         w1 = w2
         w2 = w
         w = (v - oldeps * w1 - delta * w2) / gamma
+        Aw1 = Aw2
+        Aw2 = Aw
+        Aw = (Av - oldeps * Aw1 - delta * Aw2) / gamma
         x += phi * w
+        r -= phi * Aw
 
-        res.check(x)
         phibar_history.append(abs(phibar))
+        if res.check(np.linalg.norm(r)) and res.replace(x, r):
+            break
     return x, res.report(precond_residual_history=np.asarray(phibar_history))
 
 
@@ -211,14 +248,16 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
 
     ``M`` may vary between applications (an inner iterative solve); the
     preconditioned directions are stored, so any fixed M reproduces
-    ordinary right-preconditioned GMRES.  Stagnation over a full restart
-    cycle (relative residual reduction below 1e-14) ends the solve with
-    ``converged=False``.
+    ordinary right-preconditioned GMRES.  The iterate is formed only when
+    a cycle ends: the Givens residual meets rel_tol, the cycle is full,
+    the Krylov space is exhausted, or the iteration cap is reached.
+    Stagnation over a full restart cycle (relative residual reduction
+    below 1e-14) ends the solve with ``converged=False``.
     """
     cfg = cfg or SolverConfig(method="fgmres")
     Aop, Mop = _as_operator(A), _as_operator(M)
-    res = _Residuals(Aop, b, x0, cfg.rel_tol)
-    x, r = res.x0, res.r
+    res = _Residuals(Aop, b, x0, cfg)
+    x, r = res.x0, res.r  # r is overwritten with the true residual at each cycle end
     while not res.converged and res.iterations < cfg.max_iters:
         cycle_start_res = res.history[-1]
         beta = np.linalg.norm(r)
@@ -230,15 +269,14 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
         # Givens rotations applied progressively to H
         cs = np.zeros(cfg.restart)
         sn = np.zeros(cfg.restart)
-        x_new = x
         j = 0
-        while j < cfg.restart and res.iterations < cfg.max_iters:
+        while True:
             z = Mop(V[j])
             wv = Aop(z)
             Z.append(z)
             for i in range(j + 1):
                 H[i, j] = V[i] @ wv
-                wv = wv - H[i, j] * V[i]
+                wv -= H[i, j] * V[i]
             h_new = np.linalg.norm(wv)
             H[j + 1, j] = h_new
             if h_new > 0.0:
@@ -255,19 +293,16 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
             H[j + 1, j] = 0.0
             g[j + 1] = -sn[j] * g[j]
             g[j] = cs[j] * g[j]
-
-            y = np.zeros(j + 1)
-            for i in range(j, -1, -1):
-                y[i] = (g[i] - H[i, i + 1 : j + 1] @ y[i + 1 : j + 1]) / H[i, i]
-            x_new = x + sum(yi * zi for yi, zi in zip(y, Z))
-
             j += 1
-            if res.check(x_new) or h_new == 0.0:
-                break  # converged, or Krylov space exhausted: force a restart
-        x = x_new
-        if res.converged:
-            break
-        r = res.r  # the true residual of x, formed by its check
+            if res.check(abs(g[j])) or h_new == 0.0 or j == cfg.restart:
+                break  # x is wanted, the Krylov space is exhausted, or the cycle is full
+        if j:
+            y = np.zeros(j)
+            for i in range(j - 1, -1, -1):
+                y[i] = (g[i] - H[i, i + 1 : j] @ y[i + 1 : j]) / H[i, i]
+            x = x + sum(yi * zi for yi, zi in zip(y, Z))
+            if res.replace(x, r):
+                break
         if res.history[-1] > cycle_start_res * (1.0 - 1e-14):
             break  # stagnated
     return x, res.report()

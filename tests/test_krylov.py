@@ -32,6 +32,19 @@ def _reference_gmres(A, M, b, x0, n_steps):
     return iterates
 
 
+def _counting(A, fault_call=None):
+    """spmv with A as a callable that counts its calls, returning NaN on
+    call number ``fault_call``."""
+    calls = []
+
+    def op(v):
+        calls.append(None)
+        y = spmv(A, v)
+        return y * np.nan if len(calls) == fault_call else y
+
+    return op, calls
+
+
 class TestPcg:
     def test_identity_one_iteration(self):
         x, rep = pcg(CsrMatrix.identity(4), None, np.array([1.0, -2.0, 3.0, 0.5]))
@@ -186,25 +199,21 @@ class TestFgmres:
             assert np.max(np.abs(x_j - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
 
     def test_restart_reuses_checked_residual(self):
-        # each restart starts from the true residual its cycle's last check
-        # formed: 1 (r0) + 2 per iteration over 8 iterations, and no apply
-        # at a restart; x and the history are pinned
+        # each restart starts from the true residual formed at its cycle's
+        # end: 1 (r0) + 8 Arnoldi products + 3 cycle-end true residuals
+        # (after iterations 3 and 6, and at the cap), and no apply at a
+        # restart; x and the history are pinned
         from tests.test_setup_pins import digest
 
         prob = poisson_setup(2, 3)
         A = prob.system.A
         M = TwoLevelPreconditioner(A, prob.prolongation_int)
-        calls = []
-
-        def op(v):
-            calls.append(1)
-            return spmv(A, v)
-
+        op, calls = _counting(A)
         x0 = np.random.default_rng(5).standard_normal(A.nrows)
         cfg = SolverConfig(rel_tol=1e-30, max_iters=8, restart=3)
         x, rep = fgmres(op, M, np.zeros(A.nrows), cfg, x0=x0)
-        assert rep.iterations == 8 and len(calls) == 17
-        assert (digest(x), digest(rep.residual_history)) == ("3f020197e54592a0", "1b44b4979940d129")
+        assert rep.iterations == 8 and len(calls) == 12
+        assert (digest(x), digest(rep.residual_history)) == ("3f020197e54592a0", "8cb0837a4da6f967")
 
     def test_deterministic(self):
         prob = poisson_setup(2, 2)
@@ -270,26 +279,82 @@ class TestNonFiniteInput:
 
 
 class TestNonFiniteResidual:
-    @staticmethod
-    def _nan_on_third_call(A):
-        calls = []
-
-        def op(v):
-            calls.append(None)
-            y = spmv(A, v)
-            return y * np.nan if len(calls) == 3 else y
-
-        return op
-
     @pytest.mark.parametrize("solver", [pcg, minres, fgmres])
     @pytest.mark.parametrize("fault", ["M_nan", "M_inf", "A_nan_third_call"])
     def test_fails_fast_naming_the_iterate(self, solver, fault):
+        # with x0 = None no product forms r0, so the operator's third call
+        # is the product of iteration 3
+        iterate = 3 if fault == "A_nan_third_call" else 1
         A = poisson_setup(2, 2).system.A
         b = np.random.default_rng(0).standard_normal(A.nrows)
         op, M = {
             "M_nan": (A, lambda v: v * np.nan),
             "M_inf": (A, lambda v: v * np.inf),
-            "A_nan_third_call": (self._nan_on_third_call(A), None),
+            "A_nan_third_call": (_counting(A, fault_call=3)[0], None),
         }[fault]
-        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="iterate 1"):
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match=f"iterate {iterate}"):
             solver(op, M, b)
+
+    @pytest.mark.parametrize("solver", [pcg, minres, fgmres])
+    def test_nan_in_a_recurrence_step_is_not_taken_for_convergence(self, solver):
+        # with x0 given, call 1 forms r0 and call 2 is the product of
+        # iteration 1, which reaches only the recurrence residual: its NaN
+        # must raise before a comparison with rel_tol can read it as met
+        A = poisson_setup(2, 2).system.A
+        rng = np.random.default_rng(0)
+        b, x0 = rng.standard_normal(A.nrows), rng.standard_normal(A.nrows)
+        op, _ = _counting(A, fault_call=2)
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="^non-finite residual at iterate 1:"):
+            solver(op, None, b, x0=x0)
+
+
+class TestOperatorBudget:
+    # one product per iteration, plus r0 when x0 is given, plus one true
+    # residual at the exit and, for FGMRES, one at the end of every earlier
+    # cycle; rel_tol = 1e-8 is far above the attainable accuracy here, so no
+    # recurrence value meets it before its true residual does
+    @pytest.mark.parametrize("given_x0", [False, True])
+    @pytest.mark.parametrize("method, restart", [("cg", 100), ("minres", 100), ("fgmres", 100), ("fgmres", 3)])
+    def test_applies_per_solve(self, method, restart, given_x0):
+        solver = {"cg": pcg, "minres": minres, "fgmres": fgmres}[method]
+        prob = poisson_setup(2, 2)
+        A = prob.system.A
+        dinv = 1.0 / A.diagonal()
+        m_calls = []
+
+        def M(r):
+            m_calls.append(None)
+            return dinv * r
+
+        op, a_calls = _counting(A)
+        rng = np.random.default_rng(12)
+        b = rng.standard_normal(A.nrows)
+        x0 = rng.standard_normal(A.nrows) if given_x0 else None
+        cfg = SolverConfig(method=method, rel_tol=1e-8, max_iters=400, restart=restart)
+        x, rep = solver(op, M, b, cfg, x0=x0)
+        assert rep.converged
+        cycles = -(-rep.iterations // restart)
+        assert len(a_calls) == rep.iterations + given_x0 + cycles
+        assert len(m_calls) == rep.iterations + (method == "minres")
+
+
+class TestResidualReplacement:
+    @pytest.mark.parametrize("method, solver", [("cg", pcg), ("minres", minres)])
+    def test_stops_only_on_a_true_residual(self, method, solver):
+        # kappa = 1e6 and b near the lowest eigenvector put the attainable
+        # true residual near 1e-10, while the recurrence keeps falling: it
+        # meets rel_tol = 1e-12 first, and the true residual formed there
+        # must replace it rather than end the solve
+        rng = np.random.default_rng(0)
+        n = 20
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        dense = (Q * np.logspace(0, 6, n)) @ Q.T
+        A = CsrMatrix.from_dense((dense + dense.T) / 2)
+        b = Q[:, 0] + 1e-3 * rng.standard_normal(n)
+        tol = 1e-12
+        op, calls = _counting(A)
+        x, rep = solver(op, None, b, SolverConfig(method=method, rel_tol=tol, max_iters=200))
+        true = np.linalg.norm(b - spmv(A, x)) / np.linalg.norm(b)
+        assert len(calls) >= rep.iterations + 2  # a replacement, then the exit
+        assert true <= tol or not rep.converged
+        assert rep.residual_history[-1] == true
