@@ -44,7 +44,6 @@ class StrengthGraph:
     ascending order."""
 
     n: int
-    theta: float
     row_ptr: np.ndarray
     col_idx: np.ndarray
     t_row_ptr: np.ndarray
@@ -84,7 +83,7 @@ def strength_graph(A: CsrMatrix, theta: float) -> StrengthGraph:
     strong = neg > np.repeat(cut, counts)
     rows, cols = rows[strong], A.col_idx[strong]
     order = np.argsort(cols, kind="stable")  # each column's rows stay ascending
-    return StrengthGraph(n, theta, _row_pointer(rows, n), cols, _row_pointer(cols[order], n), rows[order])
+    return StrengthGraph(n, _row_pointer(rows, n), cols, _row_pointer(cols[order], n), rows[order])
 
 
 def rs_coarsen(S: StrengthGraph):

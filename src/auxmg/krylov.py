@@ -26,7 +26,6 @@ update in place.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
@@ -65,7 +64,6 @@ class SolveReport:
     # relative residuals, length iterations+1: recurrence values, except the
     # first, the last and each restart or replacement point, which are true
     residual_history: np.ndarray
-    wall_time: float
     precond_residual_history: np.ndarray | None = None  # MINRES: M-norm recurrence
 
 
@@ -99,7 +97,6 @@ class _Residuals:
                 raise ValueError(f"{name} has a non-finite entry at index {bad[0]}: {v[bad[0]]}")
         self.A, self.b, self.x0 = A, b, x
         self.rel_tol, self.max_iters = cfg.rel_tol, cfg.max_iters
-        self.t0 = time.perf_counter()
         self.r = b.copy() if x0 is None else b - A(x)
         nb = np.linalg.norm(b)
         self.denom = nb if nb > 0.0 else max(np.linalg.norm(self.r), np.finfo(float).tiny)
@@ -138,11 +135,10 @@ class _Residuals:
         return rel
 
     def report(self, **extra):
-        return SolveReport(self.iterations, self.converged, np.asarray(self.history),
-                           time.perf_counter() - self.t0, **extra)
+        return SolveReport(self.iterations, self.converged, np.asarray(self.history), **extra)
 
 
-def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None, callback=None):
+def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None):
     """Preconditioned conjugate gradients for SPD A with SPD M ~ A^{-1}."""
     cfg = cfg or SolverConfig(method="cg")
     A, M = _as_operator(A), _as_operator(M)
@@ -160,8 +156,6 @@ def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None, callback=None):
         x += alpha * p
         r -= alpha * Ap
         verify = res.check(np.linalg.norm(r))
-        if callback is not None:
-            callback(res.iterations, x)
         if verify and res.replace(x, r):
             break
         z = M(r)

@@ -51,7 +51,6 @@ class StokesSystem:
     B: CsrMatrix            # n_p x 3*n_int discrete -div
     M_p: CsrMatrix          # pressure mass
     velocity_space: FeSpace
-    pressure_space: FeSpace
     A_scalar: CsrMatrix     # one diagonal block of A
     rhs_u: np.ndarray
     rhs_p: np.ndarray
@@ -153,7 +152,6 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
         B=_adopt(B_int),
         M_p=M_p,
         velocity_space=vel,
-        pressure_space=pres,
         A_scalar=A_scalar,
         rhs_u=rhs_u,
         rhs_p=rhs_p,

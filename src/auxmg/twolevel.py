@@ -141,11 +141,6 @@ def build_augmented(A: CsrMatrix, P: CsrMatrix) -> AugmentedSystem:
     return AugmentedSystem(W=W, matrix=matrix, sweep=sweep)
 
 
-def augmented_rhs(S: AugmentedSystem, f) -> np.ndarray:
-    """The augmented right-hand side W^T f."""
-    return S.W.T @ np.asarray(f, dtype=np.float64)
-
-
 def augmented_gs_step(S: AugmentedSystem, v, f) -> np.ndarray:
     """One block Gauss-Seidel update v + B^{-1} (f - Aug v), B = S.sweep:
     an exact solve of the coarse block, then a forward sweep over the
@@ -157,23 +152,20 @@ def augmented_gs_step(S: AugmentedSystem, v, f) -> np.ndarray:
     return v + np.linalg.solve(S.sweep, f - S.matrix @ v)
 
 
-def flatten_augmented(S: AugmentedSystem, v) -> np.ndarray:
-    """Fine-space coefficients W v = P v_coarse + v_fine of an augmented
-    vector."""
-    return S.W @ v
-
-
 # -- convergence-rate oracles ----------------------------------------------
+
+
+# the null-space cut: pencil eigenvalues <= NULL_TOL, Aug eigenvalues <= NULL_TOL**2
+NULL_TOL = 1e-10
 
 
 class ContractionEstimate(NamedTuple):
     value: float
     converged: bool
-    iterations: int
 
 
 def contraction_factor_estimate(M: TwoLevelPreconditioner, A: CsrMatrix,
-                                iters=200, seed=0, tol=1e-8) -> ContractionEstimate:
+                                iters=200, seed=0) -> ContractionEstimate:
     """A-norm of the error propagator E = I - M A by power iteration on
     E* E in the A-inner product (E* uses the transposed action)."""
     rng = np.random.default_rng(seed)
@@ -184,22 +176,22 @@ def contraction_factor_estimate(M: TwoLevelPreconditioner, A: CsrMatrix,
 
     x /= np.sqrt(a_dot(x, x))
     rho_old = np.inf
-    for it in range(1, iters + 1):
+    for _ in range(iters):
         ex = x - M.apply(spmv(A, x))
         gx = ex - M.apply_transpose(spmv(A, ex))
         rho = a_dot(ex, ex)
         nrm = np.sqrt(max(a_dot(gx, gx), 0.0))
         if rho <= 1e-20 or nrm == 0.0:
             # exact (or numerically exact) preconditioner: E is roundoff
-            return ContractionEstimate(float(np.sqrt(max(rho, 0.0))), True, it)
-        if abs(rho - rho_old) <= tol * rho:
-            return ContractionEstimate(float(np.sqrt(rho)), True, it)
+            return ContractionEstimate(float(np.sqrt(max(rho, 0.0))), True)
+        if abs(rho - rho_old) <= 1e-8 * rho:
+            return ContractionEstimate(float(np.sqrt(rho)), True)
         rho_old = rho
         x = gx / nrm
-    return ContractionEstimate(float(np.sqrt(rho_old)), False, iters)
+    return ContractionEstimate(float(np.sqrt(rho_old)), False)
 
 
-def rate_identity_oracle(S: AugmentedSystem, null_tol=1e-10):
+def rate_identity_oracle(S: AugmentedSystem):
     """Both sides of the rate identity |E|_aug^2 = 1 - 1/K, computed by
     two independent dense routines.
 
@@ -221,7 +213,7 @@ def rate_identity_oracle(S: AugmentedSystem, null_tol=1e-10):
     # lhs: E = I - B^{-1} Aug on the positive eigenspace of Aug
     E = np.eye(N) - np.linalg.solve(B, Aug)
     w, V = np.linalg.eigh(Aug)
-    cutoff = max(null_tol**2, np.max(np.abs(w)) * 1e-12)
+    cutoff = max(NULL_TOL**2, np.max(np.abs(w)) * 1e-12)
     pos = w > cutoff
     Vp, wp = V[:, pos], w[pos]
     G = Vp.T @ (E.T @ Aug @ E) @ Vp
@@ -237,7 +229,7 @@ def rate_identity_oracle(S: AugmentedSystem, null_tol=1e-10):
     # B-normalised eigenvectors have squared seminorm x' Aug x = mu, so
     # null directions are exactly the mu that vanish up to roundoff;
     # cutting on mu (not its square root) keeps float null-noise out
-    positive = mu[mu > null_tol]
+    positive = mu[mu > NULL_TOL]
     if len(positive) == 0:
         raise ValueError("no eigenvector with positive augmented seminorm")
     rhs = float(1.0 - positive.min())

@@ -18,9 +18,7 @@ from auxmg.stokes import assemble_stokes, project_pressure_mean, solve_cavity
 from auxmg.twolevel import (
     TwoLevelPreconditioner,
     augmented_gs_step,
-    augmented_rhs,
     build_augmented,
-    flatten_augmented,
     rate_identity_oracle,
 )
 
@@ -84,12 +82,12 @@ def test_criterion_2_block_gs_equivalence():
             f = rng.standard_normal(A.nrows)
             u = rng.standard_normal(A.nrows)
             scale = max(1.0, np.max(np.abs(u)))
-            f_aug = augmented_rhs(S, f)
+            f_aug = S.W.T @ f
             v = np.concatenate([np.zeros(S.n_coarse), u])
             for _ in range(10):
                 u = u + M.apply(f - spmv(A, u))
                 v = augmented_gs_step(S, v, f_aug)
-                worst = max(worst, np.max(np.abs(flatten_augmented(S, v) - u)) / scale)
+                worst = max(worst, np.max(np.abs(S.W @ v - u)) / scale)
     _report(2, worst <= 1e-12, f"two-level vs augmented block GS over 10 sweeps, max diff {worst:.2e}", t, 5.0)
 
 
