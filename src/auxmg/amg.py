@@ -19,6 +19,8 @@ from .csr import (
     CsrMatrix,
     GaussSeidel,
     _as_block,
+    check_finite,
+    checked_diagonal,
     cholesky_factor,
     cholesky_solve,
     spmv,
@@ -205,9 +207,13 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
     """Coarsen until the matrix is small or coarsening stalls (< 5% removed).
 
     ``max_levels=1`` gives a one-level hierarchy whose cycle is the
-    dense Cholesky solve of A.  Raises :class:`CoarseLevelTooLargeError`
+    dense Cholesky solve of A.  A ValueError names the first entry of A
+    that is not finite, or the first row whose diagonal entry is zero,
+    before any coarsening.  Raises :class:`CoarseLevelTooLargeError`
     when the coarsest level has more than ``MAX_DENSE_ROWS`` rows.
     """
+    check_finite(A, "A")
+    checked_diagonal(A, "AMG")
     levels = [_Level(A)]
     while levels[-1].A.nrows > coarse_size and len(levels) < max_levels:
         A_l = levels[-1].A

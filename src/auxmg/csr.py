@@ -307,6 +307,33 @@ def cholesky_solve(L, b):
     return x
 
 
+def check_finite(A: CsrMatrix, name: str):
+    """Raise ValueError naming the first (row, col) of ``A`` whose value is
+    not finite.  The sum of the values is the allocation-free first test;
+    only a sum that is not finite (an overflow, or a bad entry) costs the
+    elementwise pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = A.values.sum()
+    if np.isfinite(total):
+        return
+    bad = np.flatnonzero(~np.isfinite(A.values))
+    if len(bad):
+        k = int(bad[0])
+        row = int(np.searchsorted(A.row_ptr, k, side="right")) - 1
+        raise ValueError(f"{name} has a non-finite entry at ({row}, {A.col_idx[k]}): {A.values[k]}")
+
+
+def checked_diagonal(A: CsrMatrix, who: str) -> np.ndarray:
+    """The diagonal of square ``A``; a ValueError names the first row whose
+    diagonal entry is zero, missing or not finite."""
+    diag = A.diagonal()
+    bad = np.flatnonzero((diag == 0.0) | ~np.isfinite(diag))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"{who} needs a nonzero finite diagonal: row {i} has {diag[i]}")
+    return diag
+
+
 class GaussSeidel:
     """One Gauss-Seidel sweep on the residual equation, prepared once.
 
@@ -331,11 +358,7 @@ class GaussSeidel:
         if A.nrows != A.ncols:
             raise ValueError(f"Gauss-Seidel needs a square matrix, got {A.shape}")
         n = A.nrows
-        diag = A.diagonal()
-        bad = np.flatnonzero((diag == 0.0) | ~np.isfinite(diag))
-        if len(bad):
-            i = int(bad[0])
-            raise ValueError(f"Gauss-Seidel needs a nonzero finite diagonal: row {i} has {diag[i]}")
+        diag = checked_diagonal(A, "Gauss-Seidel")
         if A.nnz > np.iinfo(np.intc).max:
             raise ValueError(f"{A.nnz} nonzeros exceed SuperLU's index range")
         self.direction = direction

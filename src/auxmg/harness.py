@@ -15,6 +15,7 @@ import csv
 import io
 import time
 from dataclasses import asdict, dataclass, field, fields
+from math import comb
 from numbers import Integral
 
 import numpy as np
@@ -38,6 +39,22 @@ from .fem import assemble_operator
 
 def _is_int(x):
     return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+# the largest assembly ExperimentConfig admits, in assembly_bytes: P2
+# Poisson up to n = 63, P4 Poisson up to n = 27, P2/P1 Stokes up to n = 48
+MAX_ASSEMBLY_BYTES = 4 * 2**30
+
+
+def assembly_bytes(problem, k, n):
+    """The traced bytes of the largest assembly at refinement n, 3.5 x 8 B
+    per element triplet over the 6 n^3 tets: the P^k stiffness for
+    Poisson, and for Stokes the velocity stiffness plus the three
+    divergence blocks."""
+    per_tet = comb(k + 3, 3) ** 2
+    if problem == "stokes":
+        per_tet += 3 * comb(k + 3, 3) * comb(k + 2, 3)
+    return 28 * 6 * int(n) ** 3 * per_tet
 
 
 @dataclass
@@ -68,6 +85,10 @@ class ExperimentConfig:
         for n in self.refinements:  # a Poisson cube has (k n - 1)^3 interior DOFs
             if not (_is_int(n) and n >= 1 and (self.problem == "stokes" or self.k * n >= 2)):
                 raise ValueError(f"refinements must hold ints >= 1, and >= 2 for poisson with k = 1, got {n!r}")
+            need = assembly_bytes(self.problem, self.k, n)
+            if need > MAX_ASSEMBLY_BYTES:
+                raise ValueError(f"refinements hold n = {n}, whose {self.problem} k = {self.k} assembly needs an "
+                                 f"estimated {need:,} bytes, above MAX_ASSEMBLY_BYTES = {MAX_ASSEMBLY_BYTES:,}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
         if not self.theta_values:

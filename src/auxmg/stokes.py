@@ -236,26 +236,42 @@ def build_block_preconditioner(S: StokesSystem, kind="Qt", engine="gamg", theta=
     return BlockPreconditioner(kind, a_action, S)
 
 
+# the Krylov methods each block form admits, the default first: the saddle
+# system is indefinite, so no CG, and Q_t is not symmetric, so no MINRES
+_METHODS = {"Qt": ("fgmres",), "Qd": ("minres", "fgmres")}
+
+
+def _solver_config(kind, cfg: SolverConfig | None) -> SolverConfig:
+    """``cfg``, or the default solve of the block form ``kind`` when it is
+    None; a ValueError when the form does not admit its method."""
+    if kind not in _METHODS:
+        raise ValueError("kind must be 'Qt' or 'Qd'")
+    if cfg is None:
+        cfg = SolverConfig(method=_METHODS[kind][0], rel_tol=1e-8, max_iters=400)
+    if cfg.method not in _METHODS[kind]:
+        raise ValueError(f"method {cfg.method!r} does not suit the {kind} form, which admits "
+                         f"{' or '.join(_METHODS[kind])} only")
+    return cfg
+
+
 def solve_cavity(S: StokesSystem, precond_kind="Qt", coarse_engine="gamg",
                  cfg: SolverConfig | None = None, theta=0.8, x0=None):
-    """FGMRES (Q_t) or MINRES (Q_d) on the saddle system.
+    """FGMRES (Q_t) or MINRES (Q_d, which also admits FGMRES) on the
+    saddle system; any other method raises ValueError before the setup.
 
     The pressure mean is projected out of the initial guess, every
     preconditioner output and the final answer.  Returns the full
     velocity field (n_v_full, 3), the zero-mean pressure and the solve
     report.
     """
+    cfg = _solver_config(precond_kind, cfg)
     M = build_block_preconditioner(S, kind=precond_kind, engine=coarse_engine, theta=theta)
-    if cfg is None:
-        method = "fgmres" if precond_kind == "Qt" else "minres"
-        cfg = SolverConfig(method=method, rel_tol=1e-8, max_iters=400)
     return _solve_preconditioned(S, M, cfg, x0)
 
 
 def _solve_preconditioned(S: StokesSystem, M: BlockPreconditioner, cfg: SolverConfig, x0=None):
     """The Krylov part of :func:`solve_cavity` with a ready preconditioner."""
-    if cfg.method == "cg":
-        raise ValueError(f"method {cfg.method!r} needs an SPD operator; the saddle system is indefinite")
+    _solver_config(M.kind, cfg)
     b = S.rhs()
     if x0 is None:
         x0 = np.zeros(S.dim)

@@ -26,13 +26,14 @@ import numpy as np
 import scipy.linalg
 
 from .amg import build_hierarchy, smooth_and_correct, vcycle_apply
-from .csr import CsrMatrix, GaussSeidel, _as_block, spmv, triple_product
+from .csr import CsrMatrix, GaussSeidel, _as_block, check_finite, spmv, triple_product
 
 
 class TwoLevelPreconditioner:
     """Smoothing on the fine operator plus an exact-or-AMG coarse solve:
     the top level of a V-cycle whose coarse levels are a hierarchy of
-    P^T A P.
+    P^T A P.  A ValueError names the first entry of A or P that is not
+    finite.
 
     Parameters
     ----------
@@ -53,6 +54,8 @@ class TwoLevelPreconditioner:
     def __init__(self, A: CsrMatrix, P: CsrMatrix, coarse="amg", theta=0.25, presmooth=True):
         if A.nrows != A.ncols or A.nrows != P.nrows:
             raise ValueError("A and P dimensions do not match")
+        check_finite(A, "A")
+        check_finite(P, "P")
         self.A = A
         self.P = P
         A_H = triple_product(P.transpose(), A, P)

@@ -186,6 +186,14 @@ class TestHierarchy:
         with pytest.raises(ValueError, match="row 4"):
             build_hierarchy(CsrMatrix(9, 9, A.row_ptr, A.col_idx, values), coarse_size=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named_before_coarsening(self, bad):
+        A = laplace_1d(9)
+        values = A.values.copy()
+        values[A.row_ptr[4]] = bad  # a_43
+        with pytest.raises(ValueError, match=rf"^A has a non-finite entry at \(4, 3\): {bad}$"):
+            build_hierarchy(CsrMatrix(9, 9, A.row_ptr, A.col_idx, values), coarse_size=2)
+
     def test_levels_hold_prepared_sweeps(self):
         H = build_hierarchy(poisson_setup(2, 2).system.A, theta=0.25, coarse_size=4)
         assert H.num_levels >= 2

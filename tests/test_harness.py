@@ -114,6 +114,44 @@ class TestConfig:
         with pytest.raises(ValueError, match="refinements"):
             cli.main(["solve", "--k", "1", "--refine", "1", "--out", str(tmp_path)])
 
+    def test_assembly_estimate_counts_the_element_triplets(self):
+        from auxmg import harness
+        from auxmg.fem import build_space
+        from auxmg.mesh import build_cube_mesh
+
+        for n in (1, 2):
+            mesh = build_cube_mesh(n)
+            width = {k: build_space(mesh, k).element_dofs.shape[1] for k in (1, 2, 3, 4)}
+            for k in (1, 2, 3, 4):
+                assert harness.assembly_bytes("poisson", k, n) == 28 * mesh.num_tets * width[k] ** 2
+            for k in (2, 3, 4):
+                stokes = width[k] ** 2 + 3 * width[k] * width[k - 1]
+                assert harness.assembly_bytes("stokes", k, n) == 28 * mesh.num_tets * stokes
+
+    @pytest.mark.parametrize("problem, k, largest", [("poisson", 2, 63), ("poisson", 4, 27), ("stokes", 2, 48)])
+    def test_size_cap_admits_the_stated_refinements(self, problem, k, largest):
+        from auxmg import harness
+
+        assert harness.assembly_bytes(problem, k, largest) <= harness.MAX_ASSEMBLY_BYTES
+        assert harness.assembly_bytes(problem, k, largest + 1) > harness.MAX_ASSEMBLY_BYTES
+        ExperimentConfig(problem=problem, k=k, refinements=[largest])
+        with pytest.raises(ValueError, match=f"^refinements hold n = {largest + 1}, "):
+            ExperimentConfig(problem=problem, k=k, refinements=[largest + 1])
+
+    def test_cli_rejects_a_refinement_above_the_size_cap_before_setup(self, tmp_path, monkeypatch):
+        from auxmg import harness
+
+        def never(*a, **k):
+            raise AssertionError("poisson_setup called for an invalid config")
+
+        monkeypatch.setattr(harness, "poisson_setup", never)
+        monkeypatch.setattr(harness, "MAX_ASSEMBLY_BYTES", harness.assembly_bytes("poisson", 2, 2))
+        ExperimentConfig(k=2, refinements=[2])
+        message = ("^refinements hold n = 3, whose poisson k = 2 assembly needs an estimated 453,600 bytes, "
+                   "above MAX_ASSEMBLY_BYTES = 134,400$")
+        with pytest.raises(ValueError, match=message):
+            cli.main(["solve", "--k", "2", "--refine", "2", "--refine", "3", "--out", str(tmp_path)])
+
     @pytest.mark.parametrize("problem, k", [("poisson", 1), ("poisson", 4), ("stokes", 2), ("stokes", 4)])
     def test_order_range_ends_accepted(self, problem, k):
         assert ExperimentConfig(problem=problem, k=k).k == k

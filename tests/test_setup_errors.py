@@ -1,0 +1,70 @@
+"""The setup error contract: given one bad entry (NaN, +-inf, a zero or
+a negative diagonal), ``build_hierarchy`` and ``TwoLevelPreconditioner``
+either build or raise a ValueError (``NotPositiveDefiniteError`` and
+``CoarseLevelTooLargeError`` are ValueErrors), and never emit a
+RuntimeWarning on the way."""
+
+import warnings
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from auxmg.amg import build_hierarchy
+from auxmg.csr import CsrMatrix
+from auxmg.problems import poisson_setup
+from auxmg.twolevel import TwoLevelPreconditioner
+from tests.test_amg import laplace_1d
+
+
+def linear_interpolation(n_coarse):
+    """1-D linear interpolation from n_coarse points onto 2 n_coarse + 1,
+    the coarse points at the odd fine indices."""
+    P = np.zeros((2 * n_coarse + 1, n_coarse))
+    for i in range(n_coarse):
+        P[2 * i : 2 * i + 3, i] = [0.5, 1.0, 0.5]
+    return CsrMatrix.from_dense(P)
+
+
+@lru_cache(maxsize=None)
+def base_operator(name):
+    """(A, P): a 1-D Laplacian with linear interpolation, or the P2 n=2
+    interior operator with its P1 transfer."""
+    if name == "p2_n2":
+        prob = poisson_setup(2, 2)
+        return prob.system.A, prob.prolongation_int
+    n_coarse = int(name.split("_")[1])
+    return laplace_1d(2 * n_coarse + 1), linear_interpolation(n_coarse)
+
+
+def with_value(X, k, value):
+    values = X.values.copy()
+    values[k] = value
+    return CsrMatrix(X.nrows, X.ncols, X.row_ptr, X.col_idx, values)
+
+
+@st.composite
+def broken_operators(draw):
+    A, P = base_operator(draw(st.sampled_from(["laplace_4", "laplace_10", "p2_n2"])))
+    fault = draw(st.sampled_from(["nan", "inf", "-inf", "zero_diagonal", "negative_diagonal"]))
+    if fault.endswith("diagonal"):
+        row = draw(st.integers(0, A.nrows - 1))
+        k = A.row_ptr[row] + int(np.flatnonzero(A.col_idx[A.row_ptr[row] : A.row_ptr[row + 1]] == row)[0])
+        return with_value(A, k, 0.0 if fault == "zero_diagonal" else -A.values[k]), P
+    if draw(st.booleans()):
+        return with_value(A, draw(st.integers(0, A.nnz - 1)), float(fault)), P
+    return A, with_value(P, draw(st.integers(0, P.nnz - 1)), float(fault))
+
+
+@settings(max_examples=200, deadline=None)
+@given(AP=broken_operators(), coarse=st.sampled_from(["amg", "exact"]))
+def test_setup_builds_or_raises_a_value_error(AP, coarse):
+    A, P = AP
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for build in (lambda: build_hierarchy(A, coarse_size=4), lambda: TwoLevelPreconditioner(A, P, coarse=coarse)):
+            try:
+                build()
+            except ValueError:
+                pass

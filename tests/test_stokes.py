@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from auxmg import reference
+from auxmg import reference, stokes
 from auxmg.csr import CsrMatrix, spmv
 from auxmg.krylov import SolverConfig
 from auxmg.mesh import build_cube_mesh, perturb_interior
@@ -283,6 +283,27 @@ class TestCavitySolve:
         S = assemble_stokes(build_cube_mesh(1), 2)
         with pytest.raises(ValueError, match="'cg'"):
             solve_cavity(S, cfg=SolverConfig(method="cg"))
+
+    @pytest.mark.parametrize("kind, method", [("Qt", "minres"), ("Qt", "cg"), ("Qd", "cg")])
+    def test_method_the_form_does_not_admit_fails_before_setup(self, kind, method, monkeypatch):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the preconditioner was built before the method was checked")
+
+        monkeypatch.setattr(stokes, "build_block_preconditioner", no_setup)
+        S = assemble_stokes(build_cube_mesh(1), 2)
+        with pytest.raises(ValueError, match=f"^method '{method}' does not suit the {kind} form"):
+            solve_cavity(S, precond_kind=kind, cfg=SolverConfig(method=method))
+
+    def test_ready_qt_preconditioner_rejects_minres(self):
+        S = assemble_stokes(build_cube_mesh(2), 2)
+        M = build_block_preconditioner(S, kind="Qt")
+        with pytest.raises(ValueError, match="'minres' does not suit the Qt form, which admits fgmres only"):
+            stokes._solve_preconditioned(S, M, SolverConfig(method="minres"))
+
+    def test_qd_admits_fgmres(self):
+        S = assemble_stokes(build_cube_mesh(2), 2)
+        _, _, rep = solve_cavity(S, precond_kind="Qd", cfg=SolverConfig(method="fgmres", rel_tol=1e-8))
+        assert rep.converged
 
 
 class TestInfSup:

@@ -103,6 +103,19 @@ class TestTwoLevelApply:
         with pytest.raises(ValueError, match="row 3"):
             TwoLevelPreconditioner(CsrMatrix(A.nrows, A.ncols, A.row_ptr, A.col_idx, values), P)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["A", "P"])
+    def test_non_finite_entry_named_at_setup(self, name, bad):
+        A, P, _ = two_level(2, 2, coarse="exact")
+        X = {"A": A, "P": P}[name]
+        row = int(np.flatnonzero(np.diff(X.row_ptr))[-1])  # the last row with entries
+        k = X.row_ptr[row]
+        values = X.values.copy()
+        values[k] = bad
+        X = CsrMatrix(X.nrows, X.ncols, X.row_ptr, X.col_idx, values)
+        with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry at \({row}, {X.col_idx[k]}\): {bad}$"):
+            TwoLevelPreconditioner(X, P) if name == "A" else TwoLevelPreconditioner(A, X)
+
 
 @pytest.fixture(scope="module")
 def p2_n6():
