@@ -2,10 +2,12 @@
 direct interpolation, Galerkin hierarchy and symmetric V-cycles.
 
 A connection i -> j is strong when -a_ij > theta * max_k(-a_ik), k != i
-(strict inequality, negative couplings only).  The splitting walks the
-unknowns in index order, turning each undecided point into a C-point
-and its undecided strong dependents into F-points.  Everything is
-serial and deterministic; ties always resolve to the lowest index.
+(strict inequality, negative couplings only); the strength graph is the
+:class:`CsrMatrix` of A's strong entries, values included.  The
+splitting walks the unknowns in index order, turning each undecided
+point into a C-point and its undecided strong dependents into F-points.
+Everything is serial and deterministic; ties always resolve to the
+lowest index.
 """
 
 from __future__ import annotations
@@ -38,34 +40,14 @@ class CoarseLevelTooLargeError(ValueError):
     factor: coarsening stalled, or ``max_levels`` was reached first."""
 
 
-@dataclass
-class StrengthGraph:
-    """Strong-connection graph as two CSR patterns: row i of
-    (row_ptr, col_idx) lists the columns row i strongly depends on, row j
-    of (t_row_ptr, t_col_idx) the rows that strongly depend on j, both in
-    ascending order."""
-
-    n: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    t_row_ptr: np.ndarray
-    t_col_idx: np.ndarray
-
-
 def _entry_rows(row_ptr):
-    """The row id of every stored entry of a CSR pattern, as int64, so that
-    keys ``row * n + col`` never wrap, whatever the index dtype."""
+    """The row id, as int64, of every stored entry of a CSR matrix."""
     return np.repeat(np.arange(len(row_ptr) - 1, dtype=np.int64), np.diff(row_ptr))
 
 
-def _row_pointer(rows, nrows):
-    """CSR row pointer of entries whose row ids, in ascending order, are ``rows``."""
-    row_ptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nrows), out=row_ptr[1:])
-    return row_ptr
-
-
-def strength_graph(A: CsrMatrix, theta: float) -> StrengthGraph:
+def strength_graph(A: CsrMatrix, theta: float) -> CsrMatrix:
+    """The strong entries of A with their values: row i holds the a_ij that
+    i strongly depends on.  Each is a negative off-diagonal entry."""
     if not 0.0 < theta < 1.0:
         raise ValueError(f"strength threshold must lie in (0,1), got {theta}")
     if A.nrows != A.ncols:
@@ -83,20 +65,21 @@ def strength_graph(A: CsrMatrix, theta: float) -> StrengthGraph:
         row_max[nonempty] = np.maximum.reduceat(neg, A.row_ptr[nonempty])
     cut = np.where(row_max > 0.0, theta * row_max, np.inf)
     strong = neg > np.repeat(cut, counts)
-    rows, cols = rows[strong], A.col_idx[strong]
-    order = np.argsort(cols, kind="stable")  # each column's rows stay ascending
-    return StrengthGraph(n, _row_pointer(rows, n), cols, _row_pointer(cols[order], n), rows[order])
+    row_ptr = np.zeros(n + 1, dtype=A.row_ptr.dtype)  # the dtype of col_idx, which scipy need not convert
+    np.cumsum(np.bincount(rows[strong], minlength=n), out=row_ptr[1:])
+    return CsrMatrix(n, n, row_ptr, A.col_idx[strong], A.values[strong], check=False)
 
 
-def rs_coarsen(S: StrengthGraph):
+def rs_coarsen(S: CsrMatrix):
     """Greedy C/F splitting; returns (c_points, f_points, coarse_index).
 
     coarse_index[i] is the coarse id of C-point i, -1 for F-points.
     """
     UNDECIDED, CPT, FPT = 0, 1, 2
-    state = np.full(S.n, UNDECIDED, dtype=np.int8)
-    t_ptr, t_idx = S.t_row_ptr, S.t_col_idx
-    for i in range(S.n):
+    state = np.full(S.nrows, UNDECIDED, dtype=np.int8)
+    T = S.transpose()  # row i lists the rows that strongly depend on i, ascending
+    t_ptr, t_idx = T.row_ptr, T.col_idx
+    for i in range(S.nrows):
         if state[i] != UNDECIDED:
             continue
         state[i] = CPT
@@ -105,7 +88,7 @@ def rs_coarsen(S: StrengthGraph):
     # each F-point strongly depends on the C-point that made it F
     c_points = np.flatnonzero(state == CPT)
     f_points = np.flatnonzero(state == FPT)
-    coarse_index = np.full(S.n, -1, dtype=np.int64)
+    coarse_index = np.full(S.nrows, -1, dtype=np.int64)
     coarse_index[c_points] = np.arange(len(c_points))
     return c_points, f_points, coarse_index
 
@@ -125,11 +108,13 @@ def _row_sums(vals, rows, n):
     return out
 
 
-def direct_interpolation(A: CsrMatrix, S: StrengthGraph, partition) -> CsrMatrix:
+def direct_interpolation(A: CsrMatrix, S: CsrMatrix, partition) -> CsrMatrix:
     """Unit rows at C-points; F-point weights from the direct formula
 
         w_ij = -(a_ij / a_ii) * (sum of all negative a_ik) /
                                 (sum of negative a_ik over strong C-neighbours).
+
+    ``S`` is the strength graph of A, whose entries are negative a_ij.
     """
     c_points, f_points, coarse_index = partition
     n, n_c = A.nrows, len(c_points)
@@ -137,31 +122,21 @@ def direct_interpolation(A: CsrMatrix, S: StrengthGraph, partition) -> CsrMatrix
     is_f[f_points] = True
     s_rows = _entry_rows(S.row_ptr)
     strong_c = is_f[s_rows] & (coarse_index[S.col_idx] >= 0)
-    orphans = f_points[np.bincount(s_rows[strong_c], minlength=n)[f_points] == 0]
+    s_rows, cols, vals = s_rows[strong_c], S.col_idx[strong_c], S.values[strong_c]
+    orphans = f_points[np.bincount(s_rows, minlength=n)[f_points] == 0]
     if len(orphans):
         raise ValueError(f"F-point {orphans[0]} has no strong C-neighbour (coarsening bug)")
 
     rows = _entry_rows(A.row_ptr)
-    cols, vals = A.col_idx, A.values
-    diag = np.zeros(n)
-    on_diag = cols == rows
-    diag[rows[on_diag]] = vals[on_diag]
-    neg = is_f[rows] & ~on_diag & (vals < 0.0)
-    rows, cols, vals = rows[neg], cols[neg], vals[neg]
-    # negative entries of F rows that are strong C-connections; both key
-    # lists are sorted, as CSR rows are
-    key, strong_key = rows * n + cols, s_rows[strong_c] * n + S.col_idx[strong_c]
-    at = np.minimum(np.searchsorted(strong_key, key), len(strong_key) - 1)
-    in_c = strong_key[at] == key
-    neg_sum = _row_sums(vals, rows, n)[f_points]
-    negc_sum = _row_sums(vals[in_c], rows[in_c], n)[f_points]
+    neg = is_f[rows] & (A.col_idx != rows) & (A.values < 0.0)
+    neg_sum = _row_sums(A.values[neg], rows[neg], n)[f_points]
+    negc_sum = _row_sums(vals, s_rows, n)[f_points]
     scale = np.zeros(n)
     scale[f_points] = neg_sum / negc_sum
-    rows, cols, vals = rows[in_c], cols[in_c], vals[in_c]
-    weights = -vals * scale[rows] / diag[rows]
+    weights = -vals * scale[s_rows] / A.diagonal()[s_rows]
     return CsrMatrix.from_coo(
         n, n_c,
-        np.concatenate([c_points, rows]),
+        np.concatenate([c_points, s_rows]),
         np.concatenate([np.arange(n_c), coarse_index[cols]]),
         np.concatenate([np.ones(n_c), weights]),
     )

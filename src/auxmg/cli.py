@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .fem import assemble_operator, build_space
-from .harness import ExperimentConfig, emit_report, run_experiment, verification_report
+from .harness import ExperimentConfig, check_assembly_size, emit_report, run_experiment, verification_report
 from .csr import write_matrix_market
 from .mesh import build_cube_mesh
 from .transfer import build_prolongation
@@ -95,6 +95,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.what == "matrix":
+        check_assembly_size("poisson", args.k, args.refine, "--refine gives")
     space = build_space(build_cube_mesh(args.refine), args.k)
     if args.what == "matrix":
         matrix = assemble_operator(space, "stiffness")

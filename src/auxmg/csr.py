@@ -4,7 +4,7 @@ Everything downstream (assembly, transfer, AMG, Krylov) works with
 :class:`CsrMatrix`.  Kernels are deterministic: entries are stored with
 strictly increasing column indices per row and summations run in that
 order, so repeated runs on one machine are bit-identical.  A matrix is
-immutable, so its transpose is built once and cached.
+immutable, so its transpose and its diagonal are built once and cached.
 
 :class:`GaussSeidel` is the one triangular-sweep type: every smoother
 prepares its forward and backward sweeps once at setup, and each call
@@ -117,13 +117,13 @@ class CsrMatrix:
     rejects unsorted or repeated columns within a row.
     """
 
-    __slots__ = ("nrows", "ncols", "row_ptr", "col_idx", "values", "_scipy", "_transpose")
+    __slots__ = ("nrows", "ncols", "row_ptr", "col_idx", "values", "_scipy", "_transpose", "_diagonal")
 
     def __init__(self, nrows, ncols, row_ptr, col_idx, values, check=True):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         row_ptr = np.asarray(row_ptr)
-        self._transpose = None
+        self._transpose = self._diagonal = None
         # scipy drops the entries past a short row_ptr[-1] without a word
         if check and len(row_ptr) and row_ptr[-1] != len(col_idx):
             raise ValueError("row_ptr must end at nnz")
@@ -201,7 +201,11 @@ class CsrMatrix:
         return self._transpose
 
     def diagonal(self):
-        return self.to_scipy().diagonal()
+        """The (read-only) diagonal, built on the first call and cached."""
+        if self._diagonal is None:
+            self._diagonal = self._scipy.diagonal()
+            self._diagonal.flags.writeable = False
+        return self._diagonal
 
     def tril(self):
         """Lower triangle including the diagonal."""

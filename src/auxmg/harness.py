@@ -16,7 +16,7 @@ import io
 import time
 from dataclasses import asdict, dataclass, field, fields
 from math import comb
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -57,6 +57,15 @@ def assembly_bytes(problem, k, n):
     return 28 * 6 * int(n) ** 3 * per_tet
 
 
+def check_assembly_size(problem, k, n, what):
+    """Raise a ValueError that starts with ``what`` when the assembly at
+    refinement n would exceed ``MAX_ASSEMBLY_BYTES``."""
+    need = assembly_bytes(problem, k, n)
+    if need > MAX_ASSEMBLY_BYTES:
+        raise ValueError(f"{what} n = {n}, whose {problem} k = {k} assembly needs an estimated {need:,} bytes, "
+                         f"above MAX_ASSEMBLY_BYTES = {MAX_ASSEMBLY_BYTES:,}")
+
+
 @dataclass
 class ExperimentConfig:
     problem: str = "poisson"
@@ -80,22 +89,19 @@ class ExperimentConfig:
         k_min = 1 if self.problem == "poisson" else 2
         if not (_is_int(self.k) and k_min <= self.k <= MAX_ORDER):
             raise ValueError(f"k must be an int in {k_min}..{MAX_ORDER} for {self.problem}, got {self.k!r}")
-        if not self.refinements:
-            raise ValueError("refinements must be nonempty")
+        if not (isinstance(self.refinements, (list, tuple)) and self.refinements):
+            raise ValueError(f"refinements must be a nonempty list, got {self.refinements!r}")
         for n in self.refinements:  # a Poisson cube has (k n - 1)^3 interior DOFs
             if not (_is_int(n) and n >= 1 and (self.problem == "stokes" or self.k * n >= 2)):
                 raise ValueError(f"refinements must hold ints >= 1, and >= 2 for poisson with k = 1, got {n!r}")
-            need = assembly_bytes(self.problem, self.k, n)
-            if need > MAX_ASSEMBLY_BYTES:
-                raise ValueError(f"refinements hold n = {n}, whose {self.problem} k = {self.k} assembly needs an "
-                                 f"estimated {need:,} bytes, above MAX_ASSEMBLY_BYTES = {MAX_ASSEMBLY_BYTES:,}")
+            check_assembly_size(self.problem, self.k, n, "refinements hold")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
-        if not self.theta_values:
-            raise ValueError("theta_values must be nonempty")
+        if not (isinstance(self.theta_values, (list, tuple)) and self.theta_values):
+            raise ValueError(f"theta_values must be a nonempty list, got {self.theta_values!r}")
         for t in self.theta_values:
-            if not 0.0 < t < 1.0:
-                raise ValueError(f"theta {t} outside (0,1)")
+            if not (isinstance(t, Real) and 0.0 < t < 1.0):
+                raise ValueError(f"theta_values must hold numbers in (0, 1), got {t!r}")
         SolverConfig(rel_tol=self.rel_tol, max_iters=self.max_iters)  # raises naming the field
 
 

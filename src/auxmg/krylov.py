@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("cg", "minres", "fgmres"):
             raise ValueError(f"unknown Krylov method {self.method!r}")
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+        if not (isinstance(self.rel_tol, Real) and self.rel_tol > 0 and math.isfinite(self.rel_tol)):
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
         if not (isinstance(self.max_iters, Integral) and self.max_iters >= 0):
             raise ValueError(f"max_iters must be a non-negative int, got {self.max_iters!r}")
@@ -172,7 +172,9 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
 
     M must be symmetric positive definite; the M-norm of the residual
     is minimised and its recurrence values are reported alongside the
-    unpreconditioned residuals.
+    unpreconditioned residuals.  The solve also stops when the next
+    Lanczos vector vanishes (the Krylov space is exhausted); the true
+    residual of that iterate sets ``converged``.
     """
     cfg = cfg or SolverConfig(method="minres")
     Aop, Mop = _as_operator(A), _as_operator(M)
@@ -232,7 +234,9 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
         r -= phi * Aw
 
         phibar_history.append(abs(phibar))
-        if res.check(np.linalg.norm(r)) and res.replace(x, r):
+        # the next Lanczos vector vanished: the true residual decides convergence
+        exhausted = beta == 0.0
+        if (res.check(np.linalg.norm(r)) or exhausted) and (res.replace(x, r) or exhausted):
             break
     return x, res.report(precond_residual_history=np.asarray(phibar_history))
 

@@ -67,6 +67,14 @@ class TestStrengthGraph:
         S = strength_graph(A, 0.5)
         assert strong_row(S, 0) == [1]
 
+    def test_values_are_the_strong_entries_of_a(self):
+        A = poisson_setup(2, 2, perturb_seed=1).system.A
+        S = strength_graph(A, 0.25)
+        rows = np.repeat(np.arange(S.nrows), np.diff(S.row_ptr))
+        assert S.nnz > 0
+        assert np.array_equal(S.values, A.to_dense()[rows, S.col_idx])
+        assert np.all(S.values < 0.0)
+
     def test_theta_range_validated(self):
         A = laplace_1d(3)
         with pytest.raises(ValueError):

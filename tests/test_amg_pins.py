@@ -102,7 +102,8 @@ def lists_to_csr(lists):
 def strong_arrays(S):
     """CSR arrays (row_ptr, col_idx) of the strong graph, then of its
     transpose, as int64, the dtype the pins were taken with."""
-    return tuple(a.astype(np.int64) for a in (S.row_ptr, S.col_idx, S.t_row_ptr, S.t_col_idx))
+    T = S.transpose()
+    return tuple(a.astype(np.int64) for a in (S.row_ptr, S.col_idx, T.row_ptr, T.col_idx))
 
 
 def assert_same_csr(X: CsrMatrix, Y: CsrMatrix):

@@ -167,6 +167,14 @@ class TestTranspose:
         assert np.array_equal(T.to_dense(), dense.T)
 
 
+class TestDiagonal:
+    def test_cached_read_only(self):
+        A, dense = random_csr(np.random.default_rng(6), 5, 5)
+        assert A.diagonal() is A.diagonal()
+        assert not A.diagonal().flags.writeable
+        assert np.array_equal(A.diagonal(), np.diag(dense))
+
+
 class TestSpmv:
     def test_identity(self):
         A = CsrMatrix.identity(3)

@@ -60,7 +60,7 @@ class TestConfig:
             ExperimentConfig(refinements=[])
 
     @pytest.mark.parametrize("field, value", [
-        ("rel_tol", float("nan")), ("max_iters", -3), ("max_iters", 2.5),
+        ("rel_tol", float("nan")), ("rel_tol", "1e-6"), ("max_iters", -3), ("max_iters", 2.5),
     ])
     def test_solver_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -92,6 +92,8 @@ class TestConfig:
         ({"refinements": [True]}, "refinements"), ({"refinements": ["2"]}, "refinements"),
         ({"k": 1, "refinements": [1]}, "refinements"), ({"k": 1, "refinements": [2, 1]}, "refinements"),
         ({"k": True}, "k"), ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
+        ({"refinements": 3}, "refinements"), ({"theta_values": 0.5}, "theta_values"),
+        ({"theta_values": ["a"]}, "theta_values"),
     ])
     def test_bad_refinement_or_seed_rejected(self, fields, name):
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -408,6 +410,21 @@ class TestCli:
         A = read_matrix_market(out)
         assert A.shape == (8, 8)
         assert A.is_symmetric()
+
+    def test_export_matrix_above_the_size_cap_fails_before_the_mesh(self, tmp_path, monkeypatch):
+        from auxmg import harness
+
+        def never(*a, **k):
+            raise AssertionError("build_cube_mesh called for a matrix above the size cap")
+
+        monkeypatch.setattr(cli, "build_cube_mesh", never)
+        monkeypatch.setattr(harness, "MAX_ASSEMBLY_BYTES", harness.assembly_bytes("poisson", 2, 2))
+        out = tmp_path / "stiff.mtx"
+        message = ("^--refine gives n = 3, whose poisson k = 2 assembly needs an estimated 453,600 bytes, "
+                   "above MAX_ASSEMBLY_BYTES = 134,400$")
+        with pytest.raises(ValueError, match=message):
+            cli.main(["export", "--what", "matrix", "--k", "2", "--refine", "3", "--out", str(out)])
+        assert not out.exists()
 
     def test_export_prolongation(self, tmp_path):
         out = tmp_path / "prol.mtx"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -124,6 +126,20 @@ class TestMinres:
         M = lambda r: np.array([r[0], -r[1]])
         with pytest.raises(IndefiniteOperatorError):
             minres(A, M, np.array([1.0, 1.0]))
+
+    def test_stops_when_the_lanczos_vector_vanishes(self):
+        # the zero operator gives beta = 0 after one step; the true
+        # residual, not a 0/0 Lanczos vector, ends the solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, rep = minres(CsrMatrix.from_dense(np.zeros((3, 3))), None, np.ones(3))
+            assert not rep.converged and rep.iterations == 1
+            assert rep.residual_history[-1] == 1.0
+            # a singular operator with b in its range still converges
+            A = CsrMatrix.from_dense(np.diag([1.0, 2.0, 0.0]))
+            x, rep = minres(A, None, np.array([1.0, 1.0, 0.0]))
+            assert rep.converged
+            assert np.allclose(x, [1.0, 0.5, 0.0])
 
     def test_matches_scipy_on_saddle_like_system(self):
         rng = np.random.default_rng(4)

@@ -2,7 +2,9 @@
 a negative diagonal), ``build_hierarchy`` and ``TwoLevelPreconditioner``
 either build or raise a ValueError (``NotPositiveDefiniteError`` and
 ``CoarseLevelTooLargeError`` are ValueErrors), and never emit a
-RuntimeWarning on the way."""
+RuntimeWarning on the way.  On random small symmetric matrices,
+``build_hierarchy`` and one V-cycle either run or raise a ValueError or a
+LinAlgError, again without a RuntimeWarning."""
 
 import warnings
 from functools import lru_cache
@@ -11,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auxmg.amg import build_hierarchy
+from auxmg.amg import build_hierarchy, vcycle_apply
 from auxmg.csr import CsrMatrix
 from auxmg.problems import poisson_setup
 from auxmg.twolevel import TwoLevelPreconditioner
@@ -68,3 +70,38 @@ def test_setup_builds_or_raises_a_value_error(AP, coarse):
                 build()
             except ValueError:
                 pass
+
+
+@st.composite
+def random_symmetric(draw):
+    """Random sparse symmetric matrices with a positive diagonal, possibly
+    indefinite: rows with no off-diagonal entries, rows whose off-diagonals
+    are all positive, and (all signs positive, or no off-diagonals at all)
+    matrices with no strong connection."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.nonzero(np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), 1))
+    isolated = rng.random(n) < draw(st.floats(0.0, 0.5))  # rows with only a diagonal entry
+    positive = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))  # rows with only positive couplings
+    keep = ~(isolated[i] | isolated[j])
+    i, j = i[keep], j[keep]
+    if draw(st.booleans()):  # tied magnitudes, or magnitudes across 16 decades
+        mag = rng.choice([0.25, 0.5, 1.0, 2.0], size=len(i))
+    else:
+        mag = rng.random(len(i)) * 10.0 ** rng.integers(-8, 8, size=len(i))
+    vals = np.where(positive[i] | positive[j], mag, -mag)
+    diag = 1.0 + rng.random(n) * 40.0
+    rows = np.concatenate([i, j, np.arange(n)])
+    cols = np.concatenate([j, i, np.arange(n)])
+    return CsrMatrix.from_coo(n, n, rows, cols, np.concatenate([vals, vals, diag]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=random_symmetric(), coarse_size=st.integers(1, 10))
+def test_random_matrix_builds_and_cycles_or_raises(A, coarse_size):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            vcycle_apply(build_hierarchy(A, coarse_size=coarse_size), np.ones(A.nrows))
+        except (ValueError, np.linalg.LinAlgError):
+            pass
