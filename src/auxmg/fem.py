@@ -139,27 +139,42 @@ def _element_matrices(space: FeSpace, form: str) -> np.ndarray:
     raise ValueError(f"unknown form {form!r}")
 
 
+def _element_keys(rows: FeSpace, cols: FeSpace):
+    """The keys ``row * cols.n_dofs + col`` of every element block in (tet,
+    row, col) order: a fresh int64 array, for ``_csr_from_keys`` to sort."""
+    r, c = (s.element_dofs.astype(np.int64, copy=False) for s in (rows, cols))
+    return (r[:, :, None] * cols.n_dofs + c[:, None, :]).ravel()
+
+
 def assemble_operator(space: FeSpace, form: str) -> CsrMatrix:
     """Assemble the stiffness or mass matrix over the full DOF set.
 
     Element integrals are exact (rational barycentric expansion), so
     e.g. stiffness row sums vanish to machine precision.
     """
-    n, dofs = space.n_dofs, space.element_dofs.astype(np.int64, copy=False)
+    n, dofs = space.n_dofs, space.element_dofs
     if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
         raise ValueError(f"element_dofs out of range for {n} DOFs")
-    # the key row * n + col of local[t, i, j], in the order local is stored;
-    # both are passed as temporaries, so the core frees each once it is used
+    # keys, then values, both temporaries, so the core frees each once used
+    return _csr_from_keys(n, n, _element_keys(space, space), _element_matrices(space, form).ravel())
+
+
+def assemble_divergence(vel: FeSpace, pres: FeSpace):
+    """Component blocks B_c (pres.n_dofs x vel.n_dofs) of the -div operator
+    on one mesh, sharing one sorted (row, col) pattern."""
+    grads, vol = _element_geometry(vel.mesh)
+    N = reference.divergence_reference(vel.order, pres.order)  # (4, n_p_loc, n_v_loc)
     return _csr_from_keys(
-        n, n, (dofs[:, :, None] * n + dofs[:, None, :]).ravel(), _element_matrices(space, form).ravel()
+        pres.n_dofs, vel.n_dofs, _element_keys(pres, vel),
+        np.stack([-np.einsum("t,tm,mqi->tqi", vol, grads[:, :, c], N).ravel() for c in range(3)]),
     )
 
 
 def _quadrature(space: FeSpace):
     """The degree-9 tet rule on every element: weights (nq,), basis
     values (nq, n_loc), physical points (nt, nq, 3) and volumes (nt,)."""
-    pts_b, wts = reference.tet_quadrature(9)
-    phi = reference.basis_values_at(space.order, tuple(map(tuple, pts_b)))
+    pts_b, wts = reference.tet_quadrature()
+    phi = reference.basis_values_at(space.order)
     xq = np.einsum("qm,tmc->tqc", pts_b, space.mesh.vertices[space.mesh.tets])
     _, vol = _element_geometry(space.mesh)
     return wts, phi, xq, vol

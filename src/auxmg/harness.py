@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from math import comb
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .amg import CoarseLevelTooLargeError, VCyclePreconditioner, build_hierarchy
 from .csr import NotPositiveDefiniteError, spmv, triple_product
-from .krylov import IndefiniteOperatorError, SolverConfig, fgmres
+from .krylov import IndefiniteOperatorError, SolverConfig, _is_int, fgmres
 from .problems import poisson_setup
 from .reference import MAX_ORDER
 from .stokes import InnerSolveError, _solve_preconditioned, assemble_stokes, build_block_preconditioner
@@ -35,10 +36,6 @@ from .twolevel import (
 )
 from .mesh import build_cube_mesh
 from .fem import assemble_operator
-
-
-def _is_int(x):
-    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 # the largest assembly ExperimentConfig admits, in assembly_bytes: P2
@@ -103,6 +100,8 @@ class ExperimentConfig:
             if not (isinstance(t, Real) and 0.0 < t < 1.0):
                 raise ValueError(f"theta_values must hold numbers in (0, 1), got {t!r}")
         SolverConfig(rel_tol=self.rel_tol, max_iters=self.max_iters)  # raises naming the field
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
 
 
 @dataclass

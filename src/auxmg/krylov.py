@@ -19,8 +19,9 @@ recurrence values, except the first, the last and each restart or
 replacement point, which are true residuals; a converged report's last
 entry is always a true residual <= rel_tol.  A non-finite residual,
 recurrence or true, raises FloatingPointError at the iterate that
-produced it.  Operators must return a new array, which the solvers may
-update in place.
+produced it, and so does a non-finite iterate, checked wherever its true
+residual is formed (a singular A can keep that residual finite).
+Operators must return a new array, which the solvers may update in place.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ class IndefiniteOperatorError(RuntimeError):
     """A direction with nonpositive curvature or preconditioner energy."""
 
 
+def _is_int(x):
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 @dataclass
 class SolverConfig:
     method: str = "fgmres"  # cg | minres | fgmres
@@ -49,11 +54,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("cg", "minres", "fgmres"):
             raise ValueError(f"unknown Krylov method {self.method!r}")
-        if not (isinstance(self.rel_tol, Real) and self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+        if isinstance(self.rel_tol, bool) or not (isinstance(self.rel_tol, Real) and 0 < self.rel_tol < math.inf):
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
-        if not (isinstance(self.max_iters, Integral) and self.max_iters >= 0):
+        if not (_is_int(self.max_iters) and self.max_iters >= 0):
             raise ValueError(f"max_iters must be a non-negative int, got {self.max_iters!r}")
-        if not (isinstance(self.restart, Integral) and self.restart >= 1):
+        if not (_is_int(self.restart) and self.restart >= 1):
             raise ValueError(f"restart must be an int of at least 1, got {self.restart!r}")
 
 
@@ -120,6 +125,9 @@ class _Residuals:
         record it in place of the recurrence value.  True when the solve
         stops: the true value meets rel_tol, or the iteration cap is
         reached."""
+        bad = np.flatnonzero(~np.isfinite(x))
+        if len(bad):
+            raise FloatingPointError(f"non-finite iterate {self.iterations}: entry {bad[0]} is {x[bad[0]]}")
         np.subtract(self.b, self.A(x), out=r)
         self.history[-1] = self._relative(np.linalg.norm(r), "true residual", self.iterations)
         self.converged = bool(self.history[-1] <= self.rel_tol)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 import numpy as np
 
@@ -30,10 +30,6 @@ def lattice_points(k: int):
     first for k = 1.
     """
     return tuple(_compositions(k, 4))
-
-
-def num_local_dofs(k: int) -> int:
-    return comb(k + 3, 3)
 
 
 def _monomial_integral_unit(exponents) -> Fraction:
@@ -145,7 +141,7 @@ def stiffness_reference(k: int):
     coordinate; the physical gradient contraction with grad(l_m) is
     geometry and happens per element.
     """
-    n_loc = num_local_dofs(k)
+    n_loc = len(lattice_points(k))
     S = np.empty((4, 4, n_loc, n_loc))
     tables = [_basis_coeff_table(k, m) for m in range(4)]
     for m in range(4):
@@ -161,7 +157,7 @@ def stiffness_reference(k: int):
 def divergence_reference(k_vel: int, k_pres: int):
     """N[m,q,i] = integral of psi_q d_m(phi_i) per unit tet volume."""
     monos_p, coeffs_p = _basis_coeff_table(k_pres, None)
-    n_p, n_v = num_local_dofs(k_pres), num_local_dofs(k_vel)
+    n_p, n_v = len(lattice_points(k_pres)), len(lattice_points(k_vel))
     N = np.empty((4, n_p, n_v))
     for m in range(4):
         monos_d, coeffs_d = _basis_coeff_table(k_vel, m)
@@ -170,9 +166,10 @@ def divergence_reference(k_vel: int, k_pres: int):
 
 
 @lru_cache(maxsize=None)
-def basis_values_at(k: int, bary_key):
-    """Float basis values at a tuple of barycentric points: (n_pts, n_loc)."""
-    pts = np.asarray(bary_key, dtype=np.float64)
+def basis_values_at(k: int):
+    """Float basis values at the points of :func:`tet_quadrature`:
+    (n_pts, n_loc)."""
+    pts = tet_quadrature()[0]
     polys = lagrange_basis(k)
     out = np.empty((pts.shape[0], len(polys)))
     for j, poly in enumerate(polys):
@@ -191,24 +188,18 @@ def basis_values_at(k: int, bary_key):
 
 
 @lru_cache(maxsize=None)
-def tet_quadrature(degree: int = 9):
-    """Symmetric simplex quadrature exact for polynomials up to ``degree``.
+def tet_quadrature():
+    """Symmetric simplex quadrature exact for polynomials up to degree 9.
 
     Returns (barycentric points (m, 4), weights (m,)) normalised so that
     the integral over a tet T is |T| * sum_j w_j f(p_j).  Weights are
     rationals of the Grundmann-Moller family (some are negative).
     """
-    s = max(0, (degree - 1 + 1) // 2)  # rule degree is 2s+1
-    d = 2 * s + 1
-    n = 3
-    points = []
-    weights = []
+    s, d, n = 4, 9, 3  # degree d = 2s+1 in n = 3 dimensions
+    points, weights = [], []
     for i in range(s + 1):
         denom = d + n - 2 * i
-        w = (
-            Fraction((-1) ** i)
-            * Fraction(denom**d, 4**s * factorial(i) * factorial(d + n - i))
-        )
+        w = Fraction((-1) ** i) * Fraction(denom**d, 4**s * factorial(i) * factorial(d + n - i))
         for beta in _compositions(s - i, n + 1):
             points.append([Fraction(2 * b + 1, denom) for b in beta])
             weights.append(w)

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from . import reference
 from .amg import VCyclePreconditioner, build_hierarchy
-from .csr import CsrMatrix, _adopt, _csr_from_keys, spmv
-from .fem import FeSpace, assemble_operator, build_space, eliminate_dirichlet, _element_geometry
+from .csr import CsrMatrix, _adopt, spmv
+from .fem import FeSpace, assemble_divergence, assemble_operator, build_space, eliminate_dirichlet
 from .krylov import SolveReport, SolverConfig, fgmres, minres, pcg
 from .mesh import TetMesh
 from .transfer import build_prolongation
@@ -114,19 +113,6 @@ def _lid_dirichlet_values(space: FeSpace, lid_velocity) -> np.ndarray:
     return g
 
 
-def _assemble_divergence(vel: FeSpace, pres: FeSpace):
-    """Component blocks B_c (n_p x n_v_full) of the -div operator, sharing
-    one sorted (row, col) pattern."""
-    grads, vol = _element_geometry(vel.mesh)
-    N = reference.divergence_reference(vel.order, pres.order)  # (4, n_p_loc, n_v_loc)
-    prow = pres.element_dofs.astype(np.int64, copy=False)
-    vcol = vel.element_dofs.astype(np.int64, copy=False)
-    # the key row * n_v + col of local[t, q, i], in the order local is stored
-    key = (prow[:, :, None] * vel.n_dofs + vcol[:, None, :]).ravel()
-    local = np.stack([-np.einsum("t,tm,mqi->tqi", vol, grads[:, :, c], N).ravel() for c in range(3)])
-    return _csr_from_keys(pres.n_dofs, vel.n_dofs, key, local)
-
-
 def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> StokesSystem:
     """P^k / P^{k-1} cavity problem with body force zero."""
     if k not in (2, 3, 4):
@@ -144,7 +130,7 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
     # one (n_full, 3) spmv lifts all three components, stored component-major
     rhs_u = -spmv(A_full, g)[interior].T.ravel()
 
-    B_blocks = _assemble_divergence(vel, pres)
+    B_blocks = assemble_divergence(vel, pres)
     B_int = scipy.sparse.hstack([b.to_scipy()[:, interior] for b in B_blocks]).tocsr()
     rhs_p = -sum(spmv(b, g[:, c]) for c, b in enumerate(B_blocks))
 

@@ -22,9 +22,8 @@ from auxmg.csr import (
     triple_product,
     write_matrix_market,
 )
-from auxmg.fem import assemble_operator, build_space, eliminate_dirichlet
+from auxmg.fem import assemble_divergence, assemble_operator, build_space, eliminate_dirichlet
 from auxmg.mesh import build_cube_mesh
-from auxmg.stokes import _assemble_divergence
 from auxmg.transfer import build_prolongation
 
 
@@ -121,7 +120,7 @@ def _every_constructor():
         "submatrix": A.submatrix([0, 2, 4], [5, 1, 3]),
         "triple_product": triple_product(P.transpose(), A, P),
         "assemble_operator": assemble_operator(p2, "stiffness"),
-        "divergence": _assemble_divergence(p2, p1)[2],
+        "divergence": assemble_divergence(p2, p1)[2],
         "prolongation": build_prolongation(p2, p1).prolongation,
     }
 

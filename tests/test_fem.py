@@ -57,7 +57,7 @@ class TestReference:
                 assert v == (Fraction(1) if i == j else Fraction(0))
 
     def test_quadrature_exact_to_degree_9(self):
-        pts, wts = reference.tet_quadrature(9)
+        pts, wts = reference.tet_quadrature()
         rng = np.random.default_rng(0)
         for _ in range(50):
             e = rng.integers(0, 4, size=4)

@@ -61,6 +61,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("rel_tol", float("nan")), ("rel_tol", "1e-6"), ("max_iters", -3), ("max_iters", 2.5),
+        ("rel_tol", True), ("max_iters", True), ("output_dir", 3), ("output_dir", None),
     ])
     def test_solver_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -75,6 +76,19 @@ class TestConfig:
         monkeypatch.setattr(harness, "poisson_setup", never)
         with pytest.raises(ValueError, match="rel_tol"):
             cli.main(["solve", "--refine", "1", "--tol", "nan", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("field, value", [("output_dir", 3), ("max_iters", True)])
+    def test_cli_rejects_a_wrongly_typed_config_field_before_setup(self, tmp_path, monkeypatch, field, value):
+        from auxmg import harness
+
+        def never(*a, **k):
+            raise AssertionError("poisson_setup called for an invalid config")
+
+        monkeypatch.setattr(harness, "poisson_setup", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 1, "refinements": [2], field: value}))
+        with pytest.raises(ValueError, match=f"^{field} "):
+            cli.main(["solve", "--config", str(cfg)])
 
     @pytest.mark.parametrize("fields, name", [
         ({"precond_kind": "Qx"}, "precond_kind"),

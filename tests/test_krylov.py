@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from auxmg.csr import CsrMatrix, spmv
 from auxmg.krylov import IndefiniteOperatorError, SolverConfig, fgmres, minres, pcg
@@ -269,9 +271,9 @@ class TestConfig:
             SolverConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(restart=0)
-        for field, bad in [("rel_tol", float("nan")), ("rel_tol", float("inf")), ("rel_tol", -1e-6),
+        for field, bad in [("rel_tol", float("nan")), ("rel_tol", float("inf")), ("rel_tol", -1e-6), ("rel_tol", True),
                            ("max_iters", -3), ("max_iters", 2.5),
-                           ("restart", 2.5), ("restart", -1)]:
+                           ("max_iters", True), ("restart", 2.5), ("restart", -1), ("restart", True)]:
             with pytest.raises(ValueError, match=f"^{field} "):
                 SolverConfig(**{field: bad})
         SolverConfig(rel_tol=1e-30, max_iters=0, restart=1)
@@ -294,6 +296,14 @@ class TestNonFiniteInput:
         data[name][3] = np.nan if name == "x0" else np.inf
         with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry at index 3"):
             solver(A, M, data["b"], x0=data["x0"])
+
+
+# row and column 0 are empty, so b - A x never reads x[0]: pcg overflows
+# it to -inf by iterate 27 while the true residual stays finite
+SINGULAR_OVERFLOW = (np.diag([0.0, 1.0, 1e-8]),
+                     np.array([-0.7890821429889331, -0.6796124798765063, 2.2866065968725455]),
+                     np.array([0.32904314158974246, -0.8342958063087723, 0.020519368219285513]),
+                     False, {"rel_tol": 1.8523078160368703e-05, "max_iters": 27, "restart": 1})
 
 
 class TestNonFiniteResidual:
@@ -324,6 +334,68 @@ class TestNonFiniteResidual:
         op, _ = _counting(A, fault_call=2)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="^non-finite residual at iterate 1:"):
             solver(op, None, b, x0=x0)
+
+    def test_non_finite_iterate_with_a_finite_true_residual(self):
+        dense, b, x0, _, cfg = SINGULAR_OVERFLOW
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="^non-finite iterate 27: entry 0 "):
+            pcg(CsrMatrix.from_dense(dense), None, b, SolverConfig(method="cg", **cfg), x0=x0)
+
+
+@st.composite
+def krylov_problems(draw):
+    """A random symmetric system and solver settings: SPD (diagonally
+    dominant), indefinite, SPD with one empty row and column, or zero, its
+    entries, b and x0 of magnitude 1e-8 to 1e8, b sometimes zero, x0 None
+    or random, and M None or Jacobi on the nonzero diagonal."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["spd", "indefinite", "empty_row", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def magnitudes(shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+    off = np.triu(magnitudes((n, n)) * (rng.random((n, n)) < draw(st.floats(0, 1))), 1)
+    off += off.T
+    if kind == "indefinite":
+        dense = off + np.diag(magnitudes(n))
+    else:
+        dense = off + np.diag(np.abs(off).sum(axis=1) + np.abs(magnitudes(n)))
+    if kind == "empty_row":
+        i = rng.integers(n)
+        dense[i, :] = dense[:, i] = 0.0
+    if kind == "zero":
+        dense[:] = 0.0
+    b = np.zeros(n) if draw(st.booleans()) else magnitudes(n)
+    x0 = magnitudes(n) if draw(st.booleans()) else None
+    cfg = {"rel_tol": draw(st.floats(1e-14, 0.5)), "max_iters": draw(st.integers(0, 40)),
+           "restart": draw(st.integers(1, 8))}
+    return dense, b, x0, draw(st.booleans()), cfg
+
+
+class TestErrorContract:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=krylov_problems())
+    @example(problem=SINGULAR_OVERFLOW)
+    def test_finite_iterate_or_a_typed_error(self, problem):
+        # any other exception, or a non-finite x, fails; a RuntimeWarning
+        # (an overflow) may come only before a FloatingPointError
+        dense, b, x0, jacobi, cfg = problem
+        A = CsrMatrix.from_dense(dense)
+        d = np.diag(dense)
+        dinv = np.divide(1.0, d, out=np.ones_like(d), where=d != 0.0)
+        M = (lambda r: dinv * r) if jacobi else None
+        for method, solver in (("cg", pcg), ("minres", minres), ("fgmres", fgmres)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                try:
+                    x, _ = solver(A, M, b, SolverConfig(method=method, **cfg), x0=x0)
+                except FloatingPointError:
+                    continue
+                except (ValueError, IndefiniteOperatorError, np.linalg.LinAlgError):
+                    pass
+                else:
+                    assert np.isfinite(x).all(), f"{method} returned {x}"
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], method
 
 
 class TestOperatorBudget:

@@ -12,14 +12,13 @@ from auxmg.stokes import (
     BlockPreconditioner,
     InnerSolveError,
     StokesSystem,
-    _assemble_divergence,
     assemble_stokes,
     build_block_preconditioner,
     project_pressure_mean,
     solve_cavity,
     write_vtk,
 )
-from auxmg.fem import _element_geometry, build_space
+from auxmg.fem import _element_geometry, assemble_divergence, build_space
 
 
 def velocity_block(S):
@@ -100,7 +99,7 @@ class TestAssembly:
         # -div of a constant interpolant vanishes row by row
         mesh = build_cube_mesh(2)
         vel, pres = build_space(mesh, 2), build_space(mesh, 1)
-        blocks = _assemble_divergence(vel, pres)
+        blocks = assemble_divergence(vel, pres)
         for c, blk in enumerate(blocks):
             img = spmv(blk, np.full(vel.n_dofs, 2.5))
             assert np.max(np.abs(img)) <= 1e-13
@@ -116,7 +115,7 @@ class TestAssembly:
         n_p_loc, n_v_loc = N.shape[1], N.shape[2]
         prow = np.repeat(pres.element_dofs, n_v_loc, axis=1).ravel()
         vcol = np.tile(vel.element_dofs, (1, n_p_loc)).ravel()
-        blocks = _assemble_divergence(vel, pres)
+        blocks = assemble_divergence(vel, pres)
         assert len(blocks) == 3
         for c, blk in enumerate(blocks):
             local = -np.einsum("t,tm,mqi->tqi", vol, grads[:, :, c], N)
