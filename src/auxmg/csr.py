@@ -242,15 +242,40 @@ def _as_block(x, n, what):
     return x
 
 
-def spmv(A: CsrMatrix, x):
-    """y = A x with ascending-column summation per row, for a vector x or
-    an (ncols, k) block, one ``csr_matvec`` call per column."""
-    x = _as_block(x, A.ncols, f"x for A of shape {A.shape}")
-    y = np.zeros((A.nrows,) + x.shape[1:], order="F")
+def _add_matvec(n, m, arrays, x, y):
+    """y += M x, for the n x m CSR ``arrays`` (row pointer, column indices,
+    values) and a vector or a Fortran-ordered block x, y: one
+    ``csr_matvec`` call per column, each row's sum starting from its entry
+    of y and adding the products in ascending column order."""
     X, Y = (x, y) if x.ndim == 2 else (x[:, None], y[:, None])
+    ptr, idx, vals = arrays
     for j in range(X.shape[1]):
-        csr_matvec(A.nrows, A.ncols, A.row_ptr, A.col_idx, A.values, X[:, j], Y[:, j])
-    return y
+        csr_matvec(n, m, ptr, idx, vals, X[:, j], Y[:, j])
+
+
+def spmv(A: CsrMatrix, x, out=None):
+    """y = A x with ascending-column summation per row, for a vector x or
+    an (ncols, k) block, one ``csr_matvec`` call per column.
+
+    With ``out``, a Fortran-ordered float64 array of the result's shape,
+    A x is added into it in place (each row's sum starts from its entry of
+    ``out``) and ``out`` is returned.
+    """
+    x = _as_block(x, A.ncols, f"x for A of shape {A.shape}")
+    shape = (A.nrows,) + x.shape[1:]
+    if out is None:
+        out = np.zeros(shape, order="F")
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.f_contiguous:
+        raise ValueError(f"out must be a Fortran-ordered float64 array of shape {shape}, got {out.shape}")
+    _add_matvec(A.nrows, A.ncols, (A.row_ptr, A.col_idx, A.values), x, out)
+    return out
+
+
+def matmat(A: CsrMatrix, B: CsrMatrix) -> CsrMatrix:
+    """The product A B, with the pattern scipy's sparse product gives it."""
+    if A.ncols != B.nrows:
+        raise ValueError(f"dimension mismatch: A is {A.shape}, B is {B.shape}")
+    return _adopt((A.to_scipy() @ B.to_scipy()).tocsr())
 
 
 def triple_product(R: CsrMatrix, A: CsrMatrix, P: CsrMatrix) -> CsrMatrix:
@@ -350,11 +375,14 @@ class GaussSeidel:
     substitution and one diagonal scale, the same kernel and arithmetic,
     so the result is bit-identical to ``spsolve_triangular``.
 
+    The two sweeps of :meth:`pair` also read, from each other's stored
+    triangle, the residual that a sweep leaves (:meth:`sweep`).
+
     Raises ValueError naming the first row whose diagonal entry is zero
     or not finite.
     """
 
-    __slots__ = ("direction", "_lower", "_upper", "_inv_diag")
+    __slots__ = ("direction", "_lower", "_upper", "_inv_diag", "_partner")
 
     def __init__(self, A: CsrMatrix, direction: str):
         if direction not in ("forward", "backward"):
@@ -367,6 +395,7 @@ class GaussSeidel:
             raise ValueError(f"{A.nnz} nonzeros exceed SuperLU's index range")
         self.direction = direction
         self._inv_diag = 1.0 / diag
+        self._partner = None
         rows = np.repeat(np.arange(n, dtype=np.intc), np.diff(A.row_ptr))
         keep = A.col_idx <= rows if direction == "forward" else A.col_idx >= rows
         rows, cols = rows[keep], A.col_idx[keep].astype(np.intc, copy=False)
@@ -377,28 +406,66 @@ class GaussSeidel:
         # transpose, which gstrs solves with trans="T"
         ptr = np.zeros(n + 1, dtype=np.intc)
         np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-        tri = (vals, cols, ptr)
+        tri = (ptr, cols, vals)
         if direction == "forward":
             # the strict triangle takes SuperLU's U slot with its diagonal
             # stored as explicit zeros; L is the identity
             vals[cols == rows] = 0.0
-            self._lower = (np.ones(n), np.arange(n, dtype=np.intc), np.arange(n + 1, dtype=np.intc))
+            self._lower = (np.arange(n + 1, dtype=np.intc), np.arange(n, dtype=np.intc), np.ones(n))
             self._upper = tri
         else:
             self._lower = tri
-            self._upper = (np.empty(0), np.empty(0, dtype=np.intc), np.zeros(n + 1, dtype=np.intc))
+            self._upper = (np.zeros(n + 1, dtype=np.intc), np.empty(0, dtype=np.intc), np.empty(0))
 
-    def __call__(self, b):
-        """The sweep on a vector or, in one ``gstrs`` call, on every
-        column of an (n, k) block."""
+    @staticmethod
+    def pair(A: CsrMatrix):
+        """The forward and the backward sweep of A, each of which reads the
+        residual of its own sweep from the other's triangle, so that no
+        triangle is stored twice."""
+        forward, backward = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
+        forward._partner, backward._partner = backward._lower, forward._upper
+        return forward, backward
+
+    def _substitute(self, b):
+        """The ``gstrs`` substitution on ``b``: D x for the sweep x."""
         n = len(self._inv_diag)
-        # gstrs overwrites its right-hand side
-        b = _as_block(np.array(b, dtype=np.float64, order="F"), n, f"b for a {n}x{n} sweep")
-        (lv, li, lp), (uv, ui, up) = self._lower, self._upper
-        x, info = _superlu.gstrs("T", n, len(lv), lv, li, lp, n, len(uv), uv, ui, up, b)
+        b = _as_block(b, n, f"b for a {n}x{n} sweep")
+        (lp, li, lv), (up, ui, uv) = self._lower, self._upper
+        y, info = _superlu.gstrs("T", n, len(lv), lv, li, lp, n, len(uv), uv, ui, up, b)
         if info:
             raise np.linalg.LinAlgError(f"triangular solve failed (SuperLU info {info})")
-        return x * (self._inv_diag if b.ndim == 1 else self._inv_diag[:, None])
+        return y
+
+    def _scale(self, y):
+        y *= self._inv_diag if y.ndim == 1 else self._inv_diag[:, None]
+        return y
+
+    def __call__(self, b, overwrite_b=False):
+        """The sweep on a vector or, in one ``gstrs`` call, on every
+        column of an (n, k) block.  With ``overwrite_b`` a float64,
+        Fortran-ordered ``b`` is passed to the kernel without a copy, and
+        the kernel may overwrite it."""
+        # gstrs may overwrite its right-hand side
+        return self._scale(self._substitute(b if overwrite_b else np.array(b, dtype=np.float64, order="F")))
+
+    def sweep(self, b):
+        """The sweep x = self(b), bit for bit, and the negated residual
+        d = A x - b that it leaves, for a sweep made by :meth:`pair`.
+
+        With y = D x the substitution's output, a forward sweep leaves
+        (D + L) x = b, so d = U x = triu(A) D^{-1} y - y: one ``csr_matvec``
+        over the backward sweep's triangle, each row's sum started from
+        -y_i and meeting the diagonal first.  A backward sweep leaves
+        d = L x, one ``csr_matvec`` over the forward sweep's strict
+        triangle.  d is negated because ``csr_matvec`` adds into its
+        output; it matches the written-out A x - b to roundoff.
+        """
+        if self._partner is None:
+            raise ValueError("the residual of a sweep needs its partner from GaussSeidel.pair")
+        y = self._substitute(np.array(b, dtype=np.float64, order="F"))
+        d = np.negative(y) if self.direction == "forward" else np.zeros_like(y)
+        _add_matvec(len(y), len(y), self._partner, y, d)
+        return self._scale(y), d
 
 
 def tri_lower_solve(L: CsrMatrix, b):

@@ -22,6 +22,14 @@ recurrence or true, raises FloatingPointError at the iterate that
 produced it, and so does a non-finite iterate, checked wherever its true
 residual is formed (a singular A can keep that residual finite).
 Operators must return a new array, which the solvers may update in place.
+
+MINRES and FGMRES minimise a residual norm, so an unconverged solve whose
+last true residual is above the smallest true residual it has formed
+(x0's included) has broken down, as it does on a singular, inconsistent
+system.  It returns that better iterate instead, with ``converged=False``
+and its report cut back to that iterate.  PCG minimises the energy norm
+of the error, under which a later iterate is the better one even when its
+residual is larger, so it always returns its last iterate.
 """
 
 from __future__ import annotations
@@ -107,6 +115,9 @@ class _Residuals:
         self.denom = nb if nb > 0.0 else max(np.linalg.norm(self.r), np.finfo(float).tiny)
         self.history = [self._relative(np.linalg.norm(self.r), "true residual", 0)]
         self.converged = bool(self.history[0] <= self.rel_tol)
+        # the smallest true residual so far, its iterate number and that
+        # iterate; iterate 0 is the caller's x0, which the solve leaves alone
+        self._best = (self.history[0], 0, x0)
 
     @property
     def iterations(self):
@@ -131,7 +142,11 @@ class _Residuals:
         np.subtract(self.b, self.A(x), out=r)
         self.history[-1] = self._relative(np.linalg.norm(r), "true residual", self.iterations)
         self.converged = bool(self.history[-1] <= self.rel_tol)
-        return self.converged or self.iterations >= self.max_iters
+        stop = self.converged or self.iterations >= self.max_iters
+        if self.history[-1] < self._best[0]:
+            # a solve that goes on may update x in place
+            self._best = (self.history[-1], self.iterations, x if stop else x.copy())
+        return stop
 
     def _relative(self, rnorm, kind, iterate):
         # tested before any comparison with rel_tol: nan <= tol is False
@@ -144,6 +159,21 @@ class _Residuals:
 
     def report(self, **extra):
         return SolveReport(self.iterations, self.converged, np.asarray(self.history), **extra)
+
+    def best(self, x, **histories):
+        """The result of a residual-minimising solve (MINRES, FGMRES): x
+        and its report, or, when the solve ends unconverged with a true
+        residual above the smallest one it has formed, that residual's
+        iterate and the report cut back to it (``histories``, one entry per
+        iterate, are cut too).  For these methods a rise of the true
+        residual means breakdown, as on a singular, inconsistent system."""
+        rel, k, best = self._best
+        if self.converged or self.history[-1] <= rel:
+            return x, self.report(**histories)
+        if k == 0:
+            best = np.zeros_like(self.b) if best is None else np.array(best, dtype=np.float64)
+        del self.history[k + 1:]
+        return best, self.report(**{name: h[: k + 1] for name, h in histories.items()})
 
 
 def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None):
@@ -158,6 +188,8 @@ def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None):
     while not res.converged and res.iterations < cfg.max_iters:
         Ap = A(p)
         pAp = p @ Ap
+        if pAp == np.inf:  # alpha would be 0, and the solve would stall silently
+            raise FloatingPointError(f"non-finite curvature p'Ap at iterate {res.iterations + 1}: the product overflowed")
         if pAp <= 0.0:
             raise IndefiniteOperatorError(f"nonpositive curvature p'Ap = {pAp:g} at iteration {res.iterations}")
         alpha = rz / pAp
@@ -246,7 +278,7 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
         exhausted = beta == 0.0
         if (res.check(np.linalg.norm(r)) or exhausted) and (res.replace(x, r) or exhausted):
             break
-    return x, res.report(precond_residual_history=np.asarray(phibar_history))
+    return res.best(x, precond_residual_history=np.asarray(phibar_history))
 
 
 def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
@@ -311,4 +343,4 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
                 break
         if res.history[-1] > cycle_start_res * (1.0 - 1e-14):
             break  # stagnated
-    return x, res.report()
+    return res.best(x)

@@ -25,15 +25,17 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .amg import build_hierarchy, smooth_and_correct, vcycle_apply
-from .csr import CsrMatrix, GaussSeidel, _as_block, check_finite, spmv, triple_product
+from .amg import _Level, build_hierarchy, smooth_and_correct, vcycle_apply
+from .csr import CsrMatrix, _as_block, check_finite, spmv, triple_product
 
 
 class TwoLevelPreconditioner:
     """Smoothing on the fine operator plus an exact-or-AMG coarse solve:
     the top level of a V-cycle whose coarse levels are a hierarchy of
-    P^T A P.  A ValueError names the first entry of A or P that is not
-    finite.
+    P^T A P.  That top level prepares A P, so an action forms no product
+    by A: the presmoothing sweep returns its residual and the coarse
+    correction updates it through A P.  A ValueError names the first
+    entry of A or P that is not finite.
 
     Parameters
     ----------
@@ -59,8 +61,8 @@ class TwoLevelPreconditioner:
         self.A = A
         self.P = P
         A_H = triple_product(P.transpose(), A, P)
-        self.forward = GaussSeidel(A, "forward")
-        self.backward = GaussSeidel(A, "backward")
+        top = _Level(A, P, product=True)
+        self.forward, self.backward, self.AP = top.forward, top.backward, top.AP
         self.presmooth = presmooth
         if coarse == "exact":
             self.hierarchy = build_hierarchy(A_H, max_levels=1)
@@ -78,7 +80,7 @@ class TwoLevelPreconditioner:
         r = _as_block(r, self.A.nrows, "residual for the operator")
         pre = self.forward if self.presmooth else None
         post = self.backward if self.presmooth else self.forward
-        return smooth_and_correct(self.A, self.P, r, self.coarse_solve, pre, post)
+        return smooth_and_correct(self.A, self.P, r, self.coarse_solve, pre, post, self.AP)
 
     def apply_transpose(self, r):
         """Adjoint action.  The symmetric form is its own adjoint; the

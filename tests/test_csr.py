@@ -17,6 +17,7 @@ from auxmg.csr import (
     NotPositiveDefiniteError,
     cholesky_factor,
     cholesky_solve,
+    matmat,
     read_matrix_market,
     spmv,
     triple_product,
@@ -203,6 +204,39 @@ class TestSpmv:
         scale = max(1.0, np.max(np.abs(lhs)))
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_out_accumulates_in_place(self, k):
+        # small integers keep every sum exact, so y + A x is the reference
+        rng = np.random.default_rng(8)
+        dense = rng.integers(-3, 4, (6, 5)).astype(float)
+        A = CsrMatrix.from_dense(dense)
+        shape = (5,) if k is None else (5, k)
+        x = rng.integers(-3, 4, shape).astype(float)
+        y = np.asfortranarray(rng.integers(-3, 4, (6,) + shape[1:]).astype(float))
+        ref = y + dense @ x
+        out = spmv(A, x, out=y)
+        assert out is y and np.array_equal(y, ref)
+
+    def test_out_of_the_wrong_shape_or_layout_rejected(self):
+        A = CsrMatrix.identity(3)
+        for out in (np.zeros(4), np.zeros((3, 2)), np.zeros(3, dtype=np.float32), np.zeros((3, 2), order="C")):
+            with pytest.raises(ValueError, match="^out must be"):
+                spmv(A, np.ones((3, 2)) if out.ndim == 2 else np.ones(3), out=out)
+
+
+class TestMatmat:
+    def test_against_dense_oracle(self):
+        rng = np.random.default_rng(5)
+        A, dA = random_csr(rng, 6, 5)
+        B, dB = random_csr(rng, 5, 3, density=0.6)
+        C = matmat(A, B)
+        assert C.shape == (6, 3)
+        assert np.max(np.abs(C.to_dense() - dA @ dB)) <= 1e-14
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matmat(CsrMatrix.identity(3), CsrMatrix.identity(4))
+
 
 class TestTripleProduct:
     def test_identity_sandwich(self):
@@ -279,6 +313,48 @@ class TestGaussSeidel:
             x = GaussSeidel(A, direction)(b)
             ref = np.linalg.solve(tri(dense), b)
             assert np.allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_sweep_returns_the_call_and_its_residual(self, level, k):
+        # x is the plain sweep bit for bit; d sums U x (or L x) where the
+        # written-out A x - b cancels (D + L) x against b, so the two
+        # agree to a few ulps of b (at most 7e-16 of max |b| measured on P2-P4 meshes)
+        A = build_hierarchy(p4_stiffness_n2()).levels[level].A
+        rng = np.random.default_rng(level)
+        b = rng.standard_normal(A.nrows if k is None else (A.nrows, k))
+        for sweep in GaussSeidel.pair(A):
+            x, d = sweep.sweep(b)
+            assert np.array_equal(x, GaussSeidel(A, sweep.direction)(b))
+            assert np.max(np.abs(d - (spmv(A, x) - b))) <= 1e-13 * np.max(np.abs(b))
+            if k is not None:  # the block contract: each column is the vector call
+                for j in range(k):
+                    xj, dj = sweep.sweep(b[:, j])
+                    assert np.array_equal(x[:, j], xj) and np.array_equal(d[:, j], dj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagonally_dominant())
+    def test_sweep_residual_matches_dense_residual(self, case):
+        dense, b = case
+        for sweep in GaussSeidel.pair(CsrMatrix.from_dense(dense)):
+            x, d = sweep.sweep(b)
+            scale = (np.abs(dense) @ np.abs(x) + np.abs(b)).max()
+            assert np.max(np.abs(d - (dense @ x - b))) <= 1e-13 * scale
+
+    def test_pair_stores_each_triangle_once(self):
+        forward, backward = GaussSeidel.pair(p4_stiffness_n2())
+        assert forward._partner is backward._lower and backward._partner is forward._upper
+
+    def test_sweep_residual_needs_a_pair(self):
+        with pytest.raises(ValueError, match="GaussSeidel.pair"):
+            GaussSeidel(CsrMatrix.identity(3), "forward").sweep(np.ones(3))
+
+    def test_overwrite_b_gives_the_same_bits(self):
+        A = p4_stiffness_n2()
+        b = np.random.default_rng(3).standard_normal(A.nrows)
+        for direction in ("forward", "backward"):
+            sweep = GaussSeidel(A, direction)
+            assert np.array_equal(sweep(b.copy(), overwrite_b=True), sweep(b))
 
     def test_leaves_right_hand_side_alone(self):
         A = CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])

@@ -233,7 +233,7 @@ class TestFgmres:
         cfg = SolverConfig(rel_tol=1e-30, max_iters=8, restart=3)
         x, rep = fgmres(op, M, np.zeros(A.nrows), cfg, x0=x0)
         assert rep.iterations == 8 and len(calls) == 12
-        assert (digest(x), digest(rep.residual_history)) == ("3f020197e54592a0", "8cb0837a4da6f967")
+        assert (digest(x), digest(rep.residual_history)) == ("a0ccc3a6fc102d38", "6836d1ac7a77c1d5")
 
     def test_deterministic(self):
         prob = poisson_setup(2, 2)
@@ -306,6 +306,15 @@ SINGULAR_OVERFLOW = (np.diag([0.0, 1.0, 1e-8]),
                      False, {"rel_tol": 1.8523078160368703e-05, "max_iters": 27, "restart": 1})
 
 
+# p'Ap overflows to inf at iterate 22 while r stays finite, so alpha = 0
+# would stall the solve with only an overflow warning
+CURVATURE_OVERFLOW = (np.array([[0.0, 0.0, 0.0],
+                                [0.0, 2.9511677784816555e+04, 6.8000991791216929e+00],
+                                [0.0, 6.8000991791216929e+00, 9.0154890725862965e+07]]),
+                      np.array([-5.1141590956695727e+04, 8.8117899251900389e-02, -1.8086466831408913e-02]),
+                      None, False, {"rel_tol": 0.5, "max_iters": 22, "restart": 1})
+
+
 class TestNonFiniteResidual:
     @pytest.mark.parametrize("solver", [pcg, minres, fgmres])
     @pytest.mark.parametrize("fault", ["M_nan", "M_inf", "A_nan_third_call"])
@@ -334,6 +343,11 @@ class TestNonFiniteResidual:
         op, _ = _counting(A, fault_call=2)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="^non-finite residual at iterate 1:"):
             solver(op, None, b, x0=x0)
+
+    def test_overflowing_curvature_fails_fast(self):
+        dense, b, x0, _, cfg = CURVATURE_OVERFLOW
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="^non-finite curvature p'Ap at iterate "):
+            pcg(CsrMatrix.from_dense(dense), None, b, SolverConfig(method="cg", **cfg), x0=x0)
 
     def test_non_finite_iterate_with_a_finite_true_residual(self):
         dense, b, x0, _, cfg = SINGULAR_OVERFLOW
@@ -372,13 +386,24 @@ def krylov_problems(draw):
     return dense, b, x0, draw(st.booleans()), cfg
 
 
+# b has a component outside the range of A, so no iterate converges;
+# without the best-iterate rule MINRES ends at a true relative residual of
+# 7.05 with |x| = 1.4e18, and FGMRES at 2.52
+SINGULAR_INCONSISTENT = (np.diag([1.0, 2.0, 0.0]), np.ones(3), None, False,
+                         {"rel_tol": 1e-6, "max_iters": 500, "restart": 100})
+
+
 class TestErrorContract:
     @settings(max_examples=300, deadline=None)
     @given(problem=krylov_problems())
     @example(problem=SINGULAR_OVERFLOW)
+    @example(problem=CURVATURE_OVERFLOW)
+    @example(problem=SINGULAR_INCONSISTENT)
     def test_finite_iterate_or_a_typed_error(self, problem):
         # any other exception, or a non-finite x, fails; a RuntimeWarning
-        # (an overflow) may come only before a FloatingPointError
+        # (an overflow) may come only before a FloatingPointError; MINRES
+        # and FGMRES, which minimise a residual, never return a report
+        # whose last true residual is above its first
         dense, b, x0, jacobi, cfg = problem
         A = CsrMatrix.from_dense(dense)
         d = np.diag(dense)
@@ -388,14 +413,58 @@ class TestErrorContract:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
                 try:
-                    x, _ = solver(A, M, b, SolverConfig(method=method, **cfg), x0=x0)
+                    x, rep = solver(A, M, b, SolverConfig(method=method, **cfg), x0=x0)
                 except FloatingPointError:
                     continue
                 except (ValueError, IndefiniteOperatorError, np.linalg.LinAlgError):
                     pass
                 else:
                     assert np.isfinite(x).all(), f"{method} returned {x}"
+                    h = rep.residual_history
+                    assert method == "cg" or h[-1] <= h[0], f"{method} ended at {h[-1]} from {h[0]}"
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], method
+
+
+class TestBestIterate:
+    @pytest.mark.parametrize("given_x0", [False, True])
+    @pytest.mark.parametrize("solver", [minres, fgmres])
+    def test_singular_inconsistent_system_returns_the_best_known_iterate(self, solver, given_x0):
+        # the only true residuals formed are x0's and the last iterate's,
+        # which is worse, so the solve hands back x0 and a report of it
+        dense, b, _, _, cfg = SINGULAR_INCONSISTENT
+        A = CsrMatrix.from_dense(dense)
+        x0 = np.array([0.5, 0.1, 3.0]) if given_x0 else None
+        x, rep = solver(A, None, b, SolverConfig(method=solver.__name__, **cfg), x0=x0)
+        assert not rep.converged
+        assert np.array_equal(x, np.zeros(3) if x0 is None else x0) and x is not x0
+        assert rep.iterations == 0 and len(rep.residual_history) == 1
+        assert rep.residual_history[-1] == np.linalg.norm(b - spmv(A, x)) / np.linalg.norm(b)
+        if solver is minres:
+            assert len(rep.precond_residual_history) == 1
+
+    @pytest.mark.parametrize("solver", [minres, fgmres])
+    def test_best_iterate_after_the_first(self, solver):
+        # call 1 is iteration 1's product; call 2 forms iterate 1's true
+        # residual with A scaled by 1.6 (0.67, above rel_tol but below x0's
+        # 1.0); every later call flips A's sign, so later iterates are far
+        # worse and the solve returns iterate 1, kept as a copy that the
+        # in-place updates after it have not touched
+        A = CsrMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
+        b = np.ones(3)
+        calls = []
+
+        def op(v):
+            calls.append(None)
+            return spmv(A, v) * {1: 1.0, 2: 1.6}.get(len(calls), -1.0)
+
+        cfg = SolverConfig(method=solver.__name__, rel_tol=0.5, max_iters=4, restart=1)
+        x, rep = solver(op, None, b, cfg)
+        assert len(calls) > 2 and not rep.converged and rep.iterations == 1
+        assert rep.residual_history[-1] == np.linalg.norm(b - 1.6 * spmv(A, x)) / np.linalg.norm(b)
+        ref, _ = solver(A, None, b, SolverConfig(method=solver.__name__, rel_tol=1e-30, max_iters=1, restart=1))
+        assert np.array_equal(x, ref)
+        if solver is minres:
+            assert len(rep.precond_residual_history) == 2
 
 
 class TestOperatorBudget:

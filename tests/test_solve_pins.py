@@ -22,20 +22,20 @@ from auxmg.twolevel import TwoLevelPreconditioner
 from tests.test_setup_pins import digest
 
 STOKES_PINS = {
-    ("Qt", "gamg"): ("473aae6bd329ce89", "4fd5cdf23f659a03", "907bc6e18c0a572d", 43),
-    ("Qt", "amg"): ("ae81833b8fc13f3a", "0979135d6502d29f", "0531603e17595457", 40),
-    ("Qd", "gamg"): ("8ba97c5a3ce506e7", "8174b36ddfb81ef7", "f900cb226f74527e", 97),
-    ("Qd", "amg"): ("e69462dbc214e844", "e2934638ca1f82b3", "cbcbcba574e5e7ee", 92),
+    ("Qt", "gamg"): ("d0c763bf446db443", "f1cf82a9ac3fb00f", "fc75481769618b89", 43),
+    ("Qt", "amg"): ("01c0970a1f45c40e", "dec43befa56e67f9", "7de493a664513c4e", 40),
+    ("Qd", "gamg"): ("42543ab2853b0683", "462b0cbdd73e1237", "6feb5eaf429d31bc", 97),
+    ("Qd", "amg"): ("f342b82e610aa37f", "8233857a1f9b68f1", "da788e28de2b4002", 92),
 }
 
-POISSON_P3_GAMG_PIN = ("238f2e8fdebb9597", "69625f02fed7f1b9", 15)
+POISSON_P3_GAMG_PIN = ("831b5340768b53a0", "7d9c20ebefaa9562", 15)
 
 # rel_tol=1e-30 is never met, so max_iters=7 stops each solve; with
 # restart=3, FGMRES restarts twice
 CAPPED_PINS = {
-    "fgmres": ("720533cc0b63ddff", "c5bcd2889ce43a15", 7),
-    "minres": ("ea80cabf2d9727b5", "8010ded4931db344", 7),
-    "cg": ("f2673ddfa53d5e62", "aeeb0547e6abaca2", 7),
+    "fgmres": ("35e6a8c3055d3dae", "0140e6c30e334874", 7),
+    "minres": ("aa7356e718e5e2bd", "170cb9f3eddfe54a", 7),
+    "cg": ("779cc9b75a0af3fe", "7e3fa69ee085e4cf", 7),
 }
 
 

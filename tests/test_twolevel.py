@@ -1,6 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from auxmg import amg, csr, twolevel
 from auxmg.amg import AmgHierarchy, _Level, build_hierarchy, vcycle_apply
 from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, spmv, triple_product
 from auxmg.problems import poisson_setup
@@ -94,7 +97,9 @@ class TestTwoLevelApply:
         A, P, M = two_level(2, 2)
         assert isinstance(M.forward, GaussSeidel) and M.forward.direction == "forward"
         assert isinstance(M.backward, GaussSeidel) and M.backward.direction == "backward"
-        assert not any(isinstance(v, CsrMatrix) and v not in (M.A, M.P) for v in vars(M).values())
+        # the one extra stored matrix is A P, with A P's pattern and values
+        assert not any(isinstance(v, CsrMatrix) and v not in (M.A, M.P, M.AP) for v in vars(M).values())
+        assert np.array_equal(M.AP.to_dense(), (A.to_scipy() @ P.to_scipy()).toarray())
 
     def test_zero_diagonal_fails_at_setup(self):
         A, P, _ = two_level(2, 2, coarse="exact")
@@ -124,12 +129,24 @@ def p2_n6():
     return prob.system.A, prob.prolongation_int
 
 
-def _composed(A, P, coarse_solve, r, pre, post):
-    """Smoothing and coarse correction written out: pre sweep from a
-    zero guess, P coarse_solve(P^T residual), post sweep."""
-    x = np.zeros_like(r)
-    if pre is not None:
-        x = pre(r)
+def _composed(A, P, AP, coarse_solve, r, pre, post):
+    """Smoothing and coarse correction written out in the fused form: the
+    pre sweep from a zero guess returns x and d = A x - r, then
+    e = coarse_solve(P^T (-d)), x += P e and d += (A P) e in place, and
+    the post sweep gives x - post(d)."""
+    x, d = (np.zeros_like(r), -r) if pre is None else pre.sweep(r)
+    e = coarse_solve(-spmv(P.transpose(), d))
+    spmv(P, e, out=x)
+    if post is None:
+        return x
+    spmv(AP, e, out=d)
+    return x - post(d)
+
+
+def _unfused(A, P, coarse_solve, r, pre, post):
+    """The same step with each residual formed as r - A x: pre sweep from
+    a zero guess, P coarse_solve(P^T residual), post sweep."""
+    x = np.zeros_like(r) if pre is None else pre(r)
     x = x + spmv(P, coarse_solve(spmv(P.transpose(), r - spmv(A, x))))
     if post is not None:
         x = x + post(r - spmv(A, x))
@@ -153,23 +170,25 @@ class TestPinnedComposition:
         else:
             L_H = cholesky_factor(A_H.to_dense())
             coarse_solve = lambda r_H: cholesky_solve(L_H, r_H)  # noqa: E731
-        fwd, bwd = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
+        fwd, bwd = GaussSeidel.pair(A)
+        AP = CsrMatrix.from_scipy(A.to_scipy() @ P.to_scipy())
         rng = np.random.default_rng(40)
         for _ in range(2):
             r = rng.standard_normal(A.nrows)
             if presmooth:
-                ref = ref_t = _composed(A, P, coarse_solve, r, fwd, bwd)
+                ref = ref_t = _composed(A, P, AP, coarse_solve, r, fwd, bwd)
             else:
-                ref = _composed(A, P, coarse_solve, r, None, fwd)
-                ref_t = _composed(A, P, coarse_solve, r, bwd, None)
+                ref = _composed(A, P, AP, coarse_solve, r, None, fwd)
+                ref_t = _composed(A, P, AP, coarse_solve, r, bwd, None)
             assert np.array_equal(M.apply(r), ref)
             assert np.array_equal(M.apply_transpose(r), ref_t)
 
     def test_gamg_is_the_top_level_of_a_vcycle(self, p2_n6):
-        # GAMG equals a V-cycle over [(A, P)] followed by the AMG levels of A_H
+        # GAMG equals a V-cycle over [(A, P)], which prepares A P, followed
+        # by the AMG levels of A_H
         A, P = p2_n6
         M = TwoLevelPreconditioner(A, P, coarse="amg", presmooth=True)
-        top = _Level(A, P)
+        top = _Level(A, P, product=True)
         H = AmgHierarchy([top] + M.hierarchy.levels, M.hierarchy.coarsest_factor, M.hierarchy.theta)
         r = np.random.default_rng(41).standard_normal(A.nrows)
         assert np.array_equal(M.apply(r), vcycle_apply(H, r))
@@ -181,9 +200,112 @@ class TestPinnedComposition:
         assert M.level_count() == 1
         assert M.operator_complexity() == 1.0
         r = np.random.default_rng(42).standard_normal(A.nrows)
+        fwd, bwd = GaussSeidel.pair(A)
+        AP = CsrMatrix.from_scipy(A.to_scipy() @ P.to_scipy())
+        assert np.array_equal(M.apply(r), _composed(A, P, AP, M.coarse_solve, r, fwd, bwd))
+
+
+# the fused step and the written-out one sum the same terms in different
+# orders, so they differ by a few ulps of the result's largest entry (at
+# most 7e-16 of it measured on P2-P4 meshes, vectors and blocks)
+FUSED_RTOL = 1e-13
+
+
+def assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= FUSED_RTOL * np.max(np.abs(ref))
+
+
+def _residual(shape, seed):
+    n, k = shape
+    return np.random.default_rng(seed).standard_normal(n if k is None else (n, k))
+
+
+class TestFusedStep:
+    """The fused step against the written-out composition x + post(r - A x)."""
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("form", ["symmetric", "plain", "plain-transpose"])
+    @pytest.mark.parametrize("coarse", ["amg", "exact"])
+    def test_two_level_matches_unfused(self, p2_n6, coarse, form, k):
+        A, P = p2_n6
+        M = TwoLevelPreconditioner(A, P, coarse=coarse, presmooth=form == "symmetric")
         fwd, bwd = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
-        x = fwd(r)
-        assert np.array_equal(M.apply(r), x + bwd(r - spmv(A, x)))
+        action, pre, post = {"symmetric": (M.apply, fwd, bwd), "plain": (M.apply, None, fwd),
+                             "plain-transpose": (M.apply_transpose, bwd, None)}[form]
+        r = _residual((A.nrows, k), 43)
+        assert_close(action(r), _unfused(A, P, M.coarse_solve, r, pre, post))
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("presmooth", [True, False])
+    def test_empty_coarse_space_matches_unfused(self, presmooth, k):
+        A, P, M = two_level(1, 3, coarse="exact", presmooth=presmooth)
+        assert P.ncols == 0 and A.nrows > 1
+        fwd, bwd = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
+        r = _residual((A.nrows, k), 44)
+        pre, post = (fwd, bwd) if presmooth else (None, fwd)
+        assert_close(M.apply(r), _unfused(A, P, M.coarse_solve, r, pre, post))
+        if not presmooth:
+            assert_close(M.apply_transpose(r), _unfused(A, P, M.coarse_solve, r, bwd, None))
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_vcycle_matches_unfused(self, k):
+        A = poisson_setup(3, 3).system.A
+        H = build_hierarchy(A, theta=0.25)
+        assert H.num_levels >= 3
+
+        def unfused_cycle(level, r):
+            if level == H.num_levels - 1:
+                return cholesky_solve(H.coarsest_factor, r)
+            lvl = H.levels[level]
+            return _unfused(lvl.A, lvl.P, partial(unfused_cycle, level + 1), r, lvl.forward, lvl.backward)
+
+        r = _residual((A.nrows, k), 45)
+        assert_close(vcycle_apply(H, r), unfused_cycle(0, r))
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The matrices that spmv multiplies by, in call order."""
+    seen = []
+    real = csr.spmv
+
+    def recording(A, x, out=None):
+        seen.append(A)
+        return real(A, x, out)
+
+    for module in (csr, amg, twolevel):
+        monkeypatch.setattr(module, "spmv", recording)
+    return seen
+
+
+def _count(seen, X):
+    return sum(Y is X for Y in seen)
+
+
+class TestProductsPerStep:
+    @pytest.mark.parametrize("action, presmooth", [("apply", True), ("apply", False), ("apply_transpose", False)])
+    def test_two_level_action_never_multiplies_by_the_fine_operator(self, p2_n6, products, action, presmooth):
+        # P^T, P and (when a post sweep follows) A P at the top, then P^T, P
+        # and A once per AMG level of the coarse cycle
+        A, P = p2_n6
+        M = TwoLevelPreconditioner(A, P, coarse="amg", presmooth=presmooth)
+        assert M.hierarchy.num_levels >= 2
+        products.clear()
+        getattr(M, action)(_residual((A.nrows, 3), 46))
+        expected = [P.transpose(), P] + [M.AP] * (action == "apply")
+        for lvl in M.hierarchy.levels[:-1]:
+            expected += [lvl.P.transpose(), lvl.P, lvl.A]
+        assert _count(products, A) == 0
+        assert sorted(map(id, products)) == sorted(map(id, expected))
+
+    def test_vcycle_level_multiplies_by_its_operator_once(self, products):
+        H = build_hierarchy(poisson_setup(3, 3).system.A, theta=0.25)
+        assert H.num_levels >= 3
+        vcycle_apply(H, _residual((H.levels[0].A.nrows, None), 47))
+        for lvl in H.levels[:-1]:
+            assert (_count(products, lvl.A), _count(products, lvl.P), _count(products, lvl.P.transpose())) == (1, 1, 1)
+        assert len(products) == 3 * (H.num_levels - 1)
 
 
 class TestAugmentedSystem:
