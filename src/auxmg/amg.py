@@ -12,9 +12,8 @@ lowest index.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
-from typing import ClassVar
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .csr import (
     checked_diagonal,
     cholesky_factor,
     cholesky_solve,
-    matmat,
     spmv,
     triple_product,
 )
@@ -149,24 +147,22 @@ class _Level:
     """A level of the hierarchy; every level but the coarsest, which the
     dense factor solves, holds its prolongation and prepared sweeps.
 
-    ``product=True`` also prepares ``AP`` = A P, which pays where P is
-    much sparser than A: on the two-level top, whose P1 transfer gives an
-    A P with 6% of A's entries on P4 n=8.  An AMG level's A P has 58% of
-    A's, so these levels leave ``AP`` at None and form A (P e) instead.
+    ``AP`` = A P, where it is given, lets a step correct its residual
+    without a product by A.  It pays where P is much sparser than A: on
+    the two-level top, whose P1 transfer gives an A P with 6% of A's
+    entries on P4 n=8.  An AMG level's A P has 58% of A's, so these levels
+    leave ``AP`` at None and form A (P e) instead.
     """
 
     A: CsrMatrix
     P: CsrMatrix | None = None
-    product: InitVar[bool] = False
+    AP: CsrMatrix | None = None
     forward: GaussSeidel | None = field(init=False, default=None, repr=False)   # presmoothing sweep
     backward: GaussSeidel | None = field(init=False, default=None, repr=False)  # postsmoothing sweep
-    AP: ClassVar[CsrMatrix | None] = None  # set on the levels that prepare it
 
-    def __post_init__(self, product):
+    def __post_init__(self):
         if self.P is not None:
             self.forward, self.backward = GaussSeidel.pair(self.A)
-        if product:
-            self.AP = matmat(self.A, self.P)
 
 
 @dataclass
@@ -221,37 +217,38 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
     return AmgHierarchy(levels, cholesky_factor(levels[-1].A.to_dense()), theta)
 
 
-def smooth_and_correct(A: CsrMatrix, P: CsrMatrix, r, coarse_solve, pre, post, AP=None) -> np.ndarray:
-    """One multigrid step on A x = r from a zero guess: the ``pre`` sweep,
-    the coarse correction P coarse_solve(P^T residual), the ``post``
-    sweep.  A sweep that is None is skipped; ``pre`` must come from
-    :meth:`GaussSeidel.pair`.  ``r`` is a vector or an (n, k) block whose
-    columns are independent residuals.
+def smooth_and_correct(level: _Level, r, coarse_solve, pre, post) -> np.ndarray:
+    """One multigrid step on A x = r from a zero guess, with the A, P and
+    AP of ``level``: the ``pre`` sweep, the coarse correction
+    P coarse_solve(P^T residual), the ``post`` sweep.  A sweep that is
+    None is skipped; each is one of the level's own.  ``r`` is a vector
+    or an (n, k) block whose columns are independent residuals.
 
     No residual is formed from scratch.  The step carries the negated
     residual d = A x - r, into which ``spmv`` adds in place: the pre sweep
     returns it (:meth:`GaussSeidel.sweep`), and the coarse correction P e
-    adds (A P) e to it, through ``AP`` when that is given and as A (P e)
-    otherwise.  So a step given ``AP`` never multiplies by A, and one
-    without it multiplies by A once.  x is updated in place.  Against the
-    written-out x + post(r - A x) the pre sweep's x is bit-identical and
-    the residuals, and so the result, move at roundoff.
+    adds (A P) e to it, through the level's ``AP`` when it has one and as
+    A (P e) otherwise.  So a step on a level with ``AP`` never multiplies
+    by A, and one without it multiplies by A once.  x is updated in place.
+    Against the written-out x + post(r - A x) the pre sweep's x is
+    bit-identical and the residuals, and so the result, move at roundoff.
 
     Every V-cycle level and the two-level preconditioner take this step.
     """
+    P = level.P
     x, d = (np.zeros_like(r), np.negative(r)) if pre is None else pre.sweep(r)
     r_H = spmv(P.transpose(), d)
     e = coarse_solve(np.negative(r_H, out=r_H))
     if post is None:
         return spmv(P, e, out=x)
-    if AP is None:
+    if level.AP is None:
         Pe = spmv(P, e)
         x += Pe
-        spmv(A, Pe, out=d)
+        spmv(level.A, Pe, out=d)
     else:
         spmv(P, e, out=x)
-        spmv(AP, e, out=d)
-    x -= post(d, overwrite_b=True)  # post(r - A x) = -post(d), exactly
+        spmv(level.AP, e, out=d)
+    x -= post(d)  # post(r - A x) = -post(d), exactly
     return x
 
 
@@ -259,7 +256,7 @@ def _vcycle(H: AmgHierarchy, level: int, r):
     if level == len(H.levels) - 1:
         return cholesky_solve(H.coarsest_factor, r)
     lvl = H.levels[level]
-    return smooth_and_correct(lvl.A, lvl.P, r, partial(_vcycle, H, level + 1), lvl.forward, lvl.backward, lvl.AP)
+    return smooth_and_correct(lvl, r, partial(_vcycle, H, level + 1), lvl.forward, lvl.backward)
 
 
 def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:

@@ -427,7 +427,9 @@ class GaussSeidel:
         return forward, backward
 
     def _substitute(self, b):
-        """The ``gstrs`` substitution on ``b``: D x for the sweep x."""
+        """The ``gstrs`` substitution on ``b``: D x for the sweep x.  The
+        kernel reads ``b`` and returns a new array, so ``b`` goes to it
+        as it is."""
         n = len(self._inv_diag)
         b = _as_block(b, n, f"b for a {n}x{n} sweep")
         (lp, li, lv), (up, ui, uv) = self._lower, self._upper
@@ -440,13 +442,10 @@ class GaussSeidel:
         y *= self._inv_diag if y.ndim == 1 else self._inv_diag[:, None]
         return y
 
-    def __call__(self, b, overwrite_b=False):
+    def __call__(self, b):
         """The sweep on a vector or, in one ``gstrs`` call, on every
-        column of an (n, k) block.  With ``overwrite_b`` a float64,
-        Fortran-ordered ``b`` is passed to the kernel without a copy, and
-        the kernel may overwrite it."""
-        # gstrs may overwrite its right-hand side
-        return self._scale(self._substitute(b if overwrite_b else np.array(b, dtype=np.float64, order="F")))
+        column of an (n, k) block; ``b`` is left unchanged."""
+        return self._scale(self._substitute(b))
 
     def sweep(self, b):
         """The sweep x = self(b), bit for bit, and the negated residual
@@ -462,7 +461,7 @@ class GaussSeidel:
         """
         if self._partner is None:
             raise ValueError("the residual of a sweep needs its partner from GaussSeidel.pair")
-        y = self._substitute(np.array(b, dtype=np.float64, order="F"))
+        y = self._substitute(b)
         d = np.negative(y) if self.direction == "forward" else np.zeros_like(y)
         _add_matvec(len(y), len(y), self._partner, y, d)
         return self._scale(y), d

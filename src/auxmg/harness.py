@@ -26,7 +26,7 @@ from .csr import NotPositiveDefiniteError, spmv, triple_product
 from .krylov import IndefiniteOperatorError, SolverConfig, _is_int, fgmres
 from .problems import poisson_setup
 from .reference import MAX_ORDER
-from .stokes import InnerSolveError, _solve_preconditioned, assemble_stokes, build_block_preconditioner
+from .stokes import _METHODS, InnerSolveError, _solve_preconditioned, assemble_stokes, build_block_preconditioner
 from .twolevel import (
     TwoLevelPreconditioner,
     build_augmented,
@@ -143,12 +143,11 @@ def _poisson_setup(n, theta, cfg: ExperimentConfig, rng):
 
 
 def _stokes_setup(n, theta, cfg: ExperimentConfig, rng):
-    """The cavity with its block preconditioner, and FGMRES (Qt) or
-    MINRES (Qd) from zero."""
+    """The cavity with its block preconditioner, and the default Krylov
+    method of its block form from zero."""
     S = assemble_stokes(build_cube_mesh(n), cfg.k)
     precond = build_block_preconditioner(S, kind=cfg.precond_kind, engine=cfg.engine, theta=theta)
-    method = "fgmres" if cfg.precond_kind == "Qt" else "minres"
-    solver_cfg = SolverConfig(method=method, rel_tol=cfg.rel_tol, max_iters=cfg.max_iters)
+    solver_cfg = SolverConfig(method=_METHODS[cfg.precond_kind][0], rel_tol=cfg.rel_tol, max_iters=cfg.max_iters)
     return S.dim, precond.a_action, lambda: _solve_preconditioned(S, precond, solver_cfg)[2]
 
 

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .amg import _Level, build_hierarchy, smooth_and_correct, vcycle_apply
-from .csr import CsrMatrix, _as_block, check_finite, spmv, triple_product
+from .csr import CsrMatrix, _as_block, check_finite, matmat, spmv, triple_product
 
 
 class TwoLevelPreconditioner:
@@ -34,8 +34,9 @@ class TwoLevelPreconditioner:
     the top level of a V-cycle whose coarse levels are a hierarchy of
     P^T A P.  That top level prepares A P, so an action forms no product
     by A: the presmoothing sweep returns its residual and the coarse
-    correction updates it through A P.  A ValueError names the first
-    entry of A or P that is not finite.
+    correction updates it through A P.  A ValueError names an unknown
+    ``coarse`` or the first entry of A or P that is not finite, before
+    any setup work.
 
     Parameters
     ----------
@@ -56,20 +57,19 @@ class TwoLevelPreconditioner:
     def __init__(self, A: CsrMatrix, P: CsrMatrix, coarse="amg", theta=0.25, presmooth=True):
         if A.nrows != A.ncols or A.nrows != P.nrows:
             raise ValueError("A and P dimensions do not match")
+        if coarse not in ("exact", "amg"):
+            raise ValueError(f"unknown coarse solver {coarse!r}")
         check_finite(A, "A")
         check_finite(P, "P")
         self.A = A
         self.P = P
         A_H = triple_product(P.transpose(), A, P)
-        top = _Level(A, P, product=True)
-        self.forward, self.backward, self.AP = top.forward, top.backward, top.AP
+        self.top = _Level(A, P, AP=matmat(A, P))
         self.presmooth = presmooth
         if coarse == "exact":
             self.hierarchy = build_hierarchy(A_H, max_levels=1)
-        elif coarse == "amg":
-            self.hierarchy = build_hierarchy(A_H, theta=theta)
         else:
-            raise ValueError(f"unknown coarse solver {coarse!r}")
+            self.hierarchy = build_hierarchy(A_H, theta=theta)
 
     def coarse_solve(self, r_H):
         return vcycle_apply(self.hierarchy, r_H)
@@ -78,9 +78,9 @@ class TwoLevelPreconditioner:
         """The action on a residual vector or on each column of an (n, k)
         block."""
         r = _as_block(r, self.A.nrows, "residual for the operator")
-        pre = self.forward if self.presmooth else None
-        post = self.backward if self.presmooth else self.forward
-        return smooth_and_correct(self.A, self.P, r, self.coarse_solve, pre, post, self.AP)
+        top = self.top
+        pre, post = (top.forward, top.backward) if self.presmooth else (None, top.forward)
+        return smooth_and_correct(top, r, self.coarse_solve, pre, post)
 
     def apply_transpose(self, r):
         """Adjoint action.  The symmetric form is its own adjoint; the
@@ -89,7 +89,7 @@ class TwoLevelPreconditioner:
         if self.presmooth:
             return self.apply(r)
         r = _as_block(r, self.A.nrows, "residual for the operator")
-        return smooth_and_correct(self.A, self.P, r, self.coarse_solve, self.backward, None)
+        return smooth_and_correct(self.top, r, self.coarse_solve, self.top.backward, None)
 
     __call__ = apply
 

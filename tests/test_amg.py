@@ -207,7 +207,8 @@ class TestHierarchy:
         assert H.num_levels >= 2
         for lvl in H.levels[:-1]:
             assert (lvl.forward.direction, lvl.backward.direction) == ("forward", "backward")
-            others = [v for k, v in vars(lvl).items() if k not in ("A", "P")]
+            assert lvl.AP is None  # A P would hold 58% of A's entries here
+            others = [v for k, v in vars(lvl).items() if k not in ("A", "P", "AP")]
             assert all(isinstance(v, GaussSeidel) for v in others) and len(others) == 2
         # the dense factor solves the coarsest level, so it prepares no sweeps
         coarsest = H.levels[-1]

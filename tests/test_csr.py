@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import auxmg
+from auxmg import csr
 from auxmg.amg import build_hierarchy
 from auxmg.csr import (
     CsrMatrix,
@@ -349,12 +350,16 @@ class TestGaussSeidel:
         with pytest.raises(ValueError, match="GaussSeidel.pair"):
             GaussSeidel(CsrMatrix.identity(3), "forward").sweep(np.ones(3))
 
-    def test_overwrite_b_gives_the_same_bits(self):
+    def test_call_and_sweep_leave_b_unchanged(self):
         A = p4_stiffness_n2()
-        b = np.random.default_rng(3).standard_normal(A.nrows)
-        for direction in ("forward", "backward"):
-            sweep = GaussSeidel(A, direction)
-            assert np.array_equal(sweep(b.copy(), overwrite_b=True), sweep(b))
+        rng = np.random.default_rng(3)
+        vector, block = rng.standard_normal(A.nrows), rng.standard_normal((A.nrows, 3))
+        for b in (vector, np.asfortranarray(block), np.ascontiguousarray(block)):
+            before = b.copy()
+            for sweep in GaussSeidel.pair(A):
+                sweep(b)
+                sweep.sweep(b)
+                assert np.array_equal(b, before)
 
     def test_leaves_right_hand_side_alone(self):
         A = CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
@@ -382,6 +387,35 @@ class TestGaussSeidel:
             GaussSeidel(A, "sideways")
         with pytest.raises(ValueError):
             GaussSeidel(A, "forward")(np.ones(4))
+
+
+class TestScipyKernelContracts:
+    """What the solve path relies on from the scipy kernels it calls
+    directly: a sweep hands its right-hand side to ``gstrs`` without a
+    copy, and ``spmv(out=)`` adds through ``csr_matvec``."""
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_gstrs_reads_its_right_hand_side_and_returns_a_new_array(self, direction, k):
+        A = p4_stiffness_n2()
+        n = A.nrows
+        sweep = GaussSeidel(A, direction)
+        (lp, li, lv), (up, ui, uv) = sweep._lower, sweep._upper
+        b = np.asfortranarray(np.random.default_rng(9).standard_normal(n if k is None else (n, k)))
+        before = b.copy()
+        y, info = csr._superlu.gstrs("T", n, len(lv), lv, li, lp, n, len(uv), uv, ui, up, b)
+        assert info == 0 and y.shape == b.shape
+        assert np.array_equal(b, before) and not np.shares_memory(y, b)
+
+    def test_csr_matvec_adds_into_y(self):
+        # small integers keep every sum exact, so y + A x is the reference
+        rng = np.random.default_rng(10)
+        dense = rng.integers(-3, 4, (6, 5)).astype(float)
+        A = CsrMatrix.from_dense(dense)
+        x, y = rng.integers(-3, 4, 5).astype(float), rng.integers(-3, 4, 6).astype(float)
+        ref = y + dense @ x
+        csr.csr_matvec(6, 5, A.row_ptr, A.col_idx, A.values, x, y)
+        assert np.array_equal(y, ref)
 
 
 class TestDenseKernels:

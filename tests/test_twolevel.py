@@ -5,7 +5,7 @@ import pytest
 
 from auxmg import amg, csr, twolevel
 from auxmg.amg import AmgHierarchy, _Level, build_hierarchy, vcycle_apply
-from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, spmv, triple_product
+from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, matmat, spmv, triple_product
 from auxmg.problems import poisson_setup
 from auxmg.twolevel import (
     MAX_AUGMENTED_DIM,
@@ -95,11 +95,13 @@ class TestTwoLevelApply:
 
     def test_sweeps_prepared_once(self):
         A, P, M = two_level(2, 2)
-        assert isinstance(M.forward, GaussSeidel) and M.forward.direction == "forward"
-        assert isinstance(M.backward, GaussSeidel) and M.backward.direction == "backward"
+        top = M.top
+        assert isinstance(top.forward, GaussSeidel) and top.forward.direction == "forward"
+        assert isinstance(top.backward, GaussSeidel) and top.backward.direction == "backward"
         # the one extra stored matrix is A P, with A P's pattern and values
-        assert not any(isinstance(v, CsrMatrix) and v not in (M.A, M.P, M.AP) for v in vars(M).values())
-        assert np.array_equal(M.AP.to_dense(), (A.to_scipy() @ P.to_scipy()).toarray())
+        stored = [*vars(M).values(), *vars(top).values()]
+        assert not any(isinstance(v, CsrMatrix) and v not in (M.A, M.P, top.AP) for v in stored)
+        assert np.array_equal(top.AP.to_dense(), (A.to_scipy() @ P.to_scipy()).toarray())
 
     def test_zero_diagonal_fails_at_setup(self):
         A, P, _ = two_level(2, 2, coarse="exact")
@@ -107,6 +109,16 @@ class TestTwoLevelApply:
         values[(A.col_idx == 3) & (np.repeat(np.arange(A.nrows), np.diff(A.row_ptr)) == 3)] = 0.0
         with pytest.raises(ValueError, match="row 3"):
             TwoLevelPreconditioner(CsrMatrix(A.nrows, A.ncols, A.row_ptr, A.col_idx, values), P)
+
+    def test_unknown_coarse_solver_rejected_before_setup(self, monkeypatch):
+        A, P, _ = two_level(2, 2, coarse="exact")
+
+        def no_setup(*args):
+            raise AssertionError("P^T A P formed for an unknown coarse solver")
+
+        monkeypatch.setattr(twolevel, "triple_product", no_setup)
+        with pytest.raises(ValueError, match="^unknown coarse solver 'bogus'$"):
+            TwoLevelPreconditioner(A, P, coarse="bogus")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["A", "P"])
@@ -188,7 +200,7 @@ class TestPinnedComposition:
         # by the AMG levels of A_H
         A, P = p2_n6
         M = TwoLevelPreconditioner(A, P, coarse="amg", presmooth=True)
-        top = _Level(A, P, product=True)
+        top = _Level(A, P, AP=matmat(A, P))
         H = AmgHierarchy([top] + M.hierarchy.levels, M.hierarchy.coarsest_factor, M.hierarchy.theta)
         r = np.random.default_rng(41).standard_normal(A.nrows)
         assert np.array_equal(M.apply(r), vcycle_apply(H, r))
@@ -293,7 +305,7 @@ class TestProductsPerStep:
         assert M.hierarchy.num_levels >= 2
         products.clear()
         getattr(M, action)(_residual((A.nrows, 3), 46))
-        expected = [P.transpose(), P] + [M.AP] * (action == "apply")
+        expected = [P.transpose(), P] + [M.top.AP] * (action == "apply")
         for lvl in M.hierarchy.levels[:-1]:
             expected += [lvl.P.transpose(), lvl.P, lvl.A]
         assert _count(products, A) == 0
