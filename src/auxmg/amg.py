@@ -189,11 +189,17 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
     """Coarsen until the matrix is small or coarsening stalls (< 5% removed).
 
     ``max_levels=1`` gives a one-level hierarchy whose cycle is the
-    dense Cholesky solve of A.  A ValueError names the first entry of A
-    that is not finite, or the first row whose diagonal entry is zero,
-    before any coarsening.  Raises :class:`CoarseLevelTooLargeError`
-    when the coarsest level has more than ``MAX_DENSE_ROWS`` rows.
+    dense Cholesky solve of A.  A ValueError names a ``theta`` outside
+    (0, 1) or a ``max_levels`` below 1 before any work, and the first
+    entry of A that is not finite, or the first row whose diagonal entry
+    is zero, before any coarsening.  Raises
+    :class:`CoarseLevelTooLargeError` when the coarsest level has more
+    than ``MAX_DENSE_ROWS`` rows.
     """
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (0,1), got {theta}")
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
     check_finite(A, "A")
     checked_diagonal(A, "AMG")
     levels = [_Level(A)]

@@ -29,6 +29,10 @@ class TetMesh:
 
     def __init__(self, vertices, tets):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"vertex {bad} has a non-finite coordinate: {self.vertices[bad].tolist()}")
         tets = np.ascontiguousarray(tets, dtype=np.int64)
         nv = len(self.vertices)
         if tets.size and (tets.min() < 0 or tets.max() >= nv):
@@ -160,7 +164,8 @@ def perturb_interior(mesh: TetMesh, magnitude=0.2, seed=0) -> TetMesh:
 
     Each interior vertex moves by at most ``magnitude`` times its
     shortest incident edge; boundary vertices stay put so the domain is
-    unchanged.  Deterministic for a fixed seed.
+    unchanged.  Deterministic for a fixed seed.  A displacement that
+    reverses a tet raises ValueError naming the first such tet.
     """
     rng = np.random.default_rng(seed)
     interior = ~mesh.boundary_vertex_mask()
@@ -173,6 +178,9 @@ def perturb_interior(mesh: TetMesh, magnitude=0.2, seed=0) -> TetMesh:
     disp = rng.uniform(-1.0, 1.0, size=(mesh.num_vertices, 3)) / np.sqrt(3.0)
     vertices = mesh.vertices.copy()
     vertices[interior] += magnitude * h[interior, None] * disp[interior]
+    flipped = signed_volumes(vertices, mesh.tets) <= 0  # mesh.tets are positively oriented
+    if np.any(flipped):
+        raise ValueError(f"magnitude {magnitude} reverses tet {int(np.argmax(flipped))}")
     return TetMesh(vertices, mesh.tets)
 
 

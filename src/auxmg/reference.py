@@ -1,13 +1,20 @@
 """Reference-element machinery for P^k Lagrange spaces on tetrahedra.
 
-Basis functions are expanded symbolically into barycentric monomials
-with exact rational coefficients, and element integrals reduce to the
-closed form
+The basis function of lattice point alpha factorises over the
+barycentric coordinates,
+
+    phi_alpha = prod_m f_{alpha_m}(l_m) / alpha_m!,   f_c(x) = prod_{r<c} (k x - r),
+
+and every f_c has integer coefficients, so each barycentric monomial
+coefficient of a basis function, or of its formal derivative, is an
+integer numerator over the common denominator (k!)^4.  Element
+integrals reduce to the closed form
 
     integral over T of l0^a l1^b l2^c l3^d  =  3! |T| a! b! c! d! / (a+b+c+d+3)!
 
-so stiffness, mass and divergence matrices are assembled without any
-quadrature error.  Only load vectors (general integrands) use a
+so stiffness, mass and divergence matrices are contracted in Python
+integers and each entry is divided once: no quadrature error and no
+symbolic algebra.  Only load vectors (general integrands) use a
 numerical rule, a Grundmann-Moller simplex rule of degree 9.
 """
 
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
 import numpy as np
 
@@ -32,105 +39,49 @@ def lattice_points(k: int):
     return tuple(_compositions(k, 4))
 
 
-def _monomial_integral_unit(exponents) -> Fraction:
-    # per unit volume: integral / |T|
-    s = sum(exponents)
-    num = 6
-    for e in exponents:
-        num *= factorial(e)
-    return Fraction(num, factorial(s + 3))
+def _basis_table(k: int, derivative: int | None):
+    """The P^k basis in lattice order, or its formal derivative in the
+    barycentric coordinate ``derivative``, as exact monomial coefficients:
+    (exponents (n_mon, 4), integer numerators (n_loc, n_mon) as an object
+    array, common denominator).  The exponents are every 4-tuple of the
+    basis' degree or less."""
+    # factor[c][j] is the x^j coefficient of f_c(x) k!/c! and d_factor[c][j]
+    # that of its derivative, so a coefficient over (k!)^4 is the product
+    # of one entry per coordinate
+    f, factor = [1] + [0] * k, []
+    for c in range(k + 1):
+        factor.append([factorial(k) // factorial(c) * a for a in f])
+        f = [k * lo - c * hi for lo, hi in zip([0] + f[:-1], f)]
+    d_factor = [[j * a for j, a in enumerate(row)][1:] + [0] for row in factor]
+    alpha = np.array(lattice_points(k))
+    exponents = np.array(list(_compositions(k - (derivative is not None), 5)))[:, :4]
+    numerators = np.ones((len(alpha), len(exponents)), dtype=object)
+    for m in range(4):
+        table = np.array(d_factor if m == derivative else factor, dtype=object)
+        numerators *= table[np.ix_(alpha[:, m], exponents[:, m])]
+    return exponents, numerators, factorial(k) ** 4
 
 
-# -- polynomials over barycentric coordinates ------------------------------
-# representation: dict mapping exponent 4-tuples to Fraction coefficients
-
-
-def _poly_mul(p, q):
-    out = {}
-    for ep, cp in p.items():
-        for eq, cq in q.items():
-            e = (ep[0] + eq[0], ep[1] + eq[1], ep[2] + eq[2], ep[3] + eq[3])
-            out[e] = out.get(e, Fraction(0)) + cp * cq
-    return out
-
-
-def _poly_diff(p, m):
-    out = {}
-    for e, c in p.items():
-        if e[m] > 0:
-            enew = list(e)
-            enew[m] -= 1
-            out[tuple(enew)] = c * e[m]
-    return out
-
-
-def _univariate_factor(k, m, c):
-    # product over r < c of (k*l_m - r)/(c - r), as a poly in l_m
-    poly = {(0, 0, 0, 0): Fraction(1)}
-    lin_base = [0, 0, 0, 0]
-    for r in range(c):
-        lin = {}
-        e = lin_base.copy()
-        e[m] = 1
-        lin[tuple(e)] = Fraction(k, c - r)
-        if r:
-            lin[(0, 0, 0, 0)] = Fraction(-r, c - r)
-        poly = _poly_mul(poly, lin)
-    return poly
-
-
-@lru_cache(maxsize=None)
-def lagrange_basis(k: int):
-    """Exact monomial expansions of the P^k Lagrange basis, lattice order."""
-    basis = []
-    for alpha in lattice_points(k):
-        poly = {(0, 0, 0, 0): Fraction(1)}
-        for m, c in enumerate(alpha):
-            if c:
-                poly = _poly_mul(poly, _univariate_factor(k, m, c))
-        basis.append(poly)
-    return tuple(basis)
-
-
-@lru_cache(maxsize=None)
-def _basis_coeff_table(k: int, derivative: int | None):
-    """Coefficient matrix (n_loc x n_mon) over a shared monomial list."""
-    polys = lagrange_basis(k)
-    if derivative is not None:
-        polys = tuple(_poly_diff(p, derivative) for p in polys)
-    monos = sorted({e for p in polys for e in p})
-    index = {e: i for i, e in enumerate(monos)}
-    coeffs = [[Fraction(0)] * len(monos) for _ in polys]
-    for i, p in enumerate(polys):
-        for e, c in p.items():
-            coeffs[i][index[e]] = c
-    return tuple(monos), tuple(tuple(row) for row in coeffs)
-
-
-def _pair_integral_matrix(monos_a, coeffs_a, monos_b, coeffs_b):
-    # exact Gram contraction C_a G C_b^T, G the monomial Gram matrix: each
-    # factor is scaled to integers by the lcm of its denominators, the
-    # product is taken in Python ints, and each entry is divided once;
-    # int / int rounds correctly, so it equals float() of the Fraction
-    gram = [
-        [_monomial_integral_unit(tuple(ea[m] + eb[m] for m in range(4))) for eb in monos_b]
-        for ea in monos_a
-    ]
-    (ca, da), (g, dg), (cb, db) = (_integer_matrix(x) for x in (coeffs_a, gram, coeffs_b))
-    return ((ca @ g @ cb.T) / (da * dg * db)).astype(np.float64)
-
-
-def _integer_matrix(rows):
-    """(object array of Python ints N, int d) with rows == N / d exactly."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return np.array([[x.numerator * (d // x.denominator) for x in row] for row in rows], dtype=object), d
+def _integral_matrix(a, b):
+    """Integrals of the products of the functions of two basis tables per
+    unit tet volume: the monomial Gram contraction taken in Python ints
+    over one common denominator, each entry divided once (int / int
+    rounds correctly)."""
+    (ea, na, da), (eb, nb, db) = a, b
+    sums = ea[:, None, :] + eb[None, :, :]
+    degree = sums.sum(axis=2)
+    top = int(degree.max()) + 3
+    fact = np.array([factorial(i) for i in range(top + 1)], dtype=object)
+    # 6 beta! / (|beta|+3)! over the denominator top!
+    gram = 6 * fact[sums].prod(axis=2) * (fact[top] // fact[degree + 3])
+    return ((na @ gram @ nb.T) / (da * db * fact[top])).astype(np.float64)
 
 
 @lru_cache(maxsize=None)
 def mass_reference(k: int):
     """M[i,j] = integral of phi_i phi_j per unit tet volume."""
-    monos, coeffs = _basis_coeff_table(k, None)
-    return _pair_integral_matrix(monos, coeffs, monos, coeffs)
+    table = _basis_table(k, None)
+    return _integral_matrix(table, table)
 
 
 @lru_cache(maxsize=None)
@@ -143,45 +94,34 @@ def stiffness_reference(k: int):
     """
     n_loc = len(lattice_points(k))
     S = np.empty((4, 4, n_loc, n_loc))
-    tables = [_basis_coeff_table(k, m) for m in range(4)]
+    tables = [_basis_table(k, m) for m in range(4)]
     for m in range(4):
         for n in range(m, 4):
-            block = _pair_integral_matrix(*tables[m], *tables[n])
-            S[m, n] = block
-            if n != m:
-                S[n, m] = block.T
+            S[m, n] = _integral_matrix(tables[m], tables[n])
+            S[n, m] = S[m, n].T
     return S
 
 
 @lru_cache(maxsize=None)
 def divergence_reference(k_vel: int, k_pres: int):
     """N[m,q,i] = integral of psi_q d_m(phi_i) per unit tet volume."""
-    monos_p, coeffs_p = _basis_coeff_table(k_pres, None)
-    n_p, n_v = len(lattice_points(k_pres)), len(lattice_points(k_vel))
-    N = np.empty((4, n_p, n_v))
-    for m in range(4):
-        monos_d, coeffs_d = _basis_coeff_table(k_vel, m)
-        N[m] = _pair_integral_matrix(monos_p, coeffs_p, monos_d, coeffs_d)
-    return N
+    pres = _basis_table(k_pres, None)
+    return np.stack([_integral_matrix(pres, _basis_table(k_vel, m)) for m in range(4)])
 
 
-@lru_cache(maxsize=None)
 def basis_values_at(k: int):
     """Float basis values at the points of :func:`tet_quadrature`:
-    (n_pts, n_loc)."""
+    (n_pts, n_loc), each the product over the coordinates of f_c(l_m) / c!."""
     pts = tet_quadrature()[0]
-    polys = lagrange_basis(k)
-    out = np.empty((pts.shape[0], len(polys)))
-    for j, poly in enumerate(polys):
-        acc = np.zeros(pts.shape[0])
-        for e, c in poly.items():
-            term = np.full(pts.shape[0], float(c))
-            for m in range(4):
-                if e[m]:
-                    term = term * pts[:, m] ** e[m]
-            acc += term
-        out[:, j] = acc
-    return out
+    factors = [np.ones_like(pts)]  # factors[c] = f_c(pts) / c!
+    for c in range(k):
+        factors.append(factors[-1] * (k * pts - c) / (c + 1))
+    factors = np.array(factors)
+    alpha = np.array(lattice_points(k))
+    values = np.ones((len(pts), len(alpha)))
+    for m in range(4):
+        values *= factors[alpha[:, m], :, m].T
+    return values
 
 
 # -- Grundmann-Moller quadrature -------------------------------------------

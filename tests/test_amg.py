@@ -202,6 +202,15 @@ class TestHierarchy:
         with pytest.raises(ValueError, match=rf"^A has a non-finite entry at \(4, 3\): {bad}$"):
             build_hierarchy(CsrMatrix(9, 9, A.row_ptr, A.col_idx, values), coarse_size=2)
 
+    @pytest.mark.parametrize("field, value", [("theta", 2.0), ("theta", 0.0), ("max_levels", 0)])
+    def test_parameters_checked_before_any_work(self, field, value):
+        # the non-finite entry shows that the parameter is checked first
+        A = CsrMatrix.from_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            build_hierarchy(A, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            build_hierarchy(CsrMatrix.identity(10), **{field: value})
+
     def test_levels_hold_prepared_sweeps(self):
         H = build_hierarchy(poisson_setup(2, 2).system.A, theta=0.25, coarse_size=4)
         assert H.num_levels >= 2

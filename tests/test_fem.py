@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -24,18 +24,12 @@ def integrate_barycentric_monomial(exponents, volume) -> float:
 
 
 def eval_basis_exact(k, bary):
-    """All P^k basis functions at one exact barycentric point."""
-    bary = tuple(Fraction(b) for b in bary)
-    vals = []
-    for poly in reference.lagrange_basis(k):
-        acc = Fraction(0)
-        for e, c in poly.items():
-            term = c
-            for m in range(4):
-                term *= bary[m] ** e[m]
-            acc += term
-        vals.append(acc)
-    return vals
+    """All P^k basis functions at one exact barycentric point, from the
+    integer table the reference integrals are built from."""
+    exponents, numerators, denominator = reference._basis_table(k, None)
+    bary = [Fraction(b) for b in bary]
+    monomials = [prod(b ** int(e) for b, e in zip(bary, beta)) for beta in exponents]
+    return [Fraction(sum(n * x for n, x in zip(row, monomials)), denominator) for row in numerators]
 
 
 class TestReference:
@@ -55,6 +49,16 @@ class TestReference:
             vals = eval_basis_exact(k, tuple(Fraction(a, k) for a in alpha))
             for i, v in enumerate(vals):
                 assert v == (Fraction(1) if i == j else Fraction(0))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_basis_values_at_quadrature_points(self, k):
+        # the Grundmann-Moller points are rationals with denominators <= 12
+        eps = np.finfo(float).eps
+        values = reference.basis_values_at(k)
+        for point, row in zip(reference.tet_quadrature()[0], values):
+            exact = eval_basis_exact(k, [Fraction(float(x)).limit_denominator(12) for x in point])
+            assert np.max(np.abs(row - [float(v) for v in exact])) <= 4 * eps
+        assert np.max(np.abs(values.sum(axis=1) - 1.0)) <= 4 * eps
 
     def test_quadrature_exact_to_degree_9(self):
         pts, wts = reference.tet_quadrature()

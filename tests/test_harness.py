@@ -461,3 +461,10 @@ class TestCli:
         assert data["all_pass"]
         captured = capsys.readouterr()
         assert "[PASS]" in captured.out
+
+    def test_verify_output_pinned(self, tmp_path):
+        # SHA-256 prefix of the verify.json bytes at seed 0: every oracle
+        # record, instance and difference, bit for bit
+        out = tmp_path / "verify.json"
+        cli.main(["verify", "--seed", "0", "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "4193d6bd4a8b4501"

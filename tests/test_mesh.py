@@ -88,6 +88,12 @@ class TestPerturbation:
         b = perturb_interior(build_cube_mesh(2), seed=5)
         assert np.array_equal(a.vertices, b.vertices)
 
+    def test_reversing_displacement_rejected_by_name(self):
+        # this move inverts 3 tets; re-oriented, they would tangle the mesh
+        # to a total volume of 1.0109812896116335
+        with pytest.raises(ValueError, match=r"^magnitude 1.0 reverses tet 28$"):
+            perturb_interior(build_cube_mesh(3), magnitude=1.0, seed=0)
+
 
 class TestMeshIO:
     def test_round_trip(self, tmp_path):
@@ -154,6 +160,12 @@ class TestMalformedMeshFiles:
         with pytest.raises(ValueError, match=f"tet 3 has a vertex index outside 0..7: \\[0, 1, 2, {vertex}\\]"):
             read_mesh(base)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coordinate(self, base, value):
+        self.edit(base.with_suffix(".node"), 3, f"2 0 {value} 0")
+        with pytest.raises(ValueError, match=rf"^vertex 2 has a non-finite coordinate: \[0.0, {value}, 0.0\]$"):
+            read_mesh(base)
+
     def test_rows_in_any_order(self, base):
         mesh = read_mesh(base)
         for ext in (".node", ".ele"):
@@ -174,6 +186,12 @@ class TestOrientation:
         # a negative index would otherwise wrap to the last vertex
         with pytest.raises(ValueError, match="tet 0 has a vertex index outside 0..7"):
             TetMesh(build_cube_mesh(1).vertices, [[0, 1, 2, -1]])
+
+    def test_non_finite_vertex_rejected_by_name(self):
+        vertices = build_cube_mesh(1).vertices.copy()
+        vertices[5, 2] = np.nan
+        with pytest.raises(ValueError, match=r"^vertex 5 has a non-finite coordinate"):
+            TetMesh(vertices, build_cube_mesh(1).tets)
 
     def test_degenerate_tet_rejected_by_name(self):
         flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
