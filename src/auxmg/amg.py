@@ -145,7 +145,7 @@ def direct_interpolation(A: CsrMatrix, S: CsrMatrix, partition) -> CsrMatrix:
 @dataclass
 class _Level:
     """A level of the hierarchy; every level but the coarsest, which the
-    dense factor solves, holds its prolongation and prepared sweeps.
+    dense factor solves, holds its prolongation and prepared smoother.
 
     ``AP`` = A P, where it is given, lets a step correct its residual
     without a product by A.  It pays where P is much sparser than A: on
@@ -157,12 +157,11 @@ class _Level:
     A: CsrMatrix
     P: CsrMatrix | None = None
     AP: CsrMatrix | None = None
-    forward: GaussSeidel | None = field(init=False, default=None, repr=False)   # presmoothing sweep
-    backward: GaussSeidel | None = field(init=False, default=None, repr=False)  # postsmoothing sweep
+    smoother: GaussSeidel | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.P is not None:
-            self.forward, self.backward = GaussSeidel.pair(self.A)
+            self.smoother = GaussSeidel(self.A)
 
 
 @dataclass
@@ -227,22 +226,23 @@ def smooth_and_correct(level: _Level, r, coarse_solve, pre, post) -> np.ndarray:
     """One multigrid step on A x = r from a zero guess, with the A, P and
     AP of ``level``: the ``pre`` sweep, the coarse correction
     P coarse_solve(P^T residual), the ``post`` sweep.  A sweep that is
-    None is skipped; each is one of the level's own.  ``r`` is a vector
+    None is skipped; ``pre`` also returns its residual.  ``r`` is a vector
     or an (n, k) block whose columns are independent residuals.
 
     No residual is formed from scratch.  The step carries the negated
     residual d = A x - r, into which ``spmv`` adds in place: the pre sweep
-    returns it (:meth:`GaussSeidel.sweep`), and the coarse correction P e
-    adds (A P) e to it, through the level's ``AP`` when it has one and as
-    A (P e) otherwise.  So a step on a level with ``AP`` never multiplies
-    by A, and one without it multiplies by A once.  x is updated in place.
-    Against the written-out x + post(r - A x) the pre sweep's x is
-    bit-identical and the residuals, and so the result, move at roundoff.
+    returns it (:meth:`GaussSeidel.forward_sweep`), and the coarse
+    correction P e adds (A P) e to it, through the level's ``AP`` when it
+    has one and as A (P e) otherwise.  So a step on a level with ``AP``
+    never multiplies by A, and one without it multiplies by A once.  x is
+    updated in place.  Against the written-out x + post(r - A x) the pre
+    sweep's x is bit-identical and the residuals, and so the result, move
+    at roundoff.
 
     Every V-cycle level and the two-level preconditioner take this step.
     """
     P = level.P
-    x, d = (np.zeros_like(r), np.negative(r)) if pre is None else pre.sweep(r)
+    x, d = (np.zeros_like(r), np.negative(r)) if pre is None else pre(r)
     r_H = spmv(P.transpose(), d)
     e = coarse_solve(np.negative(r_H, out=r_H))
     if post is None:
@@ -262,7 +262,8 @@ def _vcycle(H: AmgHierarchy, level: int, r):
     if level == len(H.levels) - 1:
         return cholesky_solve(H.coarsest_factor, r)
     lvl = H.levels[level]
-    return smooth_and_correct(lvl, r, partial(_vcycle, H, level + 1), lvl.forward, lvl.backward)
+    gs = lvl.smoother
+    return smooth_and_correct(lvl, r, partial(_vcycle, H, level + 1), gs.forward_sweep, gs.backward)
 
 
 def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:

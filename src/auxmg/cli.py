@@ -79,7 +79,7 @@ def cmd_solve(args) -> int:
     print(md)
     failures = [r for r in rows if r.error]
     for r in failures:
-        print(f"FAILED point k={r.k} theta={r.theta}: {r.error}", file=sys.stderr)
+        print(f"FAILED point k={r.k} n_dofs={r.n_dofs} theta={r.theta}: {r.error}", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -95,8 +95,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.what == "matrix":
-        check_assembly_size("poisson", args.k, args.refine, "--refine gives")
+    check_assembly_size("poisson" if args.what == "matrix" else "prolongation", args.k, args.refine,
+                        "--refine gives")
     space = build_space(build_cube_mesh(args.refine), args.k)
     if args.what == "matrix":
         matrix = assemble_operator(space, "stiffness")

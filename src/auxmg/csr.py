@@ -6,11 +6,12 @@ strictly increasing column indices per row and summations run in that
 order, so repeated runs on one machine are bit-identical.  A matrix is
 immutable, so its transpose and its diagonal are built once and cached.
 
-:class:`GaussSeidel` is the one triangular-sweep type: every smoother
-prepares its forward and backward sweeps once at setup, and each call
-is a single triangular substitution.
+:class:`GaussSeidel` is the one smoother type: ``GaussSeidel(A)``
+prepares both triangles of A once at setup and offers the forward and
+the backward sweep, each a single triangular substitution, with or
+without the residual it leaves, which it reads from the other triangle.
 
-The solve-phase kernels (:func:`spmv`, :class:`GaussSeidel`,
+The solve-phase kernels (:func:`spmv`, the :class:`GaussSeidel` sweeps,
 :func:`cholesky_solve`) take a vector of length n or an ``(n, k)``
 block, and each column of a block's result is bit-identical to the call
 on that column alone.  They call the compiled kernel that scipy's
@@ -364,75 +365,67 @@ def checked_diagonal(A: CsrMatrix, who: str) -> np.ndarray:
 
 
 class GaussSeidel:
-    """One Gauss-Seidel sweep on the residual equation, prepared once.
+    """The forward and the backward Gauss-Seidel sweep of A, prepared once.
 
-    ``GaussSeidel(A, "forward")(b)`` is ``tril(A)^{-1} b`` and
-    ``GaussSeidel(A, "backward")(b)`` is ``triu(A)^{-1} b``.  Construction
-    does what ``scipy.sparse.linalg.spsolve_triangular`` repeats on every
-    call: it takes the triangle, scales its columns by 1/diag, drops the
-    exact zeros, and lays it out with its unit partner triangle as
-    SuperLU's ``intc`` CSC pair.  A call is one SuperLU ``gstrs``
-    substitution and one diagonal scale, the same kernel and arithmetic,
-    so the result is bit-identical to ``spsolve_triangular``.
+    ``forward(b)`` is ``tril(A)^{-1} b`` and ``backward(b)`` is
+    ``triu(A)^{-1} b``.  Construction does what
+    ``scipy.sparse.linalg.spsolve_triangular`` repeats on every call: it
+    takes each triangle, scales its columns by 1/diag, drops the exact
+    zeros, and lays it out with a unit or an empty partner as SuperLU's
+    ``intc`` CSC pair.  A sweep is one SuperLU ``gstrs`` substitution and
+    one diagonal scale, the same kernel and arithmetic, so the result is
+    bit-identical to ``spsolve_triangular``.  :meth:`forward_sweep` and
+    :meth:`backward_sweep` also return the residual the sweep leaves,
+    read from the other sweep's triangle, so no triangle is stored twice.
 
-    The two sweeps of :meth:`pair` also read, from each other's stored
-    triangle, the residual that a sweep leaves (:meth:`sweep`).
-
-    Raises ValueError naming the first row whose diagonal entry is zero
-    or not finite.
+    Raises ValueError naming the first row whose diagonal entry is zero,
+    missing or not finite.
     """
 
-    __slots__ = ("direction", "_lower", "_upper", "_inv_diag", "_partner")
+    __slots__ = ("_inv_diag", "_forward", "_backward")
 
-    def __init__(self, A: CsrMatrix, direction: str):
-        if direction not in ("forward", "backward"):
-            raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    def __init__(self, A: CsrMatrix):
         if A.nrows != A.ncols:
             raise ValueError(f"Gauss-Seidel needs a square matrix, got {A.shape}")
         n = A.nrows
         diag = checked_diagonal(A, "Gauss-Seidel")
         if A.nnz > np.iinfo(np.intc).max:
             raise ValueError(f"{A.nnz} nonzeros exceed SuperLU's index range")
-        self.direction = direction
         self._inv_diag = 1.0 / diag
-        self._partner = None
-        rows = np.repeat(np.arange(n, dtype=np.intc), np.diff(A.row_ptr))
-        keep = A.col_idx <= rows if direction == "forward" else A.col_idx >= rows
-        rows, cols = rows[keep], A.col_idx[keep].astype(np.intc, copy=False)
-        vals = A.values[keep] * self._inv_diag[cols]
-        keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        # the CSR arrays of tri(A) D^{-1} are the CSC arrays of its
-        # transpose, which gstrs solves with trans="T"
-        ptr = np.zeros(n + 1, dtype=np.intc)
-        np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-        tri = (ptr, cols, vals)
-        if direction == "forward":
-            # the strict triangle takes SuperLU's U slot with its diagonal
-            # stored as explicit zeros; L is the identity
-            vals[cols == rows] = 0.0
-            self._lower = (np.arange(n + 1, dtype=np.intc), np.arange(n, dtype=np.intc), np.ones(n))
-            self._upper = tri
-        else:
-            self._lower = tri
-            self._upper = (np.zeros(n + 1, dtype=np.intc), np.empty(0, dtype=np.intc), np.empty(0))
+        cols = A.col_idx.astype(np.intc, copy=False)
 
-    @staticmethod
-    def pair(A: CsrMatrix):
-        """The forward and the backward sweep of A, each of which reads the
-        residual of its own sweep from the other's triangle, so that no
-        triangle is stored twice."""
-        forward, backward = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
-        forward._partner, backward._partner = backward._lower, forward._upper
-        return forward, backward
+        def triangle(lower):
+            # the row ids are built per triangle: held for both, they raised
+            # the traced peak of a P4 n=8 fine level by 7 MB
+            rows = np.repeat(np.arange(n, dtype=np.intc), np.diff(A.row_ptr))
+            keep = cols <= rows if lower else cols >= rows
+            rows, c = rows[keep], cols[keep]
+            vals = A.values[keep] * self._inv_diag[c]
+            keep = vals != 0.0
+            rows, c, vals = rows[keep], c[keep], vals[keep]
+            # the CSR arrays of tri(A) D^{-1} are the CSC arrays of its
+            # transpose, which gstrs solves with trans="T"
+            ptr = np.zeros(n + 1, dtype=np.intc)
+            np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+            if lower:
+                # the strict triangle takes SuperLU's U slot with its
+                # diagonal stored as explicit zeros; L is the identity
+                vals[c == rows] = 0.0
+            return ptr, c, vals
 
-    def _substitute(self, b):
-        """The ``gstrs`` substitution on ``b``: D x for the sweep x.  The
-        kernel reads ``b`` and returns a new array, so ``b`` goes to it
-        as it is."""
+        lower = triangle(True)
+        self._forward = ((np.arange(n + 1, dtype=np.intc), np.arange(n, dtype=np.intc), np.ones(n)), lower)
+        # the upper triangle takes the L slot, and U is empty
+        self._backward = (triangle(False),
+                          (np.zeros(n + 1, dtype=np.intc), np.empty(0, dtype=np.intc), np.empty(0)))
+
+    def _substitute(self, b, slots):
+        """The ``gstrs`` substitution with the (L, U) ``slots`` of a sweep
+        on ``b``: D x for the sweep x.  The kernel reads ``b`` and returns a
+        new array, so ``b`` goes to it as it is."""
         n = len(self._inv_diag)
         b = _as_block(b, n, f"b for a {n}x{n} sweep")
-        (lp, li, lv), (up, ui, uv) = self._lower, self._upper
+        (lp, li, lv), (up, ui, uv) = slots
         y, info = _superlu.gstrs("T", n, len(lv), lv, li, lp, n, len(uv), uv, ui, up, b)
         if info:
             raise np.linalg.LinAlgError(f"triangular solve failed (SuperLU info {info})")
@@ -442,34 +435,39 @@ class GaussSeidel:
         y *= self._inv_diag if y.ndim == 1 else self._inv_diag[:, None]
         return y
 
-    def __call__(self, b):
-        """The sweep on a vector or, in one ``gstrs`` call, on every
-        column of an (n, k) block; ``b`` is left unchanged."""
-        return self._scale(self._substitute(b))
+    def forward(self, b):
+        """x = tril(A)^{-1} b for a vector or, in one ``gstrs`` call, for
+        every column of an (n, k) block; ``b`` is left unchanged."""
+        return self._scale(self._substitute(b, self._forward))
 
-    def sweep(self, b):
-        """The sweep x = self(b), bit for bit, and the negated residual
-        d = A x - b that it leaves, for a sweep made by :meth:`pair`.
+    def backward(self, b):
+        """x = triu(A)^{-1} b, as :meth:`forward`."""
+        return self._scale(self._substitute(b, self._backward))
 
-        With y = D x the substitution's output, a forward sweep leaves
-        (D + L) x = b, so d = U x = triu(A) D^{-1} y - y: one ``csr_matvec``
-        over the backward sweep's triangle, each row's sum started from
-        -y_i and meeting the diagonal first.  A backward sweep leaves
-        d = L x, one ``csr_matvec`` over the forward sweep's strict
-        triangle.  d is negated because ``csr_matvec`` adds into its
-        output; it matches the written-out A x - b to roundoff.
-        """
-        if self._partner is None:
-            raise ValueError("the residual of a sweep needs its partner from GaussSeidel.pair")
-        y = self._substitute(b)
-        d = np.negative(y) if self.direction == "forward" else np.zeros_like(y)
-        _add_matvec(len(y), len(y), self._partner, y, d)
+    def forward_sweep(self, b):
+        """The forward sweep x and the negated residual d = A x - b that it
+        leaves.  With y = D x the substitution's output, (D + L) x = b gives
+        d = U x = triu(A) D^{-1} y - y: one ``csr_matvec`` over the backward
+        sweep's triangle, each row's sum started from -y_i and meeting the
+        diagonal first.  d is negated because ``csr_matvec`` adds into its
+        output; it matches the written-out A x - b to roundoff."""
+        y = self._substitute(b, self._forward)
+        d = np.negative(y)
+        _add_matvec(len(y), len(y), self._backward[0], y, d)
+        return self._scale(y), d
+
+    def backward_sweep(self, b):
+        """The backward sweep x and the residual d = L x that it leaves: one
+        ``csr_matvec`` over the forward sweep's strict triangle."""
+        y = self._substitute(b, self._backward)
+        d = np.zeros_like(y)
+        _add_matvec(len(y), len(y), self._forward[1], y, d)
         return self._scale(y), d
 
 
 def tri_lower_solve(L: CsrMatrix, b):
     """x = L^{-1} b for sparse lower-triangular L (diagonal included)."""
-    return GaussSeidel(L, "forward")(b)
+    return GaussSeidel(L).forward(b)
 
 
 # -- Matrix Market I/O ---------------------------------------------------

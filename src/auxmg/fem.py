@@ -196,12 +196,11 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
 
 @dataclass
 class AssembledSystem:
-    """Dirichlet-eliminated linear system with its index maps."""
+    """Dirichlet-eliminated linear system with its interior DOF ids."""
 
     A: CsrMatrix
     rhs: np.ndarray
     interior_to_full: np.ndarray
-    full_to_interior: np.ndarray  # -1 for boundary DOFs
 
 
 def eliminate_dirichlet(A: CsrMatrix, rhs, space: FeSpace) -> AssembledSystem:
@@ -211,10 +210,7 @@ def eliminate_dirichlet(A: CsrMatrix, rhs, space: FeSpace) -> AssembledSystem:
     if A.nrows != space.n_dofs or rhs.shape[0] != space.n_dofs:
         raise ValueError("operator/rhs size does not match the space")
     interior = space.interior_indices()
-    full_to_interior = np.full(space.n_dofs, -1, dtype=np.int64)
-    full_to_interior[interior] = np.arange(len(interior))
-    A_int = A.submatrix(interior, interior)
-    return AssembledSystem(A_int, rhs[interior], interior, full_to_interior)
+    return AssembledSystem(A.submatrix(interior, interior), rhs[interior], interior)
 
 
 def l2_error(space: FeSpace, coeffs_full, exact) -> float:

@@ -44,14 +44,27 @@ MAX_ASSEMBLY_BYTES = 4 * 2**30
 
 
 def assembly_bytes(problem, k, n):
-    """The traced bytes of the largest assembly at refinement n, 3.5 x 8 B
-    per element triplet over the 6 n^3 tets: the P^k stiffness for
-    Poisson, and for Stokes the velocity stiffness plus the three
-    divergence blocks."""
-    per_tet = comb(k + 3, 3) ** 2
+    """The traced bytes of the largest assembly at refinement n, over the
+    6 n^3 tets: 3.5 x 8 B per element triplet of the P^k stiffness for
+    Poisson, and of the velocity stiffness plus the three divergence
+    blocks for Stokes.  For "prolongation", the P^k and P1 spaces and the
+    transfer between them: 26 x 8 B per tet and local P^k DOF (186-205 B
+    traced at n = 8 and 12, k = 1..4)."""
+    local = comb(k + 3, 3)
+    if problem == "prolongation":
+        return 208 * 6 * int(n) ** 3 * local
+    per_tet = local ** 2
     if problem == "stokes":
-        per_tet += 3 * comb(k + 3, 3) * comb(k + 2, 3)
+        per_tet += 3 * local * comb(k + 2, 3)
     return 28 * 6 * int(n) ** 3 * per_tet
+
+
+def dof_count(problem, k, n):
+    """The unknowns of a grid point: the (k n - 1)^3 interior P^k DOFs of
+    the cube for Poisson; for Stokes three velocity components of those
+    plus the ((k - 1) n + 1)^3 P^{k-1} pressure DOFs."""
+    interior = (k * n - 1) ** 3
+    return interior if problem == "poisson" else 3 * interior + ((k - 1) * n + 1) ** 3
 
 
 def check_assembly_size(problem, k, n, what):
@@ -88,8 +101,8 @@ class ExperimentConfig:
             raise ValueError(f"k must be an int in {k_min}..{MAX_ORDER} for {self.problem}, got {self.k!r}")
         if not (isinstance(self.refinements, (list, tuple)) and self.refinements):
             raise ValueError(f"refinements must be a nonempty list, got {self.refinements!r}")
-        for n in self.refinements:  # a Poisson cube has (k n - 1)^3 interior DOFs
-            if not (_is_int(n) and n >= 1 and (self.problem == "stokes" or self.k * n >= 2)):
+        for n in self.refinements:
+            if not (_is_int(n) and n >= 1 and dof_count(self.problem, self.k, n) > 0):
                 raise ValueError(f"refinements must hold ints >= 1, and >= 2 for poisson with k = 1, got {n!r}")
             check_assembly_size(self.problem, self.k, n, "refinements hold")
         if not (_is_int(self.seed) and self.seed >= 0):
@@ -169,7 +182,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
     A point's setup returns its DOF count, the cycle whose
     operator_complexity() and level_count() the row reports, and the
-    solve, which returns the SolveReport; each of the two is timed.
+    solve, which returns the SolveReport; each of the two is timed.  A
+    failure row carries the point's :func:`dof_count`.
     """
     rows = []
     setup = _poisson_setup if cfg.problem == "poisson" else _stokes_setup
@@ -187,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
                                   report.converged, cycle.operator_complexity(), t1 - t0, t2 - t1,
                                   cycle.level_count()))
         except _RECORDED_FAILURES as exc:  # keep sweeping; the row records the failure
-            rows.append(ReportRow(cfg.problem, cfg.k, 0, theta, cfg.engine,
+            rows.append(ReportRow(cfg.problem, cfg.k, dof_count(cfg.problem, cfg.k, n), theta, cfg.engine,
                                   0, False, 0.0, 0.0, 0.0, 0, error=str(exc)))
     return rows
 

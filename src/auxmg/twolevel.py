@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .amg import _Level, build_hierarchy, smooth_and_correct, vcycle_apply
-from .csr import CsrMatrix, _as_block, check_finite, matmat, spmv, triple_product
+from .csr import CsrMatrix, _as_block, check_finite, checked_diagonal, matmat, spmv, triple_product
 
 
 class TwoLevelPreconditioner:
@@ -35,8 +35,8 @@ class TwoLevelPreconditioner:
     P^T A P.  That top level prepares A P, so an action forms no product
     by A: the presmoothing sweep returns its residual and the coarse
     correction updates it through A P.  A ValueError names an unknown
-    ``coarse`` or the first entry of A or P that is not finite, before
-    any setup work.
+    ``coarse``, the first entry of A or P that is not finite, or the first
+    row of A whose diagonal entry is zero, before any setup work.
 
     Parameters
     ----------
@@ -61,6 +61,7 @@ class TwoLevelPreconditioner:
             raise ValueError(f"unknown coarse solver {coarse!r}")
         check_finite(A, "A")
         check_finite(P, "P")
+        checked_diagonal(A, "A")
         self.A = A
         self.P = P
         A_H = triple_product(P.transpose(), A, P)
@@ -78,9 +79,9 @@ class TwoLevelPreconditioner:
         """The action on a residual vector or on each column of an (n, k)
         block."""
         r = _as_block(r, self.A.nrows, "residual for the operator")
-        top = self.top
-        pre, post = (top.forward, top.backward) if self.presmooth else (None, top.forward)
-        return smooth_and_correct(top, r, self.coarse_solve, pre, post)
+        gs = self.top.smoother
+        pre, post = (gs.forward_sweep, gs.backward) if self.presmooth else (None, gs.forward)
+        return smooth_and_correct(self.top, r, self.coarse_solve, pre, post)
 
     def apply_transpose(self, r):
         """Adjoint action.  The symmetric form is its own adjoint; the
@@ -89,7 +90,7 @@ class TwoLevelPreconditioner:
         if self.presmooth:
             return self.apply(r)
         r = _as_block(r, self.A.nrows, "residual for the operator")
-        return smooth_and_correct(self.top, r, self.coarse_solve, self.top.backward, None)
+        return smooth_and_correct(self.top, r, self.coarse_solve, self.top.smoother.backward_sweep, None)
 
     __call__ = apply
 

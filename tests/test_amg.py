@@ -82,6 +82,10 @@ class TestStrengthGraph:
         with pytest.raises(ValueError):
             strength_graph(A, 1.0)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="^strength graph needs a square matrix$"):
+            strength_graph(CsrMatrix.from_dense(np.ones((2, 3))), 0.25)
+
 
 class TestCoarsening:
     def test_empty_graph_all_coarse(self):
@@ -215,13 +219,13 @@ class TestHierarchy:
         H = build_hierarchy(poisson_setup(2, 2).system.A, theta=0.25, coarse_size=4)
         assert H.num_levels >= 2
         for lvl in H.levels[:-1]:
-            assert (lvl.forward.direction, lvl.backward.direction) == ("forward", "backward")
+            assert isinstance(lvl.smoother, GaussSeidel)
             assert lvl.AP is None  # A P would hold 58% of A's entries here
             others = [v for k, v in vars(lvl).items() if k not in ("A", "P", "AP")]
-            assert all(isinstance(v, GaussSeidel) for v in others) and len(others) == 2
+            assert all(isinstance(v, GaussSeidel) for v in others) and len(others) == 1
         # the dense factor solves the coarsest level, so it prepares no sweeps
         coarsest = H.levels[-1]
-        assert coarsest.P is None and coarsest.forward is None and coarsest.backward is None
+        assert coarsest.P is None and coarsest.smoother is None
 
     def test_one_level_hierarchy_is_the_dense_solve(self):
         A = laplace_1d(100)  # larger than the default coarse size

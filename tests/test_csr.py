@@ -272,8 +272,10 @@ class TestTripleProduct:
     def test_dimension_mismatch(self):
         A = CsrMatrix.identity(3)
         P = CsrMatrix.identity(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: R is \(4, 4\), A is \(3, 3\)$"):
             triple_product(P, A, P)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: A is \(3, 3\), P is \(4, 4\)$"):
+            triple_product(A, A, P)
 
 
 def p4_stiffness_n2():
@@ -302,8 +304,8 @@ class TestGaussSeidel:
         b = np.random.default_rng(level).standard_normal(A.nrows)
         fwd = scipy.sparse.linalg.spsolve_triangular(scipy.sparse.tril(S, format="csr"), b, lower=True)
         bwd = scipy.sparse.linalg.spsolve_triangular(scipy.sparse.triu(S, format="csr"), b, lower=False)
-        assert np.array_equal(GaussSeidel(A, "forward")(b), fwd)
-        assert np.array_equal(GaussSeidel(A, "backward")(b), bwd)
+        assert np.array_equal(GaussSeidel(A).forward(b), fwd)
+        assert np.array_equal(GaussSeidel(A).backward(b), bwd)
 
     @settings(max_examples=60, deadline=None)
     @given(diagonally_dominant())
@@ -311,7 +313,7 @@ class TestGaussSeidel:
         dense, b = case
         A = CsrMatrix.from_dense(dense)
         for direction, tri in (("forward", np.tril), ("backward", np.triu)):
-            x = GaussSeidel(A, direction)(b)
+            x = getattr(GaussSeidel(A), direction)(b)
             ref = np.linalg.solve(tri(dense), b)
             assert np.allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
@@ -324,31 +326,46 @@ class TestGaussSeidel:
         A = build_hierarchy(p4_stiffness_n2()).levels[level].A
         rng = np.random.default_rng(level)
         b = rng.standard_normal(A.nrows if k is None else (A.nrows, k))
-        for sweep in GaussSeidel.pair(A):
-            x, d = sweep.sweep(b)
-            assert np.array_equal(x, GaussSeidel(A, sweep.direction)(b))
+        gs = GaussSeidel(A)
+        for direction in ("forward", "backward"):
+            x, d = getattr(gs, direction + "_sweep")(b)
+            assert np.array_equal(x, getattr(GaussSeidel(A), direction)(b))
             assert np.max(np.abs(d - (spmv(A, x) - b))) <= 1e-13 * np.max(np.abs(b))
             if k is not None:  # the block contract: each column is the vector call
                 for j in range(k):
-                    xj, dj = sweep.sweep(b[:, j])
+                    xj, dj = getattr(gs, direction + "_sweep")(b[:, j])
                     assert np.array_equal(x[:, j], xj) and np.array_equal(d[:, j], dj)
 
     @settings(max_examples=60, deadline=None)
     @given(diagonally_dominant())
     def test_sweep_residual_matches_dense_residual(self, case):
         dense, b = case
-        for sweep in GaussSeidel.pair(CsrMatrix.from_dense(dense)):
-            x, d = sweep.sweep(b)
+        gs = GaussSeidel(CsrMatrix.from_dense(dense))
+        for sweep in (gs.forward_sweep, gs.backward_sweep):
+            x, d = sweep(b)
             scale = (np.abs(dense) @ np.abs(x) + np.abs(b)).max()
             assert np.max(np.abs(d - (dense @ x - b))) <= 1e-13 * scale
 
-    def test_pair_stores_each_triangle_once(self):
-        forward, backward = GaussSeidel.pair(p4_stiffness_n2())
-        assert forward._partner is backward._lower and backward._partner is forward._upper
+    def test_one_object_shares_its_triangles(self, monkeypatch):
+        # one object stores each triangle once: the forward residual runs
+        # over the backward sweep's triangle and the backward residual over
+        # the forward sweep's, the very arrays that gstrs substitutes with
+        gs = GaussSeidel(p4_stiffness_n2())
+        unit, lower = gs._forward
+        upper, empty = gs._backward
+        assert len(empty[2]) == 0 and np.array_equal(unit[2], np.ones(len(unit[2])))
+        read = []
+        real = csr._add_matvec
 
-    def test_sweep_residual_needs_a_pair(self):
-        with pytest.raises(ValueError, match="GaussSeidel.pair"):
-            GaussSeidel(CsrMatrix.identity(3), "forward").sweep(np.ones(3))
+        def recording(n, m, arrays, x, y):
+            read.append(arrays)
+            real(n, m, arrays, x, y)
+
+        monkeypatch.setattr(csr, "_add_matvec", recording)
+        b = np.ones(len(unit[2]))
+        gs.forward_sweep(b)
+        gs.backward_sweep(b)
+        assert read[0] is upper and read[1] is lower
 
     def test_call_and_sweep_leave_b_unchanged(self):
         A = p4_stiffness_n2()
@@ -356,15 +373,15 @@ class TestGaussSeidel:
         vector, block = rng.standard_normal(A.nrows), rng.standard_normal((A.nrows, 3))
         for b in (vector, np.asfortranarray(block), np.ascontiguousarray(block)):
             before = b.copy()
-            for sweep in GaussSeidel.pair(A):
+            gs = GaussSeidel(A)
+            for sweep in (gs.forward, gs.backward, gs.forward_sweep, gs.backward_sweep):
                 sweep(b)
-                sweep.sweep(b)
                 assert np.array_equal(b, before)
 
     def test_leaves_right_hand_side_alone(self):
         A = CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
         b = np.array([1.0, 1.0])
-        GaussSeidel(A, "forward")(b)
+        GaussSeidel(A).forward(b)
         assert np.array_equal(b, [1.0, 1.0])
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
@@ -374,19 +391,16 @@ class TestGaussSeidel:
         values[A.col_idx == 1] = [-1.0, bad, -1.0]
         B = CsrMatrix(3, 3, A.row_ptr, A.col_idx, values)
         with pytest.raises(ValueError, match="row 1"):
-            GaussSeidel(B, "backward")
+            GaussSeidel(B)
 
     def test_missing_diagonal_entry_rejected(self):
         A = CsrMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="row 1"):
-            GaussSeidel(A, "forward")
+            GaussSeidel(A)
 
-    def test_rejects_bad_direction_and_length(self):
-        A = CsrMatrix.identity(3)
+    def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
-            GaussSeidel(A, "sideways")
-        with pytest.raises(ValueError):
-            GaussSeidel(A, "forward")(np.ones(4))
+            GaussSeidel(CsrMatrix.identity(3)).forward(np.ones(4))
 
 
 class TestScipyKernelContracts:
@@ -399,8 +413,7 @@ class TestScipyKernelContracts:
     def test_gstrs_reads_its_right_hand_side_and_returns_a_new_array(self, direction, k):
         A = p4_stiffness_n2()
         n = A.nrows
-        sweep = GaussSeidel(A, direction)
-        (lp, li, lv), (up, ui, uv) = sweep._lower, sweep._upper
+        (lp, li, lv), (up, ui, uv) = getattr(GaussSeidel(A), "_" + direction)
         b = np.asfortranarray(np.random.default_rng(9).standard_normal(n if k is None else (n, k)))
         before = b.copy()
         y, info = csr._superlu.gstrs("T", n, len(lv), lv, li, lp, n, len(uv), uv, ui, up, b)
@@ -462,6 +475,11 @@ class TestDenseKernels:
         b = rng.standard_normal(10)
         x = cholesky_solve(cholesky_factor(M), b)
         assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_cholesky_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="^expected a square matrix$"):
+            cholesky_factor(np.ones(shape))
 
     def test_cholesky_reports_pivot(self):
         M = np.diag([1.0, -1.0, 2.0])

@@ -13,6 +13,7 @@ from auxmg.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     ReportRow,
+    dof_count,
     emit_report,
     run_experiment,
     verification_report,
@@ -95,6 +96,7 @@ class TestConfig:
         ({"problem": "stokes", "precond_kind": "qd"}, "precond_kind"),
         ({"k": 7}, "k"), ({"k": 0}, "k"), ({"k": 2.0}, "k"),
         ({"problem": "stokes", "k": 1}, "k"), ({"problem": "stokes", "k": 5}, "k"),
+        ({"problem": "heat"}, "unknown problem"), ({"engine": "gmg"}, "unknown engine"),
     ])
     def test_bad_kind_or_order_rejected(self, fields, name):
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -267,6 +269,14 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="synthetic bug"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("problem, k, refinements", [
+        ("poisson", 1, [2, 3]), ("poisson", 3, [1, 2]), ("stokes", 2, [1, 2]), ("stokes", 3, [1, 2]),
+    ])
+    def test_dof_count_is_the_built_dimension(self, problem, k, refinements):
+        rows = run_experiment(ExperimentConfig(problem=problem, k=k, refinements=refinements, theta_values=[0.25]))
+        assert not any(r.error for r in rows)
+        assert [r.n_dofs for r in rows] == [dof_count(problem, k, n) for n in refinements]
+
 
     def test_stokes_row_builds_one_preconditioner(self, monkeypatch):
         from auxmg import harness, stokes
@@ -318,6 +328,10 @@ class TestEmitters:
             ReportRow("poisson", 2, 343, 0.5, "gamg", 9, True, 1.02, 0.5, 0.21, 3),
             ReportRow("poisson", 2, 2197, 0.25, "gamg", 9, True, 1.01, 1.5, 0.75, 3),
         ]
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="^unknown format 'html'$"):
+            emit_report(self._sample(), "html")
 
     def test_empty_report_is_header_only(self):
         text = emit_report([], "csv")
@@ -406,6 +420,29 @@ class TestCli:
         rows = parse_report_csv((tmp_path / "report.csv").read_text())
         assert rows[0].converged
 
+    def test_failed_points_keep_their_dof_counts(self, tmp_path, capsys, monkeypatch):
+        from auxmg import harness
+        from auxmg.csr import NotPositiveDefiniteError
+
+        real = harness.poisson_setup
+
+        def fails_above_n2(n, k, **kw):
+            if n > 2:
+                raise NotPositiveDefiniteError(0)
+            return real(n, k, **kw)
+
+        monkeypatch.setattr(harness, "poisson_setup", fails_above_n2)
+        rc = cli.main(["solve", "--k", "2", "--refine", "2", "--refine", "3", "--refine", "4",
+                       "--engine", "amg", "--out", str(tmp_path)])
+        assert rc == 1
+        rows = parse_report_csv((tmp_path / "report.csv").read_text())
+        assert [(r.n_dofs, bool(r.error)) for r in rows] == [(27, False), (125, True), (343, True)]
+        md = (tmp_path / "report.md").read_text()
+        assert "| 125 | err |" in md and "| 343 | err |" in md
+        err = capsys.readouterr().err
+        assert "FAILED point k=2 n_dofs=125 theta=0.25: " in err
+        assert "FAILED point k=2 n_dofs=343 theta=0.25: " in err
+
     def test_solve_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -446,6 +483,22 @@ class TestCli:
         assert rc == 0
         P = read_matrix_market(out)
         assert P.shape == (27, 8)
+
+    def test_export_prolongation_above_the_size_cap_fails_before_the_mesh(self, tmp_path, monkeypatch):
+        from auxmg import harness
+
+        def never(*a, **k):
+            raise AssertionError("build_cube_mesh called for a prolongation above the size cap")
+
+        monkeypatch.setattr(cli, "build_cube_mesh", never)
+        need = harness.assembly_bytes("prolongation", 4, 100)
+        assert need == 208 * 6 * 100**3 * 35 > harness.MAX_ASSEMBLY_BYTES
+        out = tmp_path / "prol.mtx"
+        message = (f"^--refine gives n = 100, whose prolongation k = 4 assembly needs an estimated {need:,} "
+                   f"bytes, above MAX_ASSEMBLY_BYTES = {harness.MAX_ASSEMBLY_BYTES:,}$")
+        with pytest.raises(ValueError, match=message):
+            cli.main(["export", "--what", "prolongation", "--k", "4", "--refine", "100", "--out", str(out)])
+        assert not out.exists()
 
     def test_export_p1_prolongation_is_identity(self, tmp_path):
         out = tmp_path / "prol.mtx"

@@ -282,6 +282,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="'gmres'"):
             SolverConfig(method="gmres")
 
+    @pytest.mark.parametrize("solver", [pcg, minres, fgmres])
+    def test_non_operator_rejected(self, solver):
+        with pytest.raises(TypeError, match="^cannot interpret str as a linear operator$"):
+            solver("A", None, np.ones(3))
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("solver", [pcg, minres, fgmres])

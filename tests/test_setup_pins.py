@@ -20,6 +20,7 @@ from auxmg.csr import CsrMatrix, spmv
 from auxmg.fem import assemble_operator, build_space
 from auxmg.mesh import build_cube_mesh, perturb_interior, refine_uniform
 from auxmg.transfer import build_prolongation
+from tests.test_transfer import assert_tets_agree
 
 
 def digest(*arrays):
@@ -135,7 +136,9 @@ def space_digests(mesh, k):
         "A": csr_digest(assemble_operator(space, "stiffness")),
     }
     if k >= 2:
-        out["P"] = csr_digest(build_prolongation(space, build_space(mesh, 1), check=True).prolongation)
+        P = build_prolongation(space, build_space(mesh, 1)).prolongation
+        assert_tets_agree(P, space)
+        out["P"] = csr_digest(P)
     return out
 
 
@@ -296,6 +299,7 @@ class TestFromCoo:
 def test_prolongation_rows_sum_to_one_on_perturbed_meshes(n, k, seed, magnitude):
     mesh = perturb_interior(build_cube_mesh(n), magnitude=magnitude, seed=seed)
     fine, coarse = build_space(mesh, k), build_space(mesh, 1)
-    P = build_prolongation(fine, coarse, check=True).prolongation
+    P = build_prolongation(fine, coarse).prolongation
+    assert_tets_agree(P, fine)
     assert np.max(np.abs(spmv(P, np.ones(coarse.n_dofs)) - 1.0)) <= 1e-14
     assert np.all(np.diff(P.row_ptr) >= 1) and np.all(np.diff(P.row_ptr) <= 4)

@@ -217,6 +217,11 @@ class TestBlockPreconditioner:
         with pytest.raises(ValueError, match="block sizes"):
             P.apply(np.zeros(S.n_velocity + 1), np.zeros(S.n_pressure))
 
+    def test_unknown_engine_rejected(self):
+        S = assemble_stokes(build_cube_mesh(1), 2)
+        with pytest.raises(ValueError, match="^unknown engine 'gmg'$"):
+            build_block_preconditioner(S, engine="gmg")
+
     def test_inner_solve_failure_carries_report(self):
         S = assemble_stokes(build_cube_mesh(1), 2)
         P = build_block_preconditioner(S, kind="Qt")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from auxmg import reference
 from auxmg.csr import CsrMatrix, spmv, triple_product
 from auxmg.fem import assemble_operator, build_space, eliminate_dirichlet
 from auxmg.mesh import build_cube_mesh, perturb_interior, refine_uniform
@@ -14,10 +15,21 @@ def make_pair(n, k, seed=None):
     return build_space(mesh, k), build_space(mesh, 1)
 
 
+def assert_tets_agree(P, fine):
+    """Every tet gives each of its lattice nodes the tet's barycentric
+    weights, P[element_dofs[t, j], tets[t]] == lattice[j] / k, so a node's
+    row does not depend on the containing tet it was read from."""
+    lattice = np.array(reference.lattice_points(fine.order))
+    got = P.to_dense()[fine.element_dofs[:, :, None], fine.mesh.tets[:, None, :]]
+    assert np.array_equal(got, np.broadcast_to(lattice / fine.order, got.shape))
+
+
 class TestProlongationEntries:
     def test_vertex_rows_are_indicators(self):
         fine, coarse = make_pair(1, 2)
-        P = build_prolongation(fine, coarse, check=True).prolongation.to_dense()
+        P = build_prolongation(fine, coarse).prolongation
+        assert_tets_agree(P, fine)
+        P = P.to_dense()
         for v in range(coarse.n_dofs):
             row = P[v]  # fine vertex DOF ids equal coarse vertex ids
             assert row[v] == 1.0
@@ -45,7 +57,8 @@ class TestProlongationEntries:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_rows_sum_to_one(self, k):
         fine, coarse = make_pair(2, k, seed=11)
-        P = build_prolongation(fine, coarse, check=True).prolongation
+        P = build_prolongation(fine, coarse).prolongation
+        assert_tets_agree(P, fine)
         sums = spmv(P, np.ones(coarse.n_dofs))
         assert np.max(np.abs(sums - 1.0)) <= 1e-14
 
@@ -69,7 +82,8 @@ class TestProlongationEntries:
     ], ids=["cube3", "perturbed4", "refined2"])
     def test_p1_to_p1_is_identity(self, mesh):
         space = build_space(mesh, 1)
-        T = build_prolongation(space, build_space(mesh, 1), check=True)
+        T = build_prolongation(space, build_space(mesh, 1))
+        assert_tets_agree(T.prolongation, space)
         n_int = len(space.interior_indices())
         for P, n in ((T.prolongation, space.n_dofs), (T.eliminated(), n_int)):
             identity = CsrMatrix.identity(n)

@@ -96,8 +96,7 @@ class TestTwoLevelApply:
     def test_sweeps_prepared_once(self):
         A, P, M = two_level(2, 2)
         top = M.top
-        assert isinstance(top.forward, GaussSeidel) and top.forward.direction == "forward"
-        assert isinstance(top.backward, GaussSeidel) and top.backward.direction == "backward"
+        assert isinstance(top.smoother, GaussSeidel)
         # the one extra stored matrix is A P, with A P's pattern and values
         stored = [*vars(M).values(), *vars(top).values()]
         assert not any(isinstance(v, CsrMatrix) and v not in (M.A, M.P, top.AP) for v in stored)
@@ -109,6 +108,25 @@ class TestTwoLevelApply:
         values[(A.col_idx == 3) & (np.repeat(np.arange(A.nrows), np.diff(A.row_ptr)) == 3)] = 0.0
         with pytest.raises(ValueError, match="row 3"):
             TwoLevelPreconditioner(CsrMatrix(A.nrows, A.ncols, A.row_ptr, A.col_idx, values), P)
+
+    @pytest.mark.parametrize("entry", ["zero", "missing"])
+    def test_bad_diagonal_named_before_any_product(self, monkeypatch, entry):
+        A, P, _ = two_level(2, 2, coarse="exact")
+        rows = np.repeat(np.arange(A.nrows), np.diff(A.row_ptr))
+        diagonal = (A.col_idx == rows) & (rows == 5)
+        if entry == "zero":
+            values = np.where(diagonal, 0.0, A.values)
+            A = CsrMatrix(A.nrows, A.ncols, A.row_ptr, A.col_idx, values)
+        else:
+            A = CsrMatrix.from_coo(A.nrows, A.ncols, rows[~diagonal], A.col_idx[~diagonal], A.values[~diagonal])
+
+        def no_setup(*args):
+            raise AssertionError("a product formed before the diagonal check")
+
+        monkeypatch.setattr(twolevel, "triple_product", no_setup)
+        monkeypatch.setattr(twolevel, "matmat", no_setup)
+        with pytest.raises(ValueError, match="^A needs a nonzero finite diagonal: row 5 has 0.0$"):
+            TwoLevelPreconditioner(A, P)
 
     def test_unknown_coarse_solver_rejected_before_setup(self, monkeypatch):
         A, P, _ = two_level(2, 2, coarse="exact")
@@ -146,7 +164,7 @@ def _composed(A, P, AP, coarse_solve, r, pre, post):
     pre sweep from a zero guess returns x and d = A x - r, then
     e = coarse_solve(P^T (-d)), x += P e and d += (A P) e in place, and
     the post sweep gives x - post(d)."""
-    x, d = (np.zeros_like(r), -r) if pre is None else pre.sweep(r)
+    x, d = (np.zeros_like(r), -r) if pre is None else pre(r)
     e = coarse_solve(-spmv(P.transpose(), d))
     spmv(P, e, out=x)
     if post is None:
@@ -182,16 +200,16 @@ class TestPinnedComposition:
         else:
             L_H = cholesky_factor(A_H.to_dense())
             coarse_solve = lambda r_H: cholesky_solve(L_H, r_H)  # noqa: E731
-        fwd, bwd = GaussSeidel.pair(A)
+        gs = GaussSeidel(A)
         AP = CsrMatrix.from_scipy(A.to_scipy() @ P.to_scipy())
         rng = np.random.default_rng(40)
         for _ in range(2):
             r = rng.standard_normal(A.nrows)
             if presmooth:
-                ref = ref_t = _composed(A, P, AP, coarse_solve, r, fwd, bwd)
+                ref = ref_t = _composed(A, P, AP, coarse_solve, r, gs.forward_sweep, gs.backward)
             else:
-                ref = _composed(A, P, AP, coarse_solve, r, None, fwd)
-                ref_t = _composed(A, P, AP, coarse_solve, r, bwd, None)
+                ref = _composed(A, P, AP, coarse_solve, r, None, gs.forward)
+                ref_t = _composed(A, P, AP, coarse_solve, r, gs.backward_sweep, None)
             assert np.array_equal(M.apply(r), ref)
             assert np.array_equal(M.apply_transpose(r), ref_t)
 
@@ -212,9 +230,9 @@ class TestPinnedComposition:
         assert M.level_count() == 1
         assert M.operator_complexity() == 1.0
         r = np.random.default_rng(42).standard_normal(A.nrows)
-        fwd, bwd = GaussSeidel.pair(A)
+        gs = GaussSeidel(A)
         AP = CsrMatrix.from_scipy(A.to_scipy() @ P.to_scipy())
-        assert np.array_equal(M.apply(r), _composed(A, P, AP, M.coarse_solve, r, fwd, bwd))
+        assert np.array_equal(M.apply(r), _composed(A, P, AP, M.coarse_solve, r, gs.forward_sweep, gs.backward))
 
 
 # the fused step and the written-out one sum the same terms in different
@@ -242,7 +260,8 @@ class TestFusedStep:
     def test_two_level_matches_unfused(self, p2_n6, coarse, form, k):
         A, P = p2_n6
         M = TwoLevelPreconditioner(A, P, coarse=coarse, presmooth=form == "symmetric")
-        fwd, bwd = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
+        gs = GaussSeidel(A)
+        fwd, bwd = gs.forward, gs.backward
         action, pre, post = {"symmetric": (M.apply, fwd, bwd), "plain": (M.apply, None, fwd),
                              "plain-transpose": (M.apply_transpose, bwd, None)}[form]
         r = _residual((A.nrows, k), 43)
@@ -253,7 +272,8 @@ class TestFusedStep:
     def test_empty_coarse_space_matches_unfused(self, presmooth, k):
         A, P, M = two_level(1, 3, coarse="exact", presmooth=presmooth)
         assert P.ncols == 0 and A.nrows > 1
-        fwd, bwd = GaussSeidel(A, "forward"), GaussSeidel(A, "backward")
+        gs = GaussSeidel(A)
+        fwd, bwd = gs.forward, gs.backward
         r = _residual((A.nrows, k), 44)
         pre, post = (fwd, bwd) if presmooth else (None, fwd)
         assert_close(M.apply(r), _unfused(A, P, M.coarse_solve, r, pre, post))
@@ -270,7 +290,8 @@ class TestFusedStep:
             if level == H.num_levels - 1:
                 return cholesky_solve(H.coarsest_factor, r)
             lvl = H.levels[level]
-            return _unfused(lvl.A, lvl.P, partial(unfused_cycle, level + 1), r, lvl.forward, lvl.backward)
+            return _unfused(lvl.A, lvl.P, partial(unfused_cycle, level + 1), r, lvl.smoother.forward,
+                            lvl.smoother.backward)
 
         r = _residual((A.nrows, k), 45)
         assert_close(vcycle_apply(H, r), unfused_cycle(0, r))
@@ -373,8 +394,9 @@ class TestAugmentedSystem:
 
     def test_dimension_mismatch(self):
         prob = poisson_setup(2, 2)
-        with pytest.raises(ValueError):
-            build_augmented(prob.system.A, CsrMatrix.identity(5))
+        for build in (build_augmented, TwoLevelPreconditioner):
+            with pytest.raises(ValueError, match="^A and P dimensions do not match$"):
+                build(prob.system.A, CsrMatrix.identity(5))
 
 
 class TestAugmentedGaussSeidel:
@@ -398,6 +420,12 @@ class TestAugmentedGaussSeidel:
         # fine:   r_f = 0.4 - 1.0*0.2 - 2.0*(-0.3) = 0.8; z_f = (0.8 - 1.0*2.4)/2 = -0.8
         assert np.allclose(v_next, [0.2 + 2.4, -0.3 - 0.8], atol=1e-14)
 
+    def test_length_mismatch(self):
+        S = build_augmented(CsrMatrix.from_dense([[2.0]]), CsrMatrix.from_dense([[0.5]]))
+        for v, f in ((np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(1))):
+            with pytest.raises(ValueError, match="^augmented vector length mismatch$"):
+                augmented_gs_step(S, v, f)
+
     def test_shares_no_kernel_with_the_preconditioner(self, monkeypatch):
         # the reference runs with the sparse and sweep kernels disabled
         from auxmg import amg, csr, twolevel
@@ -410,7 +438,7 @@ class TestAugmentedGaussSeidel:
         def boom(*args, **kwargs):
             raise AssertionError("the augmented reference called a preconditioner kernel")
 
-        monkeypatch.setattr(csr.GaussSeidel, "__call__", boom)
+        monkeypatch.setattr(csr.GaussSeidel, "_substitute", boom)
         for module in (csr, amg, twolevel):
             for name in ("spmv", "cholesky_solve"):
                 if hasattr(module, name):
