@@ -4,8 +4,10 @@ direct interpolation, Galerkin hierarchy and symmetric V-cycles.
 A connection i -> j is strong when -a_ij > theta * max_k(-a_ik), k != i
 (strict inequality, negative couplings only); the strength graph is the
 :class:`CsrMatrix` of A's strong entries, values included.  The
-splitting walks the unknowns in index order, turning each undecided
-point into a C-point and its undecided strong dependents into F-points.
+splitting is the greedy one that visits the unknowns in index order, so
+point i is a C-point exactly when no C-point j < i has S[i, j] strong.
+It applies that rule in vector rounds over the strict-lower strong edges
+and hands the last few points to the sequential loop (:func:`rs_coarsen`).
 Everything is serial and deterministic; ties always resolve to the
 lowest index.
 """
@@ -33,6 +35,17 @@ from .csr import (
 # the largest coarsest level build_hierarchy factors densely (8 n^2 bytes,
 # 200 MB at the cap)
 MAX_DENSE_ROWS = 5000
+
+# rs_coarsen hands the points still undecided to its loop once a round
+# decides fewer than _HANDOVER of them (a chain decides one per round) or
+# leaves fewer than _HANDOVER_LEFT.  Without the second rule the last
+# rounds of every level make many sub-kilobyte arrays, which numpy's
+# small-buffer cache keeps allocated inside the freed setup heap: the warm
+# plain-AMG peak RSS on P4 n=8 then read about 234 MB in most fresh
+# processes, against about 209 MB with the per-point loop and 201-216 MB
+# with the rule (ROADMAP item 8).
+_HANDOVER = 8
+_HANDOVER_LEFT = 256
 
 
 class CoarseLevelTooLargeError(ValueError):
@@ -73,22 +86,62 @@ def strength_graph(A: CsrMatrix, theta: float) -> CsrMatrix:
 def rs_coarsen(S: CsrMatrix):
     """Greedy C/F splitting; returns (c_points, f_points, coarse_index).
 
-    coarse_index[i] is the coarse id of C-point i, -1 for F-points.
+    The splitting of a loop that visits the points in index order and
+    makes each undecided point C and its undecided strong dependents F:
+    point i is C exactly when no C-point j < i has S[i, j] strong.  Each
+    round applies that rule to the strict-lower strong edges (i depends
+    on an earlier j) in two vector steps:
+
+    - an undecided point with a C parent becomes F;
+    - an undecided point whose lower parents are all decided, none of
+      them C, becomes C;
+
+    and drops every edge that touches a decided point.  Decided points
+    are final, so once a round decides fewer than ``_HANDOVER`` points or
+    leaves fewer than ``_HANDOVER_LEFT`` undecided, the F step runs once
+    more and the loop visits the points still undecided, in ascending
+    order; only then is S's transpose built.  coarse_index[i] is the
+    coarse id of C-point i, -1 for F-points.
     """
     UNDECIDED, CPT, FPT = 0, 1, 2
-    state = np.full(S.nrows, UNDECIDED, dtype=np.int8)
-    T = S.transpose()  # row i lists the rows that strongly depend on i, ascending
-    t_ptr, t_idx = T.row_ptr, T.col_idx
-    for i in range(S.nrows):
-        if state[i] != UNDECIDED:
-            continue
-        state[i] = CPT
-        dependents = t_idx[t_ptr[i]:t_ptr[i + 1]]
-        state[dependents[state[dependents] == UNDECIDED]] = FPT
+    n = S.nrows
+    state = np.full(n, UNDECIDED, dtype=np.int8)
+    pending = np.arange(n, dtype=S.col_idx.dtype)  # undecided, ascending
+    rows = np.repeat(pending, np.diff(S.row_ptr))
+    lower = S.col_idx < rows
+    rows, cols = rows[lower], S.col_idx[lower]  # rows[e] strongly depends on cols[e] < rows[e]
+    waiting = np.zeros(n, dtype=bool)
+    handover = False
+    while len(pending):
+        # F step, then only edges between undecided points are kept
+        state[rows[state[cols] == CPT]] = FPT
+        live = state[rows] == UNDECIDED
+        live &= state[cols] == UNDECIDED
+        rows, cols = rows[live], cols[live]
+        left = len(pending)
+        pending = pending[state[pending] == UNDECIDED]
+        if handover:
+            break
+        # C step: a point with no edge left has no undecided parent
+        waiting[rows] = True
+        free = ~waiting[pending]
+        waiting[rows] = False
+        state[pending[free]] = CPT
+        pending = pending[~free]
+        handover = left - len(pending) < _HANDOVER or len(pending) < _HANDOVER_LEFT
+    if len(pending):
+        T = S.transpose()  # row i lists the rows that strongly depend on i, ascending
+        t_ptr, t_idx = T.row_ptr, T.col_idx
+        for i in pending.tolist():
+            if state[i] != UNDECIDED:
+                continue
+            state[i] = CPT
+            dependents = t_idx[t_ptr[i]:t_ptr[i + 1]]
+            state[dependents[state[dependents] == UNDECIDED]] = FPT
     # each F-point strongly depends on the C-point that made it F
     c_points = np.flatnonzero(state == CPT)
     f_points = np.flatnonzero(state == FPT)
-    coarse_index = np.full(S.nrows, -1, dtype=np.int64)
+    coarse_index = np.full(n, -1, dtype=np.int64)
     coarse_index[c_points] = np.arange(len(c_points))
     return c_points, f_points, coarse_index
 
@@ -175,11 +228,17 @@ class AmgHierarchy:
         return len(self.levels)
 
     def summary(self) -> dict:
+        """Per level n, nnz and coarsening ratio n_{l+1} / n_l (None on the
+        coarsest), then the grid complexity sum(n_l) / n_0 and the operator
+        complexity, as PyAMG's multilevel summary prints them."""
+        n = [lvl.A.nrows for lvl in self.levels]
         return {
             "theta": self.theta,
             "levels": [
-                {"n": lvl.A.nrows, "nnz": lvl.A.nnz} for lvl in self.levels
+                {"n": n_l, "nnz": lvl.A.nnz, "coarsening_ratio": n_next / n_l if n_next else None}
+                for n_l, n_next, lvl in zip(n, n[1:] + [None], self.levels)
             ],
+            "grid_complexity": sum(n) / n[0],
             "operator_complexity": operator_complexity(self),
         }
 

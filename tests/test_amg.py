@@ -334,6 +334,18 @@ class TestOperatorComplexity:
         assert s["levels"][0]["n"] == 9
         assert s["operator_complexity"] == operator_complexity(H)
 
+    def test_summary_coarsening_ratios_and_grid_complexity(self):
+        H = build_hierarchy(laplace_1d(9), coarse_size=2)
+        assert [lvl.A.nrows for lvl in H.levels] == [9, 5, 3, 2]
+        s = H.summary()
+        assert [lvl["coarsening_ratio"] for lvl in s["levels"]] == [5 / 9, 3 / 5, 2 / 3, None]
+        assert s["grid_complexity"] == 19 / 9
+
+    def test_single_level_summary(self):
+        s = build_hierarchy(CsrMatrix.identity(10)).summary()
+        assert s["levels"] == [{"n": 10, "nnz": 10, "coarsening_ratio": None}]
+        assert s["grid_complexity"] == s["operator_complexity"] == 1.0
+
     def test_summary_serialises_to_json(self):
         import json
 

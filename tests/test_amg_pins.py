@@ -56,9 +56,11 @@ def oracle_rs_coarsen(strong, transpose):
         for j in transpose[i]:
             if state[j] == UNDECIDED:
                 state[j] = FPT
-    for i in range(n):
-        if state[i] == FPT and not np.any(state[strong[i]] == CPT):
-            state[i] = CPT
+    # the invariant rs_coarsen's rounds rely on: the C-point that made an
+    # F-point F is strong for it and comes before it
+    for i in np.flatnonzero(state == FPT):
+        below = strong[i][strong[i] < i]
+        assert np.any(state[below] == CPT), f"F-point {i} has no strong C-point below it"
     c_points = np.flatnonzero(state == CPT)
     f_points = np.flatnonzero(state == FPT)
     coarse_index = np.full(n, -1, dtype=np.int64)
@@ -223,10 +225,77 @@ def symmetric_matrices(draw):
     return CsrMatrix.from_coo(n, n, rows, cols, np.concatenate([vals, vals, diag]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(A=symmetric_matrices(), theta=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
+@st.composite
+def path_like_matrices(draw):
+    """Symmetric matrices on chains, on chains numbered in a random order
+    and on sparse random graphs, with negative off-diagonals.  A chain in
+    index order decides one point per round of ``rs_coarsen``, which then
+    hands it to its loop; the shuffled chains and the random graphs
+    decide many points per round."""
+    kind = draw(st.sampled_from(["chain", "shuffled chain", "sparse"]))
+    n = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sparse":
+        i, j = rng.integers(0, n, size=(2, draw(st.integers(0, 3 * n))))
+        i, j = i[i != j], j[i != j]  # repeated pairs are summed
+    else:
+        i, j = np.arange(n - 1), np.arange(1, n)
+        if kind == "shuffled chain":
+            order = rng.permutation(n)
+            i, j = order[i], order[j]
+    if draw(st.booleans()):
+        mag = rng.choice([0.5, 1.0], size=len(i))
+    else:
+        mag = rng.random(len(i)) * 10.0 ** rng.integers(-3, 3, size=len(i))
+    rows = np.concatenate([i, j, np.arange(n)])
+    cols = np.concatenate([j, i, np.arange(n)])
+    diag = 1.0 + rng.random(n) * 4.0
+    return CsrMatrix.from_coo(n, n, rows, cols, np.concatenate([-mag, -mag, diag]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(A=st.one_of(symmetric_matrices(), path_like_matrices()),
+       theta=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
 def test_stages_match_the_per_row_oracle(A, theta):
     assert_stages_match_oracle(A, theta)
+
+
+def spy_on_transposes(monkeypatch):
+    """The row counts of the matrices whose ``transpose`` is called from
+    now on: ``rs_coarsen`` calls it only when it hands over to its loop."""
+    calls = []
+    transpose = CsrMatrix.transpose
+
+    def spy(self):
+        calls.append(self.nrows)
+        return transpose(self)
+
+    monkeypatch.setattr(CsrMatrix, "transpose", spy)
+    return calls
+
+
+def assert_splitting_matches_oracle(S):
+    strong = np.split(S.col_idx, S.row_ptr[1:-1])
+    T = S.transpose()
+    want = oracle_rs_coarsen(strong, np.split(T.col_idx, T.row_ptr[1:-1]))
+    for got, w in zip(rs_coarsen(S), want):
+        assert np.array_equal(got, w)
+
+
+def test_p4_fine_level_is_split_in_rounds(monkeypatch):
+    S = strength_graph(poisson_setup(8, 4).system.A, THETA)
+    calls = spy_on_transposes(monkeypatch)
+    rs_coarsen(S)
+    assert calls == []
+    assert_splitting_matches_oracle(S)
+
+
+def test_a_chain_hands_over_to_the_loop(monkeypatch):
+    S = strength_graph(laplace_1d(2000), THETA)
+    calls = spy_on_transposes(monkeypatch)
+    rs_coarsen(S)
+    assert calls == [2000]
+    assert_splitting_matches_oracle(S)
 
 
 def test_long_f_row_sums_like_the_oracle():
