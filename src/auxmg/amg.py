@@ -281,7 +281,7 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
     return AmgHierarchy(levels, cholesky_factor(levels[-1].A.to_dense()), theta)
 
 
-def smooth_and_correct(level: _Level, r, coarse_solve, pre, post) -> np.ndarray:
+def smooth_and_correct(level: _Level, r, coarse_solve, pre, post):
     """One multigrid step on A x = r from a zero guess, with the A, P and
     AP of ``level``: the ``pre`` sweep, the coarse correction
     P coarse_solve(P^T residual), the ``post`` sweep.  A sweep that is
@@ -298,6 +298,14 @@ def smooth_and_correct(level: _Level, r, coarse_solve, pre, post) -> np.ndarray:
     sweep's x is bit-identical and the residuals, and so the result, move
     at roundoff.
 
+    A ``post`` that is a ``*_sweep`` of :class:`GaussSeidel` returns its
+    solve y of T y = d (T the sweep's triangle) with s = A y - d, the
+    other triangle's product.  The step then returns the pair (x, A x)
+    instead of x alone, with no product by A: x = x1 - y for x1 the
+    iterate before the sweep, so A x = (r + d) - (d + s) = r - s.  This is
+    Eisenstat's trick (SIAM J. Sci. Stat. Comput. 2, 1981) on the last
+    sweep; the x is bit-identical to the one the plain sweep gives.
+
     Every V-cycle level and the two-level preconditioner take this step.
     """
     P = level.P
@@ -313,16 +321,25 @@ def smooth_and_correct(level: _Level, r, coarse_solve, pre, post) -> np.ndarray:
     else:
         spmv(P, e, out=x)
         spmv(level.AP, e, out=d)
-    x -= post(d)  # post(r - A x) = -post(d), exactly
+    y = post(d)
+    if isinstance(y, tuple):
+        y, s = y
+        x -= y
+        return x, np.subtract(r, s, out=s)
+    x -= y  # post(r - A x) = -post(d), exactly
     return x
 
 
-def _vcycle(H: AmgHierarchy, level: int, r):
+def _vcycle(H: AmgHierarchy, level: int, r, with_product=False):
+    """The cycle from ``level`` down; ``with_product`` returns (x, A x),
+    which the cycle of one level forms with a product by A."""
     if level == len(H.levels) - 1:
-        return cholesky_solve(H.coarsest_factor, r)
+        x = cholesky_solve(H.coarsest_factor, r)
+        return (x, spmv(H.levels[level].A, x)) if with_product else x
     lvl = H.levels[level]
     gs = lvl.smoother
-    return smooth_and_correct(lvl, r, partial(_vcycle, H, level + 1), gs.forward_sweep, gs.backward)
+    post = gs.backward_sweep if with_product else gs.backward
+    return smooth_and_correct(lvl, r, partial(_vcycle, H, level + 1), gs.forward_sweep, post)
 
 
 def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:
@@ -338,13 +355,23 @@ def operator_complexity(H: AmgHierarchy) -> float:
 
 
 class VCyclePreconditioner:
-    """One symmetric V-cycle as a preconditioner action."""
+    """One symmetric V-cycle as a preconditioner action on the operator
+    ``A`` of the hierarchy's finest level."""
 
     def __init__(self, hierarchy: AmgHierarchy):
         self.hierarchy = hierarchy
+        self.A = hierarchy.levels[0].A
 
     def __call__(self, r):
         return vcycle_apply(self.hierarchy, r)
+
+    def apply_with_product(self, r):
+        """The pair (z, A z): z is the V-cycle's action, bit for bit, and
+        A z comes from the top level's last sweep with no product by A
+        (see :func:`smooth_and_correct`).  A one-level hierarchy, whose
+        cycle is the dense solve, forms A z by ``spmv``."""
+        return _vcycle(self.hierarchy, 0, _as_block(r, self.A.nrows, "residual for the finest level"),
+                       with_product=True)
 
     def operator_complexity(self) -> float:
         return operator_complexity(self.hierarchy)

@@ -1,6 +1,8 @@
 """Preconditioned Krylov solvers: CG, MINRES and flexible GMRES.
 
-Each solver applies the operator once per iteration and tracks its
+Each solver applies the preconditioner and the operator once per
+iteration, except that FGMRES takes the operator's product from a
+preconditioner that offers it (see :func:`fgmres`), and tracks its
 residual by recurrence: CG carries r, MINRES carries A w next to its
 direction w, and FGMRES reads |g_{j+1}| off its Givens rotations.  All
 three share one stopping rule, :class:`_Residuals`, on the relative
@@ -78,6 +80,10 @@ class SolveReport:
     # first, the last and each restart or replacement point, which are true
     residual_history: np.ndarray
     precond_residual_history: np.ndarray | None = None  # MINRES: M-norm recurrence
+    # the calls of the operator (r0 and every true residual included) and
+    # of the preconditioner; a paired FGMRES step counts one of the latter
+    operator_applies: int = 0
+    precond_applies: int = 0
 
 
 def _as_operator(obj):
@@ -91,26 +97,30 @@ def _as_operator(obj):
 
 
 class _Residuals:
-    """The stopping rule of all three solvers.
+    """The stopping rule of all three solvers, and the counter of their
+    operator and preconditioner applies.
 
     Validates b and the initial iterate (a non-finite entry in either
     fails here, before it reaches an operator or a recurrence) and forms
     r0 = b - A x0, with no product for a zero guess.  ``r`` is r0; the
     solver owns it and may update it in place.  Every iteration records
     its recurrence residual norm with :meth:`check`, and :meth:`replace`
-    puts the true residual of an iterate in place of that value.
+    puts the true residual of an iterate in place of that value.  The
+    solvers apply A and M through :meth:`A` and :meth:`M`, which count.
     """
 
-    def __init__(self, A, b, x0, cfg: SolverConfig):
+    def __init__(self, A, M, b, x0, cfg: SolverConfig):
         b = np.asarray(b, dtype=np.float64)
         x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
         for name, v in (("b", b), ("x0", x)):
             bad = np.flatnonzero(~np.isfinite(v))
             if len(bad):
                 raise ValueError(f"{name} has a non-finite entry at index {bad[0]}: {v[bad[0]]}")
-        self.A, self.b, self.x0 = A, b, x
+        self._A, self._M = _as_operator(A), _as_operator(M)
+        self.operator_applies = self.precond_applies = 0
+        self.b, self.x0 = b, x
         self.rel_tol, self.max_iters = cfg.rel_tol, cfg.max_iters
-        self.r = b.copy() if x0 is None else b - A(x)
+        self.r = b.copy() if x0 is None else b - self.A(x)
         nb = np.linalg.norm(b)
         self.denom = nb if nb > 0.0 else max(np.linalg.norm(self.r), np.finfo(float).tiny)
         self.history = [self._relative(np.linalg.norm(self.r), "true residual", 0)]
@@ -122,6 +132,14 @@ class _Residuals:
     @property
     def iterations(self):
         return len(self.history) - 1
+
+    def A(self, x):
+        self.operator_applies += 1
+        return self._A(x)
+
+    def M(self, x):
+        self.precond_applies += 1
+        return self._M(x)
 
     def check(self, rnorm):
         """Record the recurrence residual norm of the next iterate.  True
@@ -158,7 +176,8 @@ class _Residuals:
         return rel
 
     def report(self, **extra):
-        return SolveReport(self.iterations, self.converged, np.asarray(self.history), **extra)
+        return SolveReport(self.iterations, self.converged, np.asarray(self.history),
+                           operator_applies=self.operator_applies, precond_applies=self.precond_applies, **extra)
 
     def best(self, x, **histories):
         """The result of a residual-minimising solve (MINRES, FGMRES): x
@@ -179,8 +198,8 @@ class _Residuals:
 def pcg(A, M, b, cfg: SolverConfig | None = None, x0=None):
     """Preconditioned conjugate gradients for SPD A with SPD M ~ A^{-1}."""
     cfg = cfg or SolverConfig(method="cg")
-    A, M = _as_operator(A), _as_operator(M)
-    res = _Residuals(A, b, x0, cfg)
+    res = _Residuals(A, M, b, x0, cfg)
+    A, M = res.A, res.M
     x, r = res.x0, res.r  # r is updated by recurrence, in place
     z = M(r)
     rz = r @ z
@@ -217,8 +236,8 @@ def minres(A, M, b, cfg: SolverConfig | None = None, x0=None):
     residual of that iterate sets ``converged``.
     """
     cfg = cfg or SolverConfig(method="minres")
-    Aop, Mop = _as_operator(A), _as_operator(M)
-    res = _Residuals(Aop, b, x0, cfg)
+    res = _Residuals(A, M, b, x0, cfg)
+    Aop, Mop = res.A, res.M
     x, r = res.x0, res.r  # r is updated by recurrence, in place
     y = Mop(r)
     beta1_sq = r @ y
@@ -291,11 +310,26 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
     the Krylov space is exhausted, or the iteration cap is reached.
     Stagnation over a full restart cycle (relative residual reduction
     below 1e-14) ends the solve with ``converged=False``.
+
+    Each Arnoldi step needs z = M v and A z.  A preconditioner built on
+    this very ``A`` (``M.A is A``, the same object) that offers
+    ``apply_with_product`` returns both from one action, with A z read off
+    its last sweep, so the step forms no product by A; z is bit-identical
+    and A z agrees with the product to roundoff.  Any other pair (a
+    callable operator, a different or equal-valued matrix, a wrapped M)
+    forms A z by applying A.  r0 and every true residual always apply A.
     """
     cfg = cfg or SolverConfig(method="fgmres")
-    Aop, Mop = _as_operator(A), _as_operator(M)
-    res = _Residuals(Aop, b, x0, cfg)
+    res = _Residuals(A, M, b, x0, cfg)
     x, r = res.x0, res.r  # r is overwritten with the true residual at each cycle end
+    if getattr(M, "A", None) is A and hasattr(M, "apply_with_product"):
+        def step(v):
+            res.precond_applies += 1
+            return M.apply_with_product(v)
+    else:
+        def step(v):
+            z = res.M(v)
+            return z, res.A(z)
     while not res.converged and res.iterations < cfg.max_iters:
         cycle_start_res = res.history[-1]
         beta = np.linalg.norm(r)
@@ -309,8 +343,7 @@ def fgmres(A, M, b, cfg: SolverConfig | None = None, x0=None):
         sn = np.zeros(cfg.restart)
         j = 0
         while True:
-            z = Mop(V[j])
-            wv = Aop(z)
+            z, wv = step(V[j])
             Z.append(z)
             for i in range(j + 1):
                 H[i, j] = V[i] @ wv

@@ -34,9 +34,11 @@ class TwoLevelPreconditioner:
     the top level of a V-cycle whose coarse levels are a hierarchy of
     P^T A P.  That top level prepares A P, so an action forms no product
     by A: the presmoothing sweep returns its residual and the coarse
-    correction updates it through A P.  A ValueError names an unknown
-    ``coarse``, the first entry of A or P that is not finite, or the first
-    row of A whose diagonal entry is zero, before any setup work.
+    correction updates it through A P.  :meth:`apply_with_product` also
+    returns A z, read off the last sweep, for FGMRES's Arnoldi step.  A
+    ValueError names an unknown ``coarse``, the first entry of A or P that
+    is not finite, or the first row of A whose diagonal entry is zero,
+    before any setup work.
 
     Parameters
     ----------
@@ -78,9 +80,22 @@ class TwoLevelPreconditioner:
     def apply(self, r):
         """The action on a residual vector or on each column of an (n, k)
         block."""
+        return self._step(r, with_product=False)
+
+    def apply_with_product(self, r):
+        """The pair (z, A z): z is :meth:`apply`'s action, bit for bit, and
+        A z is r minus the residual the last sweep leaves, L y in the
+        symmetric form and U y in the plain one (see
+        :func:`smooth_and_correct`), so no product by A is formed."""
+        return self._step(r, with_product=True)
+
+    def _step(self, r, with_product):
         r = _as_block(r, self.A.nrows, "residual for the operator")
         gs = self.top.smoother
-        pre, post = (gs.forward_sweep, gs.backward) if self.presmooth else (None, gs.forward)
+        if self.presmooth:
+            pre, post = gs.forward_sweep, gs.backward_sweep if with_product else gs.backward
+        else:
+            pre, post = None, gs.forward_sweep if with_product else gs.forward
         return smooth_and_correct(self.top, r, self.coarse_solve, pre, post)
 
     def apply_transpose(self, r):

@@ -20,6 +20,7 @@ from auxmg.fem import assemble_operator, eliminate_dirichlet, build_space
 from auxmg.mesh import build_cube_mesh
 from auxmg.problems import poisson_setup
 from tests.test_csr import dense_sym_eigen
+from tests.test_twolevel import assert_pair
 
 
 def laplace_1d(n):
@@ -360,3 +361,15 @@ class TestVCyclePreconditioner:
         M = VCyclePreconditioner(H)
         assert M.operator_complexity() == operator_complexity(H)
         assert M.level_count() == H.num_levels >= 2
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("max_levels", [20, 1])
+    def test_pair_is_the_cycle_and_its_product(self, max_levels, k):
+        # the top level's last sweep gives A z; one level is the dense solve
+        A = poisson_setup(3, 3).system.A
+        H = build_hierarchy(A, theta=0.25, max_levels=max_levels)
+        assert H.num_levels >= 3 if max_levels > 1 else H.num_levels == 1
+        M = VCyclePreconditioner(H)
+        assert M.A is A
+        r = np.random.default_rng(50).standard_normal(A.nrows if k is None else (A.nrows, k))
+        assert_pair(M.apply_with_product, M, A, r)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auxmg.amg import build_hierarchy, vcycle_apply
+from auxmg.amg import VCyclePreconditioner, build_hierarchy, vcycle_apply
 from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, spmv
 from auxmg.mesh import build_cube_mesh
 from auxmg.problems import poisson_setup
@@ -42,6 +42,12 @@ def assert_columnwise(f, X):
     assert Y.shape[1:] == X.shape[1:]
     for j in range(X.shape[1]):
         assert np.array_equal(Y[:, j], f(X[:, j].copy())), f"column {j} of {X.shape[1]}"
+
+
+def assert_pair_columnwise(pair, X):
+    """Both parts of an ``apply_with_product`` pair keep the contract."""
+    for part in (0, 1):
+        assert_columnwise(lambda r: pair(r)[part], X)
 
 
 @cache
@@ -105,6 +111,7 @@ class TestPreconditioners:
         H = hierarchy()
         assert H.num_levels >= 3
         assert_columnwise(lambda r: vcycle_apply(H, r), data.draw(blocks(H.levels[0].A.nrows)))
+        assert_pair_columnwise(VCyclePreconditioner(H).apply_with_product, data.draw(blocks(H.levels[0].A.nrows)))
 
     @pytest.mark.parametrize("n", [1, 2])  # n = 1 has no coarse DOFs: a 0 x 0 coarse factor
     @pytest.mark.parametrize("coarse, presmooth", TWO_LEVEL_SETTINGS)
@@ -114,6 +121,7 @@ class TestPreconditioners:
         M = two_level(n, coarse, presmooth)
         assert_columnwise(M.apply, data.draw(blocks(M.A.nrows)))
         assert_columnwise(M.apply_transpose, data.draw(blocks(M.A.nrows)))
+        assert_pair_columnwise(M.apply_with_product, data.draw(blocks(M.A.nrows)))
 
 
 def per_component_action(Q, r):
@@ -162,11 +170,12 @@ def shape_checked_calls():
         "vcycle_apply": lambda r: vcycle_apply(hierarchy(), r),
         "apply": M.apply,
         "apply_transpose": M.apply_transpose,
+        "apply_with_product": M.apply_with_product,
     }
 
 
 @pytest.mark.parametrize("name", ["spmv", "forward", "backward", "cholesky_solve", "vcycle_apply",
-                                  "apply", "apply_transpose"])
+                                  "apply", "apply_transpose", "apply_with_product"])
 def test_wrong_length_and_3d_input_named(name):
     f, n = shape_checked_calls()[name], poisson(2)[0].nrows
     for shape in ((n + 1,), (n - 1, 2), (n, 2, 2), ()):

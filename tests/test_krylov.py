@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -498,8 +499,51 @@ class TestOperatorBudget:
         x, rep = solver(op, M, b, cfg, x0=x0)
         assert rep.converged
         cycles = -(-rep.iterations // restart)
-        assert len(a_calls) == rep.iterations + given_x0 + cycles
-        assert len(m_calls) == rep.iterations + (method == "minres")
+        assert len(a_calls) == rep.operator_applies == rep.iterations + given_x0 + cycles
+        assert len(m_calls) == rep.precond_applies == rep.iterations + (method == "minres")
+
+
+class TestPairedStep:
+    """FGMRES takes A z from ``M.apply_with_product`` only when M was built
+    on the very operator object it solves with."""
+
+    CFG = SolverConfig(rel_tol=1e-8, max_iters=200, restart=5)
+
+    @pytest.fixture
+    def gamg(self):
+        prob = poisson_setup(2, 3)
+        A = prob.system.A
+        return A, TwoLevelPreconditioner(A, prob.prolongation_int), np.random.default_rng(13).standard_normal(A.nrows)
+
+    def test_own_operator_takes_the_pair(self, gamg):
+        A, M, b = gamg
+        x, rep = fgmres(A, M, b, self.CFG)
+        cycles = -(-rep.iterations // self.CFG.restart)
+        assert rep.converged and rep.precond_applies == rep.iterations
+        assert rep.operator_applies == cycles  # the true residuals only
+        assert np.linalg.norm(b - spmv(A, x)) <= self.CFG.rel_tol * np.linalg.norm(b)
+
+    def test_another_matrix_of_the_same_shape_is_applied(self, gamg):
+        # the pair would give A z, not 2 A z, and the solve would not converge
+        A, M, b = gamg
+        A2 = CsrMatrix(A.nrows, A.ncols, A.row_ptr, A.col_idx, 2.0 * A.values)
+        x, rep = fgmres(A2, M, b, self.CFG)
+        cycles = -(-rep.iterations // self.CFG.restart)
+        assert rep.converged and rep.operator_applies == rep.iterations + cycles
+        assert np.linalg.norm(b - spmv(A2, x)) <= self.CFG.rel_tol * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("operator", ["copy", "callable"])
+    def test_other_operator_objects_take_the_unpaired_step(self, gamg, operator):
+        # an equal copy of A and spmv with A as a callable each give the
+        # solve of an M that hides its pair, bit for bit
+        A, M, b = gamg
+        op = {"copy": CsrMatrix(A.nrows, A.ncols, A.row_ptr.copy(), A.col_idx.copy(), A.values.copy()),
+              "callable": partial(spmv, A)}[operator]
+        x, rep = fgmres(op, M, b, self.CFG)
+        x_ref, rep_ref = fgmres(A, lambda v: M(v), b, self.CFG)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(rep.residual_history, rep_ref.residual_history)
+        assert rep.operator_applies == rep_ref.operator_applies > rep.iterations
 
 
 class TestResidualReplacement:

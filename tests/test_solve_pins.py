@@ -28,12 +28,12 @@ STOKES_PINS = {
     ("Qd", "amg"): ("f342b82e610aa37f", "8233857a1f9b68f1", "da788e28de2b4002", 92),
 }
 
-POISSON_P3_GAMG_PIN = ("831b5340768b53a0", "7d9c20ebefaa9562", 15)
+POISSON_P3_GAMG_PIN = ("e984932b199af9b0", "af462a493ac9050d", 15)
 
 # rel_tol=1e-30 is never met, so max_iters=7 stops each solve; with
 # restart=3, FGMRES restarts twice
 CAPPED_PINS = {
-    "fgmres": ("35e6a8c3055d3dae", "0140e6c30e334874", 7),
+    "fgmres": ("a92c2bd1c7420587", "54ca3554039106d7", 7),
     "minres": ("aa7356e718e5e2bd", "170cb9f3eddfe54a", 7),
     "cg": ("779cc9b75a0af3fe", "7e3fa69ee085e4cf", 7),
 }
