@@ -230,7 +230,8 @@ class AmgHierarchy:
     def summary(self) -> dict:
         """Per level n, nnz and coarsening ratio n_{l+1} / n_l (None on the
         coarsest), then the grid complexity sum(n_l) / n_0 and the operator
-        complexity, as PyAMG's multilevel summary prints them."""
+        complexity, as PyAMG's multilevel summary prints them; both
+        complexities are 1.0 when the finest level is empty."""
         n = [lvl.A.nrows for lvl in self.levels]
         return {
             "theta": self.theta,
@@ -238,7 +239,7 @@ class AmgHierarchy:
                 {"n": n_l, "nnz": lvl.A.nnz, "coarsening_ratio": n_next / n_l if n_next else None}
                 for n_l, n_next, lvl in zip(n, n[1:] + [None], self.levels)
             ],
-            "grid_complexity": sum(n) / n[0],
+            "grid_complexity": sum(n) / n[0] if n[0] else 1.0,
             "operator_complexity": operator_complexity(self),
         }
 
@@ -330,6 +331,14 @@ def smooth_and_correct(level: _Level, r, coarse_solve, pre, post):
     return x
 
 
+def _sweeps(smoother: GaussSeidel, presmooth, with_product):
+    """The (pre, post) sweeps of a step: forward and backward, or none and
+    forward; ``with_product`` takes the post ``*_sweep``, which gives A x."""
+    if presmooth:
+        return smoother.forward_sweep, smoother.backward_sweep if with_product else smoother.backward
+    return None, smoother.forward_sweep if with_product else smoother.forward
+
+
 def _vcycle(H: AmgHierarchy, level: int, r, with_product=False):
     """The cycle from ``level`` down; ``with_product`` returns (x, A x),
     which the cycle of one level forms with a product by A."""
@@ -337,9 +346,7 @@ def _vcycle(H: AmgHierarchy, level: int, r, with_product=False):
         x = cholesky_solve(H.coarsest_factor, r)
         return (x, spmv(H.levels[level].A, x)) if with_product else x
     lvl = H.levels[level]
-    gs = lvl.smoother
-    post = gs.backward_sweep if with_product else gs.backward
-    return smooth_and_correct(lvl, r, partial(_vcycle, H, level + 1), gs.forward_sweep, post)
+    return smooth_and_correct(lvl, r, partial(_vcycle, H, level + 1), *_sweeps(lvl.smoother, True, with_product))
 
 
 def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:
@@ -348,33 +355,49 @@ def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:
     return _vcycle(H, 0, _as_block(r, H.levels[0].A.nrows, "residual for the finest level"))
 
 
-def operator_complexity(H: AmgHierarchy) -> float:
-    """Total stored nonzeros over all levels relative to the finest level."""
+def operator_complexity(H) -> float:
+    """Total stored nonzeros over the ``levels`` of H (a hierarchy or a
+    preconditioner) relative to the first; 1.0 when the first is empty."""
     nnz = [lvl.A.nnz for lvl in H.levels]
-    return float(sum(nnz)) / float(nnz[0])
+    return float(sum(nnz)) / float(nnz[0]) if nnz[0] else 1.0
 
 
 class VCyclePreconditioner:
     """One symmetric V-cycle as a preconditioner action on the operator
-    ``A`` of the hierarchy's finest level."""
+    ``A`` of its first level.  A subclass sets where a cycle starts
+    (:meth:`_cycle`) and which ``levels`` it has."""
 
     def __init__(self, hierarchy: AmgHierarchy):
         self.hierarchy = hierarchy
-        self.A = hierarchy.levels[0].A
+        self.A = self.levels[0].A
 
-    def __call__(self, r):
-        return vcycle_apply(self.hierarchy, r)
+    @property
+    def levels(self):
+        return self.hierarchy.levels
+
+    def _cycle(self, r, with_product):
+        return _vcycle(self.hierarchy, 0, r, with_product)
+
+    def _as_block(self, r):
+        return _as_block(r, self.A.nrows, "residual for the operator")
+
+    def apply(self, r):
+        """The action on a residual vector or on each column of an (n, k)
+        block."""
+        return self._cycle(self._as_block(r), with_product=False)
+
+    __call__ = apply
 
     def apply_with_product(self, r):
-        """The pair (z, A z): z is the V-cycle's action, bit for bit, and
-        A z comes from the top level's last sweep with no product by A
+        """The pair (z, A z): z is :meth:`apply`'s action, bit for bit, and
+        A z comes from the first level's last sweep with no product by A
         (see :func:`smooth_and_correct`).  A one-level hierarchy, whose
         cycle is the dense solve, forms A z by ``spmv``."""
-        return _vcycle(self.hierarchy, 0, _as_block(r, self.A.nrows, "residual for the finest level"),
-                       with_product=True)
+        return self._cycle(self._as_block(r), with_product=True)
 
     def operator_complexity(self) -> float:
-        return operator_complexity(self.hierarchy)
+        return operator_complexity(self)
 
     def level_count(self) -> int:
-        return self.hierarchy.num_levels
+        """The levels that have unknowns."""
+        return sum(lvl.A.nrows > 0 for lvl in self.levels)

@@ -152,6 +152,16 @@ def project_pressure_mean(p, M_p: CsrMatrix):
     return p - (w @ p) / w.sum()
 
 
+# the Krylov methods each block form admits, the default first: the saddle
+# system is indefinite, so no CG, and Q_t is not symmetric, so no MINRES
+_METHODS = {"Qt": ("fgmres",), "Qd": ("minres", "fgmres")}
+
+
+def _check_kind(kind):
+    if kind not in _METHODS:
+        raise ValueError(f"kind must be 'Qt' or 'Qd', got {kind!r}")
+
+
 @dataclass
 class BlockPreconditioner:
     """Q_t (upper triangular) or Q_d (block diagonal) action.
@@ -175,8 +185,7 @@ class BlockPreconditioner:
     _mp_diag_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("Qt", "Qd"):
-            raise ValueError("kind must be 'Qt' or 'Qd'")
+        _check_kind(self.kind)
         self._mp_diag_inv = 1.0 / self.system.M_p.diagonal()
 
     def _mass_solve(self, r_p):
@@ -210,7 +219,9 @@ class BlockPreconditioner:
 
 
 def build_block_preconditioner(S: StokesSystem, kind="Qt", engine="gamg", theta=0.8) -> BlockPreconditioner:
-    """One AMG or two-level (auxiliary P1) cycle on the velocity block."""
+    """One AMG or two-level (auxiliary P1) cycle on the velocity block; a
+    ValueError names an unknown ``kind`` or ``engine`` before any setup."""
+    _check_kind(kind)
     if engine == "gamg":
         coarse_p1 = build_space(S.velocity_space.mesh, 1)
         P_int = build_prolongation(S.velocity_space, coarse_p1).eliminated()
@@ -222,16 +233,10 @@ def build_block_preconditioner(S: StokesSystem, kind="Qt", engine="gamg", theta=
     return BlockPreconditioner(kind, a_action, S)
 
 
-# the Krylov methods each block form admits, the default first: the saddle
-# system is indefinite, so no CG, and Q_t is not symmetric, so no MINRES
-_METHODS = {"Qt": ("fgmres",), "Qd": ("minres", "fgmres")}
-
-
 def _solver_config(kind, cfg: SolverConfig | None) -> SolverConfig:
     """``cfg``, or the default solve of the block form ``kind`` when it is
     None; a ValueError when the form does not admit its method."""
-    if kind not in _METHODS:
-        raise ValueError("kind must be 'Qt' or 'Qd'")
+    _check_kind(kind)
     if cfg is None:
         cfg = SolverConfig(method=_METHODS[kind][0], rel_tol=1e-8, max_iters=400)
     if cfg.method not in _METHODS[kind]:

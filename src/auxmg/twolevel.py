@@ -25,20 +25,19 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .amg import _Level, build_hierarchy, smooth_and_correct, vcycle_apply
-from .csr import CsrMatrix, _as_block, check_finite, checked_diagonal, matmat, spmv, triple_product
+from .amg import VCyclePreconditioner, _Level, _sweeps, build_hierarchy, smooth_and_correct, vcycle_apply
+from .csr import CsrMatrix, check_finite, checked_diagonal, matmat, spmv, triple_product
 
 
-class TwoLevelPreconditioner:
+class TwoLevelPreconditioner(VCyclePreconditioner):
     """Smoothing on the fine operator plus an exact-or-AMG coarse solve:
-    the top level of a V-cycle whose coarse levels are a hierarchy of
-    P^T A P.  That top level prepares A P, so an action forms no product
-    by A: the presmoothing sweep returns its residual and the coarse
-    correction updates it through A P.  :meth:`apply_with_product` also
-    returns A z, read off the last sweep, for FGMRES's Arnoldi step.  A
-    ValueError names an unknown ``coarse``, the first entry of A or P that
-    is not finite, or the first row of A whose diagonal entry is zero,
-    before any setup work.
+    a V-cycle whose top level ``top`` holds A and P and whose coarse
+    levels are a hierarchy of P^T A P.  The top level prepares A P, so an
+    action forms no product by A: the presmoothing sweep returns its
+    residual and the coarse correction updates it through A P.  A
+    ValueError names an unknown ``coarse``, a ``theta`` outside (0, 1),
+    the first entry of A or P that is not finite, or the first row of A
+    whose diagonal entry is zero, before any setup work.
 
     Parameters
     ----------
@@ -61,42 +60,28 @@ class TwoLevelPreconditioner:
             raise ValueError("A and P dimensions do not match")
         if coarse not in ("exact", "amg"):
             raise ValueError(f"unknown coarse solver {coarse!r}")
+        if not 0.0 < theta < 1.0:
+            raise ValueError(f"theta must lie in (0,1), got {theta}")
         check_finite(A, "A")
         check_finite(P, "P")
         checked_diagonal(A, "A")
-        self.A = A
         self.P = P
         A_H = triple_product(P.transpose(), A, P)
         self.top = _Level(A, P, AP=matmat(A, P))
         self.presmooth = presmooth
-        if coarse == "exact":
-            self.hierarchy = build_hierarchy(A_H, max_levels=1)
-        else:
-            self.hierarchy = build_hierarchy(A_H, theta=theta)
+        H = build_hierarchy(A_H, max_levels=1) if coarse == "exact" else build_hierarchy(A_H, theta=theta)
+        super().__init__(H)
+
+    @property
+    def levels(self):
+        return [self.top] + self.hierarchy.levels
 
     def coarse_solve(self, r_H):
         return vcycle_apply(self.hierarchy, r_H)
 
-    def apply(self, r):
-        """The action on a residual vector or on each column of an (n, k)
-        block."""
-        return self._step(r, with_product=False)
-
-    def apply_with_product(self, r):
-        """The pair (z, A z): z is :meth:`apply`'s action, bit for bit, and
-        A z is r minus the residual the last sweep leaves, L y in the
-        symmetric form and U y in the plain one (see
-        :func:`smooth_and_correct`), so no product by A is formed."""
-        return self._step(r, with_product=True)
-
-    def _step(self, r, with_product):
-        r = _as_block(r, self.A.nrows, "residual for the operator")
-        gs = self.top.smoother
-        if self.presmooth:
-            pre, post = gs.forward_sweep, gs.backward_sweep if with_product else gs.backward
-        else:
-            pre, post = None, gs.forward_sweep if with_product else gs.forward
-        return smooth_and_correct(self.top, r, self.coarse_solve, pre, post)
+    def _cycle(self, r, with_product):
+        return smooth_and_correct(self.top, r, self.coarse_solve,
+                                  *_sweeps(self.top.smoother, self.presmooth, with_product))
 
     def apply_transpose(self, r):
         """Adjoint action.  The symmetric form is its own adjoint; the
@@ -104,19 +89,8 @@ class TwoLevelPreconditioner:
         correction."""
         if self.presmooth:
             return self.apply(r)
-        r = _as_block(r, self.A.nrows, "residual for the operator")
-        return smooth_and_correct(self.top, r, self.coarse_solve, self.top.smoother.backward_sweep, None)
-
-    __call__ = apply
-
-    def operator_complexity(self) -> float:
-        """Stored nonzeros of the fine level plus the whole coarse
-        hierarchy, relative to the fine level."""
-        return 1.0 + sum(lvl.A.nnz for lvl in self.hierarchy.levels) / self.A.nnz
-
-    def level_count(self) -> int:
-        """The fine level plus every coarse level that has unknowns."""
-        return 1 + sum(lvl.A.nrows > 0 for lvl in self.hierarchy.levels)
+        return smooth_and_correct(self.top, self._as_block(r), self.coarse_solve,
+                                  self.top.smoother.backward_sweep, None)
 
 
 # -- augmented formulation --------------------------------------------------

@@ -347,6 +347,15 @@ class TestOperatorComplexity:
         assert s["levels"] == [{"n": 10, "nnz": 10, "coarsening_ratio": None}]
         assert s["grid_complexity"] == s["operator_complexity"] == 1.0
 
+    def test_empty_finest_level(self):
+        # both complexities read 1.0, as a two-level method with no coarse
+        # unknowns reports; neither divides by zero
+        H = build_hierarchy(CsrMatrix(0, 0, [0], [], []))
+        assert operator_complexity(H) == 1.0
+        s = H.summary()
+        assert s["levels"] == [{"n": 0, "nnz": 0, "coarsening_ratio": None}]
+        assert s["grid_complexity"] == s["operator_complexity"] == 1.0
+
     def test_summary_serialises_to_json(self):
         import json
 

@@ -222,6 +222,17 @@ class TestBlockPreconditioner:
         with pytest.raises(ValueError, match="^unknown engine 'gmg'$"):
             build_block_preconditioner(S, engine="gmg")
 
+    @pytest.mark.parametrize("kind", ["Qx", "qt"])
+    def test_unknown_kind_rejected_before_setup(self, monkeypatch, kind):
+        S = assemble_stokes(build_cube_mesh(1), 2)
+
+        def no_setup(*args, **kw):
+            raise AssertionError("the velocity cycle built for an unknown kind")
+
+        monkeypatch.setattr(stokes, "TwoLevelPreconditioner", no_setup)
+        with pytest.raises(ValueError, match=f"^kind must be 'Qt' or 'Qd', got '{kind}'$"):
+            build_block_preconditioner(S, kind=kind)
+
     def test_inner_solve_failure_carries_report(self):
         S = assemble_stokes(build_cube_mesh(1), 2)
         P = build_block_preconditioner(S, kind="Qt")

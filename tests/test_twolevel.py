@@ -138,6 +138,19 @@ class TestTwoLevelApply:
         with pytest.raises(ValueError, match="^unknown coarse solver 'bogus'$"):
             TwoLevelPreconditioner(A, P, coarse="bogus")
 
+    @pytest.mark.parametrize("coarse", ["amg", "exact"])
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, np.nan])
+    def test_invalid_theta_rejected_before_setup(self, monkeypatch, theta, coarse):
+        A, P, _ = two_level(2, 2, coarse="exact")
+
+        def no_setup(*args):
+            raise AssertionError(f"a product formed for theta = {theta}")
+
+        monkeypatch.setattr(twolevel, "triple_product", no_setup)
+        monkeypatch.setattr(twolevel, "matmat", no_setup)
+        with pytest.raises(ValueError, match=rf"^theta must lie in \(0,1\), got {theta}$"):
+            TwoLevelPreconditioner(A, P, coarse=coarse, theta=theta)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["A", "P"])
     def test_non_finite_entry_named_at_setup(self, name, bad):
@@ -222,6 +235,22 @@ class TestPinnedComposition:
         H = AmgHierarchy([top] + M.hierarchy.levels, M.hierarchy.coarsest_factor, M.hierarchy.theta)
         r = np.random.default_rng(41).standard_normal(A.nrows)
         assert np.array_equal(M.apply(r), vcycle_apply(H, r))
+        # the pair (z, A z) is the cycle's with_product pair, on a vector
+        # and on an (n, 3) block, and both count the same levels
+        for r in (r, np.random.default_rng(42).standard_normal((A.nrows, 3))):
+            for got, ref in zip(M.apply_with_product(r), amg._vcycle(H, 0, r, with_product=True)):
+                assert np.array_equal(got, ref)
+        V = VCyclePreconditioner(H)
+        assert M.operator_complexity() == V.operator_complexity()
+        assert M.level_count() == V.level_count() == H.num_levels
+
+    def test_empty_coarse_hierarchy_summary(self):
+        # an n = 1 mesh has no interior P1 vertex, so the coarse hierarchy
+        # holds one empty level
+        _, _, M = two_level(1, 2)
+        s = M.hierarchy.summary()
+        assert s["levels"] == [{"n": 0, "nnz": 0, "coarsening_ratio": None}]
+        assert s["grid_complexity"] == s["operator_complexity"] == 1.0
 
     @pytest.mark.parametrize("coarse", ["amg", "exact"])
     def test_no_coarse_dofs(self, coarse):
