@@ -14,7 +14,7 @@ lowest index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -200,21 +200,27 @@ class _Level:
     """A level of the hierarchy; every level but the coarsest, which the
     dense factor solves, holds its prolongation and prepared smoother.
 
-    ``AP`` = A P, where it is given, lets a step correct its residual
-    without a product by A.  It pays where P is much sparser than A: on
-    the two-level top, whose P1 transfer gives an A P with 6% of A's
-    entries on P4 n=8.  An AMG level's A P has 58% of A's, so these levels
-    leave ``AP`` at None and form A (P e) instead.
+    ``PtS`` and ``SP``, where they are given, are the smoother's
+    :meth:`~GaussSeidel.coarse_products` for the form ``presmooth`` names,
+    which let a step restrict and correct with no pass over A.  They pay
+    where P is much sparser than A: on the two-level top, whose P1
+    transfer gives products of 114k entries each against A's 1.94M on P4
+    n=8.  On the first AMG level there each would hold 36% of A's entries,
+    so AMG levels prepare none and take one half pass over A for each.
     """
 
     A: CsrMatrix
     P: CsrMatrix | None = None
-    AP: CsrMatrix | None = None
+    presmooth: InitVar[bool | None] = None
+    PtS: CsrMatrix | None = field(init=False, default=None)
+    SP: CsrMatrix | None = field(init=False, default=None)
     smoother: GaussSeidel | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, presmooth):
         if self.P is not None:
             self.smoother = GaussSeidel(self.A)
+            if presmooth is not None:
+                self.PtS, self.SP = self.smoother.coarse_products(self.P, presmooth)
 
 
 @dataclass
@@ -282,61 +288,52 @@ def build_hierarchy(A: CsrMatrix, theta=0.25, max_levels=20, coarse_size=64) -> 
     return AmgHierarchy(levels, cholesky_factor(levels[-1].A.to_dense()), theta)
 
 
-def smooth_and_correct(level: _Level, r, coarse_solve, pre, post):
-    """One multigrid step on A x = r from a zero guess, with the A, P and
-    AP of ``level``: the ``pre`` sweep, the coarse correction
-    P coarse_solve(P^T residual), the ``post`` sweep.  A sweep that is
-    None is skipped; ``pre`` also returns its residual.  ``r`` is a vector
-    or an (n, k) block whose columns are independent residuals.
+def smooth_and_correct(level: _Level, r, coarse_solve, presmooth=True, with_product=False):
+    """One multigrid step on A x = r from a zero guess, with the A and P of
+    ``level``: a forward sweep (with ``presmooth``), the coarse correction
+    P coarse_solve(P^T residual) and a backward sweep, or the correction
+    and a forward sweep.  ``r`` is a vector or an (n, k) block whose
+    columns are independent residuals.
 
-    No residual is formed from scratch.  The step carries the negated
-    residual d = A x - r, into which ``spmv`` adds in place: the pre sweep
-    returns it (:meth:`GaussSeidel.forward_sweep`), and the coarse
-    correction P e adds (A P) e to it, through the level's ``AP`` when it
-    has one and as A (P e) otherwise.  So a step on a level with ``AP``
-    never multiplies by A, and one without it multiplies by A once.  x is
-    updated in place.  Against the written-out x + post(r - A x) the pre
-    sweep's x is bit-identical and the residuals, and so the result, move
-    at roundoff.
+    No residual is formed and no product by A is taken.  With A = L + D +
+    U, the forward sweep x0 comes out of its substitution as y = D x0 and
+    leaves r - A x0 = -U x0, so the backward sweep after the correction
+    P e solves
 
-    A ``post`` that is a ``*_sweep`` of :class:`GaussSeidel` returns its
-    solve y of T y = d (T the sweep's triangle) with s = A y - d, the
-    other triangle's product.  The step then returns the pair (x, A x)
-    instead of x alone, with no product by A: x = x1 - y for x1 the
-    iterate before the sweep, so A x = (r + d) - (d + s) = r - s.  This is
-    Eisenstat's trick (SIAM J. Sci. Stat. Comput. 2, 1981) on the last
-    sweep; the x is bit-identical to the one the plain sweep gives.
+        (D + U) x = D x0 - L P e,
+
+    which needs P^T U x0 and L P e only.  A level with prepared products
+    (the two-level top) reads them from ``PtS`` and ``SP``; any other takes
+    one half pass over A for each, through the smoother's triangles.
+    Without ``presmooth`` the step solves (D + L) x = r - U P e the same
+    way.  Against the written-out x + post(r - A x) the result moves at
+    roundoff.
+
+    With ``with_product`` the step returns the pair (x, A x) with one more
+    half pass: A x = b + L x for b the post sweep's right-hand side (b + U x
+    after a forward sweep).  This is Eisenstat's splitting (SIAM J. Sci.
+    Stat. Comput. 2, 1981); the x is bit-identical to the one without it.
 
     Every V-cycle level and the two-level preconditioner take this step.
     """
-    P = level.P
-    x, d = (np.zeros_like(r), np.negative(r)) if pre is None else pre(r)
-    r_H = spmv(P.transpose(), d)
-    e = coarse_solve(np.negative(r_H, out=r_H))
-    if post is None:
-        return spmv(P, e, out=x)
-    if level.AP is None:
-        Pe = spmv(P, e)
-        x += Pe
-        spmv(level.A, Pe, out=d)
-    else:
-        spmv(P, e, out=x)
-        spmv(level.AP, e, out=d)
-    y = post(d)
-    if isinstance(y, tuple):
-        y, s = y
-        x -= y
-        return x, np.subtract(r, s, out=s)
-    x -= y  # post(r - A x) = -post(d), exactly
-    return x
-
-
-def _sweeps(smoother: GaussSeidel, presmooth, with_product):
-    """The (pre, post) sweeps of a step: forward and backward, or none and
-    forward; ``with_product`` takes the post ``*_sweep``, which gives A x."""
+    P, gs = level.P, level.smoother
     if presmooth:
-        return smoother.forward_sweep, smoother.backward_sweep if with_product else smoother.backward
-    return None, smoother.forward_sweep if with_product else smoother.forward
+        b = gs.substitute(r, True)
+        r_H = spmv(P.transpose(), gs.residual(b, True)) if level.PtS is None else spmv(level.PtS, b)
+        np.negative(r_H, out=r_H)
+    else:
+        b = np.array(r, order="F")  # the caller's r is left alone
+        r_H = spmv(P.transpose(), r)
+    e = np.negative(coarse_solve(r_H))
+    if level.SP is None:
+        gs.residual(gs.unscale(spmv(P, e)), not presmooth, out=b)
+    else:
+        spmv(level.SP, e, out=b)
+    y = gs.substitute(b, not presmooth)
+    if with_product:
+        Ax = gs.residual(y, not presmooth, out=b)
+        return gs.scale(y), Ax
+    return gs.scale(y)
 
 
 def _vcycle(H: AmgHierarchy, level: int, r, with_product=False):
@@ -345,8 +342,7 @@ def _vcycle(H: AmgHierarchy, level: int, r, with_product=False):
     if level == len(H.levels) - 1:
         x = cholesky_solve(H.coarsest_factor, r)
         return (x, spmv(H.levels[level].A, x)) if with_product else x
-    lvl = H.levels[level]
-    return smooth_and_correct(lvl, r, partial(_vcycle, H, level + 1), *_sweeps(lvl.smoother, True, with_product))
+    return smooth_and_correct(H.levels[level], r, partial(_vcycle, H, level + 1), True, with_product)
 
 
 def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:

@@ -8,8 +8,8 @@ immutable, so its transpose and its diagonal are built once and cached.
 
 :class:`GaussSeidel` is the one smoother type: ``GaussSeidel(A)``
 prepares both triangles of A once at setup and offers the forward and
-the backward sweep, each a single triangular substitution, with or
-without the residual it leaves, which it reads from the other triangle.
+the backward sweep, each a single triangular substitution, and the
+residual each leaves, which it reads from the other triangle.
 
 The solve-phase kernels (:func:`spmv`, the :class:`GaussSeidel` sweeps,
 :func:`cholesky_solve`) take a vector of length n or an ``(n, k)``
@@ -374,21 +374,22 @@ class GaussSeidel:
     zeros, and lays it out with a unit or an empty partner as SuperLU's
     ``intc`` CSC pair.  A sweep is one SuperLU ``gstrs`` substitution and
     one diagonal scale, the same kernel and arithmetic, so the result is
-    bit-identical to ``spsolve_triangular``.  :meth:`forward_sweep` and
-    :meth:`backward_sweep` also return the residual the sweep leaves,
-    read from the other sweep's triangle, so no triangle is stored twice.
+    bit-identical to ``spsolve_triangular``.  A multigrid step takes the
+    two apart (:meth:`substitute`, :meth:`scale`) and reads the residual a
+    sweep leaves from the other sweep's triangle (:meth:`residual`), so no
+    triangle is stored twice.
 
     Raises ValueError naming the first row whose diagonal entry is zero,
     missing or not finite.
     """
 
-    __slots__ = ("_inv_diag", "_forward", "_backward")
+    __slots__ = ("_diag", "_inv_diag", "_forward", "_backward")
 
     def __init__(self, A: CsrMatrix):
         if A.nrows != A.ncols:
             raise ValueError(f"Gauss-Seidel needs a square matrix, got {A.shape}")
         n = A.nrows
-        diag = checked_diagonal(A, "Gauss-Seidel")
+        diag = self._diag = checked_diagonal(A, "Gauss-Seidel")
         if A.nnz > np.iinfo(np.intc).max:
             raise ValueError(f"{A.nnz} nonzeros exceed SuperLU's index range")
         self._inv_diag = 1.0 / diag
@@ -419,50 +420,72 @@ class GaussSeidel:
         self._backward = (triangle(False),
                           (np.zeros(n + 1, dtype=np.intc), np.empty(0, dtype=np.intc), np.empty(0)))
 
-    def _substitute(self, b, slots):
-        """The ``gstrs`` substitution with the (L, U) ``slots`` of a sweep
-        on ``b``: D x for the sweep x.  The kernel reads ``b`` and returns a
-        new array, so ``b`` goes to it as it is."""
+    def substitute(self, b, forward):
+        """The ``gstrs`` substitution of the forward (``forward``) or the
+        backward sweep on ``b``: D x for the sweep x, which :meth:`scale`
+        turns into x in place.  The kernel reads ``b`` and returns a new
+        array, so ``b`` goes to it as it is."""
         n = len(self._inv_diag)
         b = _as_block(b, n, f"b for a {n}x{n} sweep")
-        (lp, li, lv), (up, ui, uv) = slots
+        (lp, li, lv), (up, ui, uv) = self._forward if forward else self._backward
         y, info = _superlu.gstrs("T", n, len(lv), lv, li, lp, n, len(uv), uv, ui, up, b)
         if info:
             raise np.linalg.LinAlgError(f"triangular solve failed (SuperLU info {info})")
         return y
 
-    def _scale(self, y):
+    def scale(self, y):
+        """x = D^{-1} y, in place."""
         y *= self._inv_diag if y.ndim == 1 else self._inv_diag[:, None]
         return y
+
+    def unscale(self, x):
+        """y = D x, in place."""
+        x *= self._diag if x.ndim == 1 else self._diag[:, None]
+        return x
 
     def forward(self, b):
         """x = tril(A)^{-1} b for a vector or, in one ``gstrs`` call, for
         every column of an (n, k) block; ``b`` is left unchanged."""
-        return self._scale(self._substitute(b, self._forward))
+        return self.scale(self.substitute(b, True))
 
     def backward(self, b):
         """x = triu(A)^{-1} b, as :meth:`forward`."""
-        return self._scale(self._substitute(b, self._backward))
+        return self.scale(self.substitute(b, False))
 
-    def forward_sweep(self, b):
-        """The forward sweep x and the negated residual d = A x - b that it
-        leaves.  With y = D x the substitution's output, (D + L) x = b gives
-        d = U x = triu(A) D^{-1} y - y: one ``csr_matvec`` over the backward
-        sweep's triangle, each row's sum started from -y_i and meeting the
-        diagonal first.  d is negated because ``csr_matvec`` adds into its
-        output; it matches the written-out A x - b to roundoff."""
-        y = self._substitute(b, self._forward)
-        d = np.negative(y)
-        _add_matvec(len(y), len(y), self._backward[0], y, d)
-        return self._scale(y), d
+    def residual(self, y, forward, out=None):
+        """S x for x = D^{-1} y, added into ``out`` when it is given: S is the
+        strict triangle the sweep leaves out, U after the forward sweep and
+        L after the backward, so a sweep x of b leaves b - A x = -S x.  One
+        ``csr_matvec`` over the other sweep's triangle: the backward
+        triangle holds D + U, so each row's sum of U x starts from -y_i and
+        meets the diagonal first; the forward one holds L with its diagonal
+        stored as zeros."""
+        n = len(self._inv_diag)
+        if forward:
+            d = np.negative(y)
+            _add_matvec(n, n, self._backward[0], y, d)
+            return d if out is None else np.add(out, d, out=out)
+        out = np.zeros_like(y) if out is None else out
+        _add_matvec(n, n, self._forward[1], y, out)
+        return out
 
-    def backward_sweep(self, b):
-        """The backward sweep x and the residual d = L x that it leaves: one
-        ``csr_matvec`` over the forward sweep's strict triangle."""
-        y = self._substitute(b, self._backward)
-        d = np.zeros_like(y)
-        _add_matvec(len(y), len(y), self._forward[1], y, d)
-        return self._scale(y), d
+    def coarse_products(self, P: CsrMatrix, forward):
+        """The products P^T S D^{-1} and S' P that let a multigrid step on
+        this smoother restrict and correct with no pass over A: S is the
+        triangle :meth:`residual` reads after the sweep before the coarse
+        correction, forward (``forward``) or backward, and S' the other one.
+        Both are formed from the sweeps' own triangles, whose values carry
+        D^{-1}, and the product drops the diagonal's stored zeros."""
+        n = len(self._inv_diag)
+        upper_ptr, upper_idx, upper_vals = self._backward[0]
+        upper_vals = upper_vals.copy()
+        upper_vals[upper_ptr[:-1]] = 0.0  # the unit diagonal heads each row of D + U
+        upper = CsrMatrix(n, n, upper_ptr, upper_idx, upper_vals, check=False)
+        lower = CsrMatrix(n, n, *self._forward[1], check=False)
+        S, S_other = (upper, lower) if forward else (lower, upper)
+        DP = CsrMatrix(P.nrows, P.ncols, P.row_ptr, P.col_idx,
+                       P.values * np.repeat(self._diag, np.diff(P.row_ptr)), check=False)
+        return matmat(P.transpose(), S), matmat(S_other, DP)
 
 
 def tri_lower_solve(L: CsrMatrix, b):

@@ -85,6 +85,16 @@ class SolveReport:
     operator_applies: int = 0
     precond_applies: int = 0
 
+    @property
+    def convergence_factor(self) -> float | None:
+        """The observed residual reduction per iteration,
+        (h[-1] / h[0]) ** (1 / iterations) over the history h, whose two
+        ends are true residuals; None at zero iterations."""
+        if not self.iterations:
+            return None
+        h = self.residual_history
+        return float((h[-1] / h[0]) ** (1.0 / self.iterations))
+
 
 def _as_operator(obj):
     if obj is None:

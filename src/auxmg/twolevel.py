@@ -25,16 +25,17 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .amg import VCyclePreconditioner, _Level, _sweeps, build_hierarchy, smooth_and_correct, vcycle_apply
-from .csr import CsrMatrix, check_finite, checked_diagonal, matmat, spmv, triple_product
+from .amg import VCyclePreconditioner, _Level, build_hierarchy, smooth_and_correct, vcycle_apply
+from .csr import CsrMatrix, check_finite, checked_diagonal, spmv, triple_product
 
 
 class TwoLevelPreconditioner(VCyclePreconditioner):
     """Smoothing on the fine operator plus an exact-or-AMG coarse solve:
     a V-cycle whose top level ``top`` holds A and P and whose coarse
-    levels are a hierarchy of P^T A P.  The top level prepares A P, so an
-    action forms no product by A: the presmoothing sweep returns its
-    residual and the coarse correction updates it through A P.  A
+    levels are a hierarchy of P^T A P.  The top level prepares the split
+    products P^T U and L P (for the plain form P^T L and U P), so an
+    action is its sweeps' triangular substitutions around the coarse
+    solve and makes no pass over A (see :func:`smooth_and_correct`).  A
     ValueError names an unknown ``coarse``, a ``theta`` outside (0, 1),
     the first entry of A or P that is not finite, or the first row of A
     whose diagonal entry is zero, before any setup work.
@@ -67,7 +68,7 @@ class TwoLevelPreconditioner(VCyclePreconditioner):
         checked_diagonal(A, "A")
         self.P = P
         A_H = triple_product(P.transpose(), A, P)
-        self.top = _Level(A, P, AP=matmat(A, P))
+        self.top = _Level(A, P, presmooth=presmooth)
         self.presmooth = presmooth
         H = build_hierarchy(A_H, max_levels=1) if coarse == "exact" else build_hierarchy(A_H, theta=theta)
         super().__init__(H)
@@ -80,17 +81,19 @@ class TwoLevelPreconditioner(VCyclePreconditioner):
         return vcycle_apply(self.hierarchy, r_H)
 
     def _cycle(self, r, with_product):
-        return smooth_and_correct(self.top, r, self.coarse_solve,
-                                  *_sweeps(self.top.smoother, self.presmooth, with_product))
+        return smooth_and_correct(self.top, r, self.coarse_solve, self.presmooth, with_product)
 
     def apply_transpose(self, r):
         """Adjoint action.  The symmetric form is its own adjoint; the
-        plain form's adjoint is a backward sweep, then the coarse
-        correction."""
+        plain form's adjoint is a backward sweep x0, then the coarse
+        correction x0 + P coarse_solve(-P^T L x0), whose restriction the
+        top level prepares."""
         if self.presmooth:
             return self.apply(r)
-        return smooth_and_correct(self.top, self._as_block(r), self.coarse_solve,
-                                  self.top.smoother.backward_sweep, None)
+        gs = self.top.smoother
+        y = gs.substitute(self._as_block(r), False)
+        e = self.coarse_solve(np.negative(spmv(self.top.PtS, y)))
+        return spmv(self.P, e, out=gs.scale(y))
 
 
 # -- augmented formulation --------------------------------------------------

@@ -221,8 +221,10 @@ class TestHierarchy:
         assert H.num_levels >= 2
         for lvl in H.levels[:-1]:
             assert isinstance(lvl.smoother, GaussSeidel)
-            assert lvl.AP is None  # A P would hold 58% of A's entries here
-            others = [v for k, v in vars(lvl).items() if k not in ("A", "P", "AP")]
+            # each split product would hold 36% of A's entries on P4 n=8,
+            # so a step takes half passes over A instead
+            assert lvl.PtS is None and lvl.SP is None
+            others = [v for k, v in vars(lvl).items() if k not in ("A", "P", "PtS", "SP")]
             assert all(isinstance(v, GaussSeidel) for v in others) and len(others) == 1
         # the dense factor solves the coarsest level, so it prepares no sweeps
         coarsest = H.levels[-1]

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from auxmg.csr import (
 )
 from auxmg.fem import assemble_divergence, assemble_operator, build_space, eliminate_dirichlet
 from auxmg.mesh import build_cube_mesh
+from auxmg.problems import poisson_setup
 from auxmg.transfer import build_prolongation
 
 
@@ -320,35 +322,66 @@ class TestGaussSeidel:
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("k", [None, 3])
     def test_sweep_returns_the_call_and_its_residual(self, level, k):
-        # x is the plain sweep bit for bit; d sums U x (or L x) where the
-        # written-out A x - b cancels (D + L) x against b, so the two
-        # agree to a few ulps of b (at most 7e-16 of max |b| measured on P2-P4 meshes)
+        # the substitution, scaled, is the call bit for bit; the residual
+        # sums U x (or L x) where the written-out A x - b cancels (D + L) x
+        # against b, so the two agree to a few ulps of b (at most 7e-16 of
+        # max |b| measured on P2-P4 meshes)
         A = build_hierarchy(p4_stiffness_n2()).levels[level].A
         rng = np.random.default_rng(level)
         b = rng.standard_normal(A.nrows if k is None else (A.nrows, k))
         gs = GaussSeidel(A)
-        for direction in ("forward", "backward"):
-            x, d = getattr(gs, direction + "_sweep")(b)
-            assert np.array_equal(x, getattr(GaussSeidel(A), direction)(b))
+        for forward, call in ((True, gs.forward), (False, gs.backward)):
+            y = gs.substitute(b, forward)
+            d = gs.residual(y, forward)
+            x = gs.scale(y.copy())
+            assert np.array_equal(x, call(b))
             assert np.max(np.abs(d - (spmv(A, x) - b))) <= 1e-13 * np.max(np.abs(b))
             if k is not None:  # the block contract: each column is the vector call
                 for j in range(k):
-                    xj, dj = getattr(gs, direction + "_sweep")(b[:, j])
-                    assert np.array_equal(x[:, j], xj) and np.array_equal(d[:, j], dj)
+                    yj = gs.substitute(b[:, j], forward)
+                    assert np.array_equal(y[:, j], yj) and np.array_equal(d[:, j], gs.residual(yj, forward))
 
     @settings(max_examples=60, deadline=None)
     @given(diagonally_dominant())
     def test_sweep_residual_matches_dense_residual(self, case):
         dense, b = case
         gs = GaussSeidel(CsrMatrix.from_dense(dense))
-        for sweep in (gs.forward_sweep, gs.backward_sweep):
-            x, d = sweep(b)
+        for forward in (True, False):
+            y = gs.substitute(b, forward)
+            d = gs.residual(y, forward)
+            x = gs.scale(y)
             scale = (np.abs(dense) @ np.abs(x) + np.abs(b)).max()
             assert np.max(np.abs(d - (dense @ x - b))) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_residual_adds_into_out(self, forward):
+        # S x added into out is out + (the residual alone), summed in
+        # another order
+        A = p4_stiffness_n2()
+        rng = np.random.default_rng(11)
+        y, out = rng.standard_normal((2, A.nrows))
+        gs = GaussSeidel(A)
+        ref = out + gs.residual(y, forward)
+        got = gs.residual(y, forward, out=out)
+        assert got is out and np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_coarse_products_are_the_split_products(self, forward):
+        # P^T S D^{-1} and S' P for the strict triangles S and S' of A,
+        # to roundoff (the second one carries D^{-1} D), with no stored zero
+        prob = poisson_setup(3, 2)
+        A, P = prob.system.A, prob.prolongation_int
+        dense, Pd = A.to_dense(), P.to_dense()
+        upper, lower = np.triu(dense, 1), np.tril(dense, -1)
+        S, S_other = (upper, lower) if forward else (lower, upper)
+        PtS, SP = GaussSeidel(A).coarse_products(P, forward)
+        for got, ref in ((PtS, Pd.T @ S / np.diag(dense)), (SP, S_other @ Pd)):
+            assert np.max(np.abs(got.to_dense() - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.all(got.values != 0.0)
+
     def test_one_object_shares_its_triangles(self, monkeypatch):
-        # one object stores each triangle once: the forward residual runs
-        # over the backward sweep's triangle and the backward residual over
+        # one object stores each triangle once: the forward sweep's residual
+        # runs over the backward sweep's triangle and the backward one's over
         # the forward sweep's, the very arrays that gstrs substitutes with
         gs = GaussSeidel(p4_stiffness_n2())
         unit, lower = gs._forward
@@ -363,8 +396,8 @@ class TestGaussSeidel:
 
         monkeypatch.setattr(csr, "_add_matvec", recording)
         b = np.ones(len(unit[2]))
-        gs.forward_sweep(b)
-        gs.backward_sweep(b)
+        gs.residual(b, True)
+        gs.residual(b, False)
         assert read[0] is upper and read[1] is lower
 
     def test_call_and_sweep_leave_b_unchanged(self):
@@ -374,9 +407,11 @@ class TestGaussSeidel:
         for b in (vector, np.asfortranarray(block), np.ascontiguousarray(block)):
             before = b.copy()
             gs = GaussSeidel(A)
-            for sweep in (gs.forward, gs.backward, gs.forward_sweep, gs.backward_sweep):
-                sweep(b)
-                assert np.array_equal(b, before)
+            for forward in (True, False):
+                for sweep in (gs.forward, gs.backward, partial(gs.substitute, forward=forward),
+                              partial(gs.residual, forward=forward)):
+                    sweep(b)
+                    assert np.array_equal(b, before)
 
     def test_leaves_right_hand_side_alone(self):
         A = CsrMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])

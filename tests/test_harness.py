@@ -530,4 +530,4 @@ class TestCli:
                "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
         subprocess.run([sys.executable, "-m", "auxmg.cli", "verify", "--seed", "0", "--out", str(out)],
                        env=env, capture_output=True, check=True)
-        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "fd0ab15843c26c23"
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "189130f56345bcad"

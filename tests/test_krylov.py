@@ -234,7 +234,7 @@ class TestFgmres:
         cfg = SolverConfig(rel_tol=1e-30, max_iters=8, restart=3)
         x, rep = fgmres(op, M, np.zeros(A.nrows), cfg, x0=x0)
         assert rep.iterations == 8 and len(calls) == 12
-        assert (digest(x), digest(rep.residual_history)) == ("a0ccc3a6fc102d38", "6836d1ac7a77c1d5")
+        assert (digest(x), digest(rep.residual_history)) == ("a2dd6c01d10604e8", "846ccdf7b4fda194")
 
     def test_deterministic(self):
         prob = poisson_setup(2, 2)
@@ -264,6 +264,24 @@ class TestPostHocResiduals:
             assert np.linalg.norm(b - spmv(A, x)) / np.linalg.norm(b) <= tol
             assert rep.residual_history[-1] <= tol
             assert len(rep.residual_history) == rep.iterations + 1
+
+
+class TestConvergenceFactor:
+    @pytest.mark.parametrize("solver", [pcg, minres, fgmres])
+    def test_is_the_mean_reduction_per_iteration(self, solver):
+        prob = poisson_setup(2, 2)
+        A = prob.system.A
+        M = TwoLevelPreconditioner(A, prob.prolongation_int)
+        b = np.random.default_rng(12).standard_normal(A.nrows)
+        _, rep = solver(A, M, b, SolverConfig(rel_tol=1e-8))
+        h = rep.residual_history
+        assert rep.converged and rep.iterations > 0
+        assert rep.convergence_factor == (h[-1] / h[0]) ** (1 / rep.iterations)
+        assert 0.0 < rep.convergence_factor <= 1e-8 ** (1 / rep.iterations)
+
+    def test_none_at_zero_iterations(self):
+        _, rep = pcg(CsrMatrix.identity(3), None, np.zeros(3), SolverConfig())
+        assert rep.iterations == 0 and rep.convergence_factor is None
 
 
 class TestConfig:

@@ -22,20 +22,20 @@ from auxmg.twolevel import TwoLevelPreconditioner
 from tests.test_setup_pins import digest
 
 STOKES_PINS = {
-    ("Qt", "gamg"): ("d0c763bf446db443", "f1cf82a9ac3fb00f", "fc75481769618b89", 43),
-    ("Qt", "amg"): ("01c0970a1f45c40e", "dec43befa56e67f9", "7de493a664513c4e", 40),
-    ("Qd", "gamg"): ("42543ab2853b0683", "462b0cbdd73e1237", "6feb5eaf429d31bc", 97),
-    ("Qd", "amg"): ("f342b82e610aa37f", "8233857a1f9b68f1", "da788e28de2b4002", 92),
+    ("Qt", "gamg"): ("581979150742dcc0", "dc3ca9be1caf2154", "410624f780f32d5c", 43),
+    ("Qt", "amg"): ("e75f77be258eb66b", "0e380e02ea61e92b", "01fcb9063cdcdb92", 40),
+    ("Qd", "gamg"): ("2d1d2ce3dbc9d24a", "c8c1fe83b9cd0e9b", "553c0b38a13f5e2d", 97),
+    ("Qd", "amg"): ("986eaccd602a103f", "eddb852b77a5f548", "12382e21d9331683", 92),
 }
 
-POISSON_P3_GAMG_PIN = ("e984932b199af9b0", "af462a493ac9050d", 15)
+POISSON_P3_GAMG_PIN = ("f5718d5139241402", "d75edbe7ecf9be7a", 15)
 
 # rel_tol=1e-30 is never met, so max_iters=7 stops each solve; with
 # restart=3, FGMRES restarts twice
 CAPPED_PINS = {
-    "fgmres": ("a92c2bd1c7420587", "54ca3554039106d7", 7),
-    "minres": ("aa7356e718e5e2bd", "170cb9f3eddfe54a", 7),
-    "cg": ("779cc9b75a0af3fe", "7e3fa69ee085e4cf", 7),
+    "fgmres": ("7f6a276be9ebe407", "8ea88cdbd6a6a6be", 7),
+    "minres": ("a43067b15b54114a", "60d82a055e75cf4c", 7),
+    "cg": ("3135c9eaf3a68a73", "b8bd311bb649b1b7", 7),
 }
 
 

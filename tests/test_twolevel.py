@@ -1,11 +1,13 @@
+import itertools
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from auxmg import amg, csr, krylov, twolevel
 from auxmg.amg import AmgHierarchy, VCyclePreconditioner, _Level, build_hierarchy, vcycle_apply
-from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, matmat, spmv, triple_product
+from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, spmv, triple_product
 from auxmg.problems import poisson_setup
 from auxmg.twolevel import (
     MAX_AUGMENTED_DIM,
@@ -70,12 +72,19 @@ class TestTwoLevelApply:
         lhs, rhs = x @ M.apply(y), y @ M.apply(x)
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
-    def test_transpose_is_adjoint(self):
+    def test_transpose_is_adjoint(self, p2_to_p4):
         A, P, M = two_level(2, 2, coarse="exact", presmooth=False)
         rng = np.random.default_rng(3)
         for _ in range(4):
             x, y = rng.standard_normal(A.nrows), rng.standard_normal(A.nrows)
             assert x @ M.apply(y) == pytest.approx(y @ M.apply_transpose(x), rel=1e-11, abs=1e-13)
+        # <s, M r> against <M^T s, r> on P2-P4, both coarse solves, vectors
+        # and blocks: at most 6.6e-17 of |s| |M r| measured
+        for (A, P), coarse, k in itertools.product(p2_to_p4, ("amg", "exact"), (None, 3)):
+            M = TwoLevelPreconditioner(A, P, coarse=coarse, presmooth=False)
+            r, s = _residual((A.nrows, k), 53), _residual((A.nrows, k), 54)
+            z = M.apply(r)
+            assert abs(np.vdot(s, z) - np.vdot(M.apply_transpose(s), r)) <= 1e-14 * np.linalg.norm(s) * np.linalg.norm(z)
 
     def test_linear_in_residual(self):
         A, P, M = two_level(2, 3, coarse="exact")
@@ -94,13 +103,16 @@ class TestTwoLevelApply:
         assert np.allclose(spmv(A, x), r)  # single unknown: sweep solves exactly
 
     def test_sweeps_prepared_once(self):
-        A, P, M = two_level(2, 2)
-        top = M.top
-        assert isinstance(top.smoother, GaussSeidel)
-        # the one extra stored matrix is A P, with A P's pattern and values
-        stored = [*vars(M).values(), *vars(top).values()]
-        assert not any(isinstance(v, CsrMatrix) and v not in (M.A, M.P, top.AP) for v in stored)
-        assert np.array_equal(top.AP.to_dense(), (A.to_scipy() @ P.to_scipy()).toarray())
+        for presmooth in (True, False):
+            A, P, M = two_level(2, 2, presmooth=presmooth)
+            top = M.top
+            assert isinstance(top.smoother, GaussSeidel)
+            # the extra stored matrices are the smoother's split products for
+            # the form: P^T U D^{-1} and L P, or P^T L D^{-1} and U P
+            stored = [*vars(M).values(), *vars(top).values()]
+            assert not any(isinstance(v, CsrMatrix) and v not in (M.A, M.P, top.PtS, top.SP) for v in stored)
+            for got, ref in zip((top.PtS, top.SP), GaussSeidel(A).coarse_products(P, presmooth)):
+                assert np.array_equal(got.to_dense(), ref.to_dense())
 
     def test_zero_diagonal_fails_at_setup(self):
         A, P, _ = two_level(2, 2, coarse="exact")
@@ -124,7 +136,7 @@ class TestTwoLevelApply:
             raise AssertionError("a product formed before the diagonal check")
 
         monkeypatch.setattr(twolevel, "triple_product", no_setup)
-        monkeypatch.setattr(twolevel, "matmat", no_setup)
+        monkeypatch.setattr(csr.GaussSeidel, "coarse_products", no_setup)
         with pytest.raises(ValueError, match="^A needs a nonzero finite diagonal: row 5 has 0.0$"):
             TwoLevelPreconditioner(A, P)
 
@@ -147,7 +159,7 @@ class TestTwoLevelApply:
             raise AssertionError(f"a product formed for theta = {theta}")
 
         monkeypatch.setattr(twolevel, "triple_product", no_setup)
-        monkeypatch.setattr(twolevel, "matmat", no_setup)
+        monkeypatch.setattr(csr.GaussSeidel, "coarse_products", no_setup)
         with pytest.raises(ValueError, match=rf"^theta must lie in \(0,1\), got {theta}$"):
             TwoLevelPreconditioner(A, P, coarse=coarse, theta=theta)
 
@@ -172,18 +184,29 @@ def p2_n6():
     return prob.system.A, prob.prolongation_int
 
 
-def _composed(A, P, AP, coarse_solve, r, pre, post):
-    """Smoothing and coarse correction written out in the fused form: the
-    pre sweep from a zero guess returns x and d = A x - r, then
-    e = coarse_solve(P^T (-d)), x += P e and d += (A P) e in place, and
-    the post sweep gives x - post(d)."""
-    x, d = (np.zeros_like(r), -r) if pre is None else pre(r)
-    e = coarse_solve(-spmv(P.transpose(), d))
-    spmv(P, e, out=x)
-    if post is None:
-        return x
-    spmv(AP, e, out=d)
-    return x - post(d)
+@pytest.fixture(scope="module")
+def p2_to_p4(p2_n6):
+    """(A, P) of P2 n=6, P3 n=3 and P4 n=2."""
+    return [p2_n6] + [(prob.system.A, prob.prolongation_int) for prob in (poisson_setup(3, 3), poisson_setup(2, 4))]
+
+
+def _composed(A, P, coarse_solve, r, presmooth, transpose=False):
+    """The step written out in the split form, from a fresh smoother and
+    its split products: (D + U) z = D x0 - L P e after a forward sweep
+    x0 = D^{-1} y and e = coarse_solve(-P^T U x0); (D + L) z = r - U P e
+    for e = coarse_solve(P^T r) in the plain form; and x0 + P e after a
+    backward sweep for its adjoint."""
+    gs = GaussSeidel(A)
+    PtS, SP = gs.coarse_products(P, presmooth)
+    if transpose:
+        y = gs.substitute(r, False)
+        return spmv(P, coarse_solve(-spmv(PtS, y)), out=gs.scale(y))
+    if presmooth:
+        y = gs.substitute(r, True)
+        b = spmv(SP, -coarse_solve(-spmv(PtS, y)), out=y)
+    else:
+        b = spmv(SP, -coarse_solve(spmv(P.transpose(), r)), out=r.copy())
+    return gs.scale(gs.substitute(b, not presmooth))
 
 
 def _unfused(A, P, coarse_solve, r, pre, post):
@@ -213,25 +236,21 @@ class TestPinnedComposition:
         else:
             L_H = cholesky_factor(A_H.to_dense())
             coarse_solve = lambda r_H: cholesky_solve(L_H, r_H)  # noqa: E731
-        gs = GaussSeidel(A)
-        AP = CsrMatrix.from_scipy(A.to_scipy() @ P.to_scipy())
         rng = np.random.default_rng(40)
         for _ in range(2):
             r = rng.standard_normal(A.nrows)
-            if presmooth:
-                ref = ref_t = _composed(A, P, AP, coarse_solve, r, gs.forward_sweep, gs.backward)
-            else:
-                ref = _composed(A, P, AP, coarse_solve, r, None, gs.forward)
-                ref_t = _composed(A, P, AP, coarse_solve, r, gs.backward_sweep, None)
+            ref = ref_t = _composed(A, P, coarse_solve, r, presmooth)
+            if not presmooth:
+                ref_t = _composed(A, P, coarse_solve, r, presmooth, transpose=True)
             assert np.array_equal(M.apply(r), ref)
             assert np.array_equal(M.apply_transpose(r), ref_t)
 
     def test_gamg_is_the_top_level_of_a_vcycle(self, p2_n6):
-        # GAMG equals a V-cycle over [(A, P)], which prepares A P, followed
-        # by the AMG levels of A_H
+        # GAMG equals a V-cycle over [(A, P)], which prepares the split
+        # products, followed by the AMG levels of A_H
         A, P = p2_n6
         M = TwoLevelPreconditioner(A, P, coarse="amg", presmooth=True)
-        top = _Level(A, P, AP=matmat(A, P))
+        top = _Level(A, P, presmooth=True)
         H = AmgHierarchy([top] + M.hierarchy.levels, M.hierarchy.coarsest_factor, M.hierarchy.theta)
         r = np.random.default_rng(41).standard_normal(A.nrows)
         assert np.array_equal(M.apply(r), vcycle_apply(H, r))
@@ -259,14 +278,13 @@ class TestPinnedComposition:
         assert M.level_count() == 1
         assert M.operator_complexity() == 1.0
         r = np.random.default_rng(42).standard_normal(A.nrows)
-        gs = GaussSeidel(A)
-        AP = CsrMatrix.from_scipy(A.to_scipy() @ P.to_scipy())
-        assert np.array_equal(M.apply(r), _composed(A, P, AP, M.coarse_solve, r, gs.forward_sweep, gs.backward))
+        assert np.array_equal(M.apply(r), _composed(A, P, M.coarse_solve, r, True))
 
 
-# the fused step and the written-out one sum the same terms in different
+# the split step and the written-out one sum the same terms in different
 # orders, so they differ by a few ulps of the result's largest entry (at
-# most 7e-16 of it measured on P2-P4 meshes, vectors and blocks)
+# most 1.7e-15 of it measured on P2 n=4 and 6, P3 n=3 and 4 and P4 n=2,
+# every form and coarse mode, vectors and blocks)
 FUSED_RTOL = 1e-13
 
 
@@ -286,15 +304,15 @@ class TestFusedStep:
     @pytest.mark.parametrize("k", [None, 3])
     @pytest.mark.parametrize("form", ["symmetric", "plain", "plain-transpose"])
     @pytest.mark.parametrize("coarse", ["amg", "exact"])
-    def test_two_level_matches_unfused(self, p2_n6, coarse, form, k):
-        A, P = p2_n6
-        M = TwoLevelPreconditioner(A, P, coarse=coarse, presmooth=form == "symmetric")
-        gs = GaussSeidel(A)
-        fwd, bwd = gs.forward, gs.backward
-        action, pre, post = {"symmetric": (M.apply, fwd, bwd), "plain": (M.apply, None, fwd),
-                             "plain-transpose": (M.apply_transpose, bwd, None)}[form]
-        r = _residual((A.nrows, k), 43)
-        assert_close(action(r), _unfused(A, P, M.coarse_solve, r, pre, post))
+    def test_two_level_matches_unfused(self, p2_to_p4, coarse, form, k):
+        for A, P in p2_to_p4:
+            M = TwoLevelPreconditioner(A, P, coarse=coarse, presmooth=form == "symmetric")
+            gs = GaussSeidel(A)
+            fwd, bwd = gs.forward, gs.backward
+            action, pre, post = {"symmetric": (M.apply, fwd, bwd), "plain": (M.apply, None, fwd),
+                                 "plain-transpose": (M.apply_transpose, bwd, None)}[form]
+            r = _residual((A.nrows, k), 43)
+            assert_close(action(r), _unfused(A, P, M.coarse_solve, r, pre, post))
 
     @pytest.mark.parametrize("k", [None, 3])
     @pytest.mark.parametrize("presmooth", [True, False])
@@ -326,9 +344,10 @@ class TestFusedStep:
         assert_close(vcycle_apply(H, r), unfused_cycle(0, r))
 
 
-# A z from the last sweep against spmv(A, z): at most 2.3e-15 of the
-# product's largest entry, measured for every form on P2 n=6, P3 n=3 and
-# P4 n=2 and 8, vectors and blocks
+# A z from the last sweep's right-hand side against spmv(A, z): at most
+# 3.7e-15 of the product's largest entry, measured for every form and the
+# V-cycle on the meshes of FUSED_RTOL, vectors and blocks, and 3.9e-15 on
+# a P4 n=8 vector
 PRODUCT_RTOL = 1e-13
 
 
@@ -345,10 +364,10 @@ class TestApplyWithProduct:
     @pytest.mark.parametrize("k", [None, 3])
     @pytest.mark.parametrize("presmooth", [True, False])
     @pytest.mark.parametrize("coarse", ["amg", "exact"])
-    def test_pair_is_the_action_and_its_product(self, p2_n6, coarse, presmooth, k):
-        A, P = p2_n6
-        M = TwoLevelPreconditioner(A, P, coarse=coarse, presmooth=presmooth)
-        assert_pair(M.apply_with_product, M.apply, A, _residual((A.nrows, k), 48))
+    def test_pair_is_the_action_and_its_product(self, p2_to_p4, coarse, presmooth, k):
+        for A, P in p2_to_p4:
+            M = TwoLevelPreconditioner(A, P, coarse=coarse, presmooth=presmooth)
+            assert_pair(M.apply_with_product, M.apply, A, _residual((A.nrows, k), 48))
 
     @pytest.mark.parametrize("k", [None, 3])
     @pytest.mark.parametrize("presmooth", [True, False])
@@ -377,29 +396,75 @@ def _count(seen, X):
     return sum(Y is X for Y in seen)
 
 
+@pytest.fixture
+def kernels(monkeypatch):
+    """The arrays each ``gstrs`` substitution and each ``csr_matvec`` pass
+    reads, in call order: the L slot's values, and the (row pointer,
+    column indices, values) of the matrix or triangle."""
+    seen = {"gstrs": [], "matvec": []}
+    real_gstrs, real_matvec = csr._superlu.gstrs, csr._add_matvec
+
+    def gstrs(trans, n, nnz_l, l_vals, *args):
+        seen["gstrs"].append(l_vals)
+        return real_gstrs(trans, n, nnz_l, l_vals, *args)
+
+    def matvec(n, m, arrays, x, y):
+        seen["matvec"].append(arrays)
+        real_matvec(n, m, arrays, x, y)
+
+    monkeypatch.setattr(csr, "_superlu", SimpleNamespace(gstrs=gstrs))
+    monkeypatch.setattr(csr, "_add_matvec", matvec)
+    return seen
+
+
+def _sweep_kernels(seen, gs):
+    """(substitutions, half products) that ran on the triangles of ``gs``."""
+    subs = sum(v is gs._forward[0][2] or v is gs._backward[0][2] for v in seen["gstrs"])
+    halves = sum(a is gs._forward[1] or a is gs._backward[0] for a in seen["matvec"])
+    return subs, halves
+
+
 class TestProductsPerStep:
     @pytest.mark.parametrize("action, presmooth", [("apply", True), ("apply", False), ("apply_transpose", False)])
-    def test_two_level_action_never_multiplies_by_the_fine_operator(self, p2_n6, products, action, presmooth):
-        # P^T, P and (when a post sweep follows) A P at the top, then P^T, P
-        # and A once per AMG level of the coarse cycle
+    def test_two_level_action_never_multiplies_by_the_fine_operator(self, p2_n6, products, kernels, action,
+                                                                    presmooth):
+        # the top level multiplies by its split products (P^T r or P e in
+        # place of one in the plain form and its adjoint) and substitutes
+        # once per sweep, with no half pass over A unless the
+        # pair (z, A z) is asked for; each AMG level of the coarse cycle
+        # multiplies by P^T and P, substitutes twice and takes two half
+        # passes over its A, and nothing multiplies by a level's A
         A, P = p2_n6
         M = TwoLevelPreconditioner(A, P, coarse="amg", presmooth=presmooth)
-        assert M.hierarchy.num_levels >= 2
-        products.clear()
-        getattr(M, action)(_residual((A.nrows, 3), 46))
-        expected = [P.transpose(), P] + [M.top.AP] * (action == "apply")
-        for lvl in M.hierarchy.levels[:-1]:
-            expected += [lvl.P.transpose(), lvl.P, lvl.A]
-        assert _count(products, A) == 0
-        assert sorted(map(id, products)) == sorted(map(id, expected))
+        top, coarse = M.top, M.hierarchy.levels[:-1]
+        assert len(coarse) >= 1
+        top_products = {("apply", True): [top.PtS, top.SP], ("apply", False): [P.transpose(), top.SP],
+                        ("apply_transpose", False): [top.PtS, P]}[action, presmooth]
+        top_subs = 2 if presmooth else 1
+        for with_product in (False, True) if action == "apply" else (False,):
+            products.clear()
+            kernels["gstrs"].clear()
+            kernels["matvec"].clear()
+            (M.apply_with_product if with_product else getattr(M, action))(_residual((A.nrows, 3), 46))
+            expected = top_products + [X for lvl in coarse for X in (lvl.P.transpose(), lvl.P)]
+            assert not any(lvl.A in products for lvl in M.levels)
+            assert sorted(map(id, products)) == sorted(map(id, expected))
+            assert _sweep_kernels(kernels, top.smoother) == (top_subs, int(with_product))
+            for lvl in coarse:
+                assert _sweep_kernels(kernels, lvl.smoother) == (2, 2)
+            assert len(kernels["gstrs"]) == top_subs + 2 * len(coarse)
+            assert len(kernels["matvec"]) == len(products) + int(with_product) + 2 * len(coarse)
 
-    def test_vcycle_level_multiplies_by_its_operator_once(self, products):
+    def test_vcycle_level_never_multiplies_by_its_operator(self, products, kernels):
         H = build_hierarchy(poisson_setup(3, 3).system.A, theta=0.25)
         assert H.num_levels >= 3
         vcycle_apply(H, _residual((H.levels[0].A.nrows, None), 47))
         for lvl in H.levels[:-1]:
-            assert (_count(products, lvl.A), _count(products, lvl.P), _count(products, lvl.P.transpose())) == (1, 1, 1)
-        assert len(products) == 3 * (H.num_levels - 1)
+            assert (_count(products, lvl.A), _count(products, lvl.P), _count(products, lvl.P.transpose())) == (0, 1, 1)
+            assert _sweep_kernels(kernels, lvl.smoother) == (2, 2)
+        assert len(products) == 2 * (H.num_levels - 1)
+        assert len(kernels["gstrs"]) == 2 * (H.num_levels - 1)
+        assert len(kernels["matvec"]) == 4 * (H.num_levels - 1)
 
     # rel_tol=1e-30 is never met, so max_iters=7 stops each solve; with
     # restart=3 the cycles end after iterations 3, 6 and 7
@@ -416,16 +481,15 @@ class TestProductsPerStep:
         assert _count(products, A) == rep.operator_applies == 4
         assert rep.precond_applies == 7
 
-    def test_plain_amg_fgmres_multiplies_by_the_fine_operator_once_per_iteration(self, products):
-        # the V-cycle top forms A (P e) once per iteration, plus r0 and the
-        # three cycle ends
+    def test_plain_amg_fgmres_multiplies_by_the_fine_operator_for_true_residuals_only(self, products):
+        # r0 and the three cycle ends; the V-cycle's first level gives A z
         A = poisson_setup(3, 3).system.A
         M = VCyclePreconditioner(build_hierarchy(A, theta=0.25))
         x0 = _residual((A.nrows, None), 52)
         products.clear()
         _, rep = krylov.fgmres(A, M, np.zeros(A.nrows), self.CAPPED, x0=x0)
-        assert rep.iterations == 7 and rep.operator_applies == 4
-        assert _count(products, A) == 7 + 4
+        assert rep.iterations == 7
+        assert _count(products, A) == rep.operator_applies == 4
 
 
 class TestAugmentedSystem:
@@ -525,7 +589,7 @@ class TestAugmentedGaussSeidel:
         def boom(*args, **kwargs):
             raise AssertionError("the augmented reference called a preconditioner kernel")
 
-        monkeypatch.setattr(csr.GaussSeidel, "_substitute", boom)
+        monkeypatch.setattr(csr.GaussSeidel, "substitute", boom)
         for module in (csr, amg, twolevel):
             for name in ("spmv", "cholesky_solve"):
                 if hasattr(module, name):
