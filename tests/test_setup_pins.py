@@ -1,6 +1,7 @@
 """Pins of the problem build: DOF numbering, coordinates, boundary mask,
-stiffness matrix, transfer and reference tables, as SHA-256 digests of
-their exact bytes, plus properties of COO assembly and the transfer.
+stiffness matrix, transfer, reference tables and the assembled Stokes
+system, as SHA-256 digests of their exact bytes, plus properties of COO
+assembly and the transfer.
 
 The digests were taken from the per-tet loop implementation; the array
 code that replaced it must reproduce every bit.
@@ -19,6 +20,7 @@ from auxmg import reference
 from auxmg.csr import CsrMatrix, spmv
 from auxmg.fem import assemble_operator, build_space
 from auxmg.mesh import build_cube_mesh, perturb_interior, refine_uniform
+from auxmg.stokes import assemble_stokes
 from auxmg.transfer import build_prolongation
 from tests.test_transfer import assert_tets_agree
 
@@ -303,3 +305,43 @@ def test_prolongation_rows_sum_to_one_on_perturbed_meshes(n, k, seed, magnitude)
     assert_tets_agree(P, fine)
     assert np.max(np.abs(spmv(P, np.ones(coarse.n_dofs)) - 1.0)) <= 1e-14
     assert np.all(np.diff(P.row_ptr) >= 1) and np.all(np.diff(P.row_ptr) <= 4)
+
+
+# -- Stokes system --------------------------------------------------------------
+
+# taken when assemble_stokes formed its element geometry once per block
+STOKES_SYSTEM_PINS = {
+    2: {
+        "B": "12268ab9ba498c1a",
+        "M_p": "478caeb1b64d971a",
+        "A_scalar": "b8d62aead678ab99",
+        "rhs_u": "a108089420ce9296",
+        "rhs_p": "dab8e8c8199eea35",
+        "lid_values": "76e676b8701c6d1e",
+    },
+    3: {
+        "B": "a3251a85b23e24d3",
+        "M_p": "255aa4a3c50e8007",
+        "A_scalar": "f427a41fdb01f641",
+        "rhs_u": "37f85d039914e8ba",
+        "rhs_p": "82a903befd430d14",
+        "lid_values": "ebc65ee27a284f85",
+    },
+}
+
+
+def stokes_digests(k):
+    S = assemble_stokes(build_cube_mesh(3), k)
+    return {
+        "B": csr_digest(S.B),
+        "M_p": csr_digest(S.M_p),
+        "A_scalar": csr_digest(S.A_scalar),
+        "rhs_u": digest(S.rhs_u),
+        "rhs_p": digest(S.rhs_p),
+        "lid_values": digest(S.lid_values),
+    }
+
+
+@pytest.mark.parametrize("k", sorted(STOKES_SYSTEM_PINS))
+def test_stokes_system_bits(k):
+    assert stokes_digests(k) == STOKES_SYSTEM_PINS[k]
