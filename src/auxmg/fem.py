@@ -128,9 +128,10 @@ def _element_geometry(mesh):
     return grads, vol
 
 
-def _element_matrices(space: FeSpace, form: str) -> np.ndarray:
-    """The (nt, n_loc, n_loc) stiffness or mass matrices of the elements."""
-    grads, vol = _element_geometry(space.mesh)
+def _element_matrices(space: FeSpace, form: str, geometry) -> np.ndarray:
+    """The (nt, n_loc, n_loc) stiffness or mass matrices of the elements,
+    on ``geometry`` or, when it is None, on the mesh's own."""
+    grads, vol = _element_geometry(space.mesh) if geometry is None else geometry
     if form == "stiffness":
         g = np.einsum("tmc,tnc->tmn", grads, grads) * vol[:, None, None]
         return np.einsum("tmn,mnij->tij", g, reference.stiffness_reference(space.order))
@@ -152,17 +153,28 @@ def assemble_operator(space: FeSpace, form: str) -> CsrMatrix:
     Element integrals are exact (rational barycentric expansion), so
     e.g. stiffness row sums vanish to machine precision.
     """
+    return _assemble_operator(space, form, None)
+
+
+def _assemble_operator(space: FeSpace, form: str, geometry):
+    """:func:`assemble_operator` on the mesh's ``_element_geometry``, or
+    with ``geometry`` None on one it forms after the keys."""
     n, dofs = space.n_dofs, space.element_dofs
     if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
         raise ValueError(f"element_dofs out of range for {n} DOFs")
     # keys, then values, both temporaries, so the core frees each once used
-    return _csr_from_keys(n, n, _element_keys(space, space), _element_matrices(space, form).ravel())
+    return _csr_from_keys(n, n, _element_keys(space, space), _element_matrices(space, form, geometry).ravel())
 
 
 def assemble_divergence(vel: FeSpace, pres: FeSpace):
     """Component blocks B_c (pres.n_dofs x vel.n_dofs) of the -div operator
     on one mesh, sharing one sorted (row, col) pattern."""
-    grads, vol = _element_geometry(vel.mesh)
+    return _assemble_divergence(vel, pres, _element_geometry(vel.mesh))
+
+
+def _assemble_divergence(vel: FeSpace, pres: FeSpace, geometry):
+    """:func:`assemble_divergence` on the mesh's ``_element_geometry``."""
+    grads, vol = geometry
     N = reference.divergence_reference(vel.order, pres.order)  # (4, n_p_loc, n_v_loc)
     return _csr_from_keys(
         pres.n_dofs, vel.n_dofs, _element_keys(pres, vel),

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
+from . import fem
 from .amg import VCyclePreconditioner, build_hierarchy
 from .csr import CsrMatrix, _adopt, spmv
-from .fem import FeSpace, assemble_divergence, assemble_operator, build_space, eliminate_dirichlet
+from .fem import FeSpace, build_space, eliminate_dirichlet
 from .krylov import SolveReport, SolverConfig, fgmres, minres, pcg
 from .mesh import TetMesh
 from .transfer import build_prolongation
@@ -44,12 +45,15 @@ class StokesSystem:
     Velocity DOFs are component-major over the interior scalar DOFs:
     u = [u_x; u_y; u_z].  ``B`` maps interior velocity to pressure;
     the boundary contribution of the lid sits in ``rhs_p``.  The velocity
-    block is ``A_scalar`` on each component.
+    block is ``A_scalar`` on each component.  At k = 2 the P1
+    ``pressure_space`` is also the auxiliary space of the two-level
+    velocity preconditioner.
     """
 
     B: CsrMatrix            # n_p x 3*n_int discrete -div
     M_p: CsrMatrix          # pressure mass
     velocity_space: FeSpace
+    pressure_space: FeSpace
     A_scalar: CsrMatrix     # one diagonal block of A
     rhs_u: np.ndarray
     rhs_p: np.ndarray
@@ -92,9 +96,21 @@ class StokesSystem:
         return out
 
 
-def _lid_dirichlet_values(space: FeSpace, lid_velocity) -> np.ndarray:
+def _lid_triple(lid_velocity) -> np.ndarray:
+    """``lid_velocity`` as three finite floats; a ValueError names it
+    otherwise."""
+    try:
+        lid = np.asarray(lid_velocity, dtype=np.float64)
+    except (TypeError, ValueError):
+        lid = None
+    if lid is None or lid.shape != (3,) or not np.all(np.isfinite(lid)):
+        raise ValueError(f"lid_velocity must be three finite numbers, got {lid_velocity!r}")
+    return lid
+
+
+def _lid_dirichlet_values(space: FeSpace, lid: np.ndarray) -> np.ndarray:
     """Dirichlet data: zero on walls, the constant (x, y, z) triple
-    ``lid_velocity`` on the open top face.
+    ``lid`` on the open top face.
 
     Rim nodes (top face meeting a wall) take the wall value, the
     watertight-cavity convention that keeps the data continuous.
@@ -109,19 +125,26 @@ def _lid_dirichlet_values(space: FeSpace, lid_velocity) -> np.ndarray:
         | (np.abs(coords[:, 1] - 1.0) <= _GEOM_TOL)
         | (np.abs(coords[:, 2]) <= _GEOM_TOL)
     )
-    g[on_top & ~on_wall] = np.asarray(lid_velocity, dtype=np.float64)
+    g[on_top & ~on_wall] = lid
     return g
 
 
 def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> StokesSystem:
-    """P^k / P^{k-1} cavity problem with body force zero."""
+    """P^k / P^{k-1} cavity problem with body force zero; a ValueError
+    names a bad ``k`` or ``lid_velocity`` before any assembly.
+
+    The velocity stiffness, the pressure mass and the divergence blocks
+    share one element geometry of the mesh.
+    """
     if k not in (2, 3, 4):
         raise ValueError("Hood-Taylor velocity order must be 2, 3 or 4")
+    lid = _lid_triple(lid_velocity)
     vel = build_space(mesh, k)
     pres = build_space(mesh, k - 1)
-    A_full = assemble_operator(vel, "stiffness")
-    M_p = assemble_operator(pres, "mass")
-    g = _lid_dirichlet_values(vel, lid_velocity)
+    geometry = fem._element_geometry(mesh)
+    A_full = fem._assemble_operator(vel, "stiffness", geometry)
+    M_p = fem._assemble_operator(pres, "mass", geometry)
+    g = _lid_dirichlet_values(vel, lid)
 
     interior = vel.interior_indices()
     A_scalar = eliminate_dirichlet(A_full, np.zeros(vel.n_dofs), vel).A
@@ -130,7 +153,7 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
     # one (n_full, 3) spmv lifts all three components, stored component-major
     rhs_u = -spmv(A_full, g)[interior].T.ravel()
 
-    B_blocks = assemble_divergence(vel, pres)
+    B_blocks = fem._assemble_divergence(vel, pres, geometry)
     B_int = scipy.sparse.hstack([b.to_scipy()[:, interior] for b in B_blocks]).tocsr()
     rhs_p = -sum(spmv(b, g[:, c]) for c, b in enumerate(B_blocks))
 
@@ -138,6 +161,7 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
         B=_adopt(B_int),
         M_p=M_p,
         velocity_space=vel,
+        pressure_space=pres,
         A_scalar=A_scalar,
         rhs_u=rhs_u,
         rhs_p=rhs_p,
@@ -220,10 +244,13 @@ class BlockPreconditioner:
 
 def build_block_preconditioner(S: StokesSystem, kind="Qt", engine="gamg", theta=0.8) -> BlockPreconditioner:
     """One AMG or two-level (auxiliary P1) cycle on the velocity block; a
-    ValueError names an unknown ``kind`` or ``engine`` before any setup."""
+    ValueError names an unknown ``kind`` or ``engine`` before any setup.
+    The auxiliary space is the pressure space when that is P1."""
     _check_kind(kind)
     if engine == "gamg":
-        coarse_p1 = build_space(S.velocity_space.mesh, 1)
+        coarse_p1 = S.pressure_space
+        if coarse_p1.order != 1:
+            coarse_p1 = build_space(S.velocity_space.mesh, 1)
         P_int = build_prolongation(S.velocity_space, coarse_p1).eliminated()
         a_action = TwoLevelPreconditioner(S.A_scalar, P_int, coarse="amg", theta=theta, presmooth=True)
     elif engine == "amg":

@@ -1,10 +1,11 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from auxmg import reference, stokes
+from auxmg import fem, reference, stokes
 from auxmg.csr import CsrMatrix, spmv
 from auxmg.krylov import SolverConfig
 from auxmg.mesh import build_cube_mesh, perturb_interior
@@ -60,6 +61,30 @@ class TestAssembly:
     def test_rejects_unstable_pair(self):
         with pytest.raises(ValueError):
             assemble_stokes(build_cube_mesh(1), 1)
+
+    @pytest.mark.parametrize("k, orders", [(2, [2, 1]), (3, [3, 2, 1])])
+    def test_qd_gamg_setup_forms_geometry_once(self, k, orders):
+        # the stiffness, mass and divergence share one element geometry,
+        # and at k = 2 the P1 pressure space is the auxiliary space
+        mesh = build_cube_mesh(2)
+        with mock.patch.object(fem, "_element_geometry", wraps=fem._element_geometry) as geometry, \
+                mock.patch.object(stokes, "build_space", wraps=stokes.build_space) as space:
+            S = assemble_stokes(mesh, k)
+            build_block_preconditioner(S, kind="Qd", engine="gamg")
+        assert geometry.call_count == 1
+        assert [c.args[1] for c in space.call_args_list] == orders
+
+    @pytest.mark.parametrize("lid", [(1.0, 0.0), (np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (1, 0, 0, 0),
+                                     [[1.0, 0.0, 0.0]], "abc", None])
+    def test_bad_lid_is_named_before_any_work(self, lid):
+        with mock.patch.object(stokes, "build_space", side_effect=RuntimeError("build_space ran")):
+            with pytest.raises(ValueError, match="lid_velocity"):
+                assemble_stokes(build_cube_mesh(1), 2, lid_velocity=lid)
+
+    def test_lid_takes_any_three_numbers(self):
+        want = assemble_stokes(build_cube_mesh(1), 2, lid_velocity=(1.0, 0.0, 0.0)).rhs()
+        for lid in [(1, 0, 0), np.array([1.0, 0.0, 0.0]), [np.float32(1), 0, 0]]:
+            assert np.array_equal(assemble_stokes(build_cube_mesh(1), 2, lid_velocity=lid).rhs(), want)
 
     def test_zero_lid_means_zero_rhs(self):
         S = assemble_stokes(build_cube_mesh(1), 2, lid_velocity=(0.0, 0.0, 0.0))
