@@ -157,8 +157,8 @@ def assemble_operator(space: FeSpace, form: str) -> CsrMatrix:
 
 
 def _assemble_operator(space: FeSpace, form: str, geometry):
-    """:func:`assemble_operator` on the mesh's ``_element_geometry``, or
-    with ``geometry`` None on one it forms after the keys."""
+    """:func:`assemble_operator` on ``geometry``, the mesh's
+    ``_element_geometry``; when it is None, that is formed after the keys."""
     n, dofs = space.n_dofs, space.element_dofs
     if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
         raise ValueError(f"element_dofs out of range for {n} DOFs")
