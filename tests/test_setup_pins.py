@@ -1,6 +1,6 @@
 """Pins of the problem build: DOF numbering, coordinates, boundary mask,
-stiffness matrix, transfer, reference tables and the assembled Stokes
-system, as SHA-256 digests of their exact bytes, plus properties of COO
+stiffness and mass matrices, load vector, L2 error, transfer, reference
+tables and the assembled Stokes system, as SHA-256 digests of their exact bytes, plus properties of COO
 assembly and the transfer.
 
 The digests were taken from the per-tet loop implementation; the array
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from auxmg import reference
 from auxmg.csr import CsrMatrix, spmv
-from auxmg.fem import assemble_operator, build_space
+from auxmg.fem import assemble_load, assemble_operator, build_space, l2_error
 from auxmg.mesh import build_cube_mesh, perturb_interior, refine_uniform
 from auxmg.stokes import assemble_stokes
 from auxmg.transfer import build_prolongation
@@ -148,6 +148,35 @@ def space_digests(mesh, k):
 def test_space_operator_and_transfer_bits(case):
     mesh_name, k = case
     assert space_digests(MESHES[mesh_name](), k) == SPACE_PINS[case]
+
+
+# mass matrix, load vector and L2 error, the three that read the element
+# volumes only; a degree-5 polynomial, so the P4 error does not vanish
+VOLUME_PINS = {
+    ("cube3", 1): {"M": "478caeb1b64d971a", "load": "585415274372c5aa", "l2_error": "073a31468e69e256"},
+    ("cube3", 2): {"M": "255aa4a3c50e8007", "load": "73706a169bd8aff9", "l2_error": "492f149b81a200d6"},
+    ("cube3", 3): {"M": "119d929c39eacf4f", "load": "043c81ba9a07d87f", "l2_error": "9f30e29a71956e37"},
+    ("cube3", 4): {"M": "73cefc16d77730d7", "load": "d564b54635cade68", "l2_error": "9f4dc71a18b05094"},
+    ("perturbed3", 1): {"M": "abddcdcab733abc7", "load": "164d4ed45680f9b2", "l2_error": "0f39de32405c9521"},
+    ("perturbed3", 2): {"M": "47a297c49006252a", "load": "ab675b7a3057b4cf", "l2_error": "2ff96a1d4d9dce2a"},
+    ("perturbed3", 3): {"M": "3b0aaf62b0ac5d77", "load": "ec9c0365a59e654d", "l2_error": "7eea06b0fe2276f9"},
+    ("perturbed3", 4): {"M": "c99f4f7c7b843b42", "load": "631b854ef86789b1", "l2_error": "abda66548b0a1916"},
+}
+
+
+def _poly5(x):
+    return 1.0 + x[:, 0] * x[:, 1] - 2.0 * x[:, 2] ** 3 + 0.5 * x[:, 0] ** 4 + 3.0 * x[:, 0] ** 2 * x[:, 1] ** 2 * x[:, 2]
+
+
+@pytest.mark.parametrize("case", sorted(VOLUME_PINS), ids=str)
+def test_mass_load_and_l2_error_bits(case):
+    mesh_name, k = case
+    space = build_space(MESHES[mesh_name](), k)
+    assert {
+        "M": csr_digest(assemble_operator(space, "mass")),
+        "load": digest(assemble_load(space, _poly5)),
+        "l2_error": digest(np.float64(l2_error(space, _poly5(space.dof_coords), _poly5))),
+    } == VOLUME_PINS[case]
 
 
 def _mesh(name):
