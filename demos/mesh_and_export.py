@@ -15,7 +15,7 @@ from auxmg.transfer import build_prolongation
 
 mesh = build_cube_mesh(2)
 print(f"cube n=2:   {mesh.num_vertices} vertices, {mesh.num_tets} tets, "
-      f"{len(mesh.boundary_faces)} boundary faces, volume {mesh.volumes().sum():.15f}")
+      f"{len(mesh.boundary_faces)} boundary faces, volume {mesh.volumes.sum():.15f}")
 
 fine = refine_uniform(mesh)
 print(f"refined:    {fine.num_vertices} vertices, {fine.num_tets} tets "
@@ -24,7 +24,7 @@ print(f"refined:    {fine.num_vertices} vertices, {fine.num_tets} tets "
 bumpy = perturb_interior(mesh, magnitude=0.2, seed=42)
 moved = np.linalg.norm(bumpy.vertices - mesh.vertices, axis=1)
 print(f"perturbed:  {np.count_nonzero(moved)} vertices moved, max displacement {moved.max():.3f}, "
-      f"min tet volume {bumpy.volumes().min():.5f}")
+      f"min tet volume {bumpy.volumes.min():.5f}")
 
 write_mesh(bumpy, "bumpy")
 back = read_mesh("bumpy")

@@ -101,37 +101,17 @@ def build_space(mesh: TetMesh, k: int) -> FeSpace:
 
     # a DOF lies on the boundary when its support lies in a boundary face,
     # i.e. it has no weight on the owner-tet vertex the face omits
-    owner = mesh.boundary_owner
-    in_face = (mesh.tets[owner][:, :, None] == mesh.boundary_faces[:, None, :]).any(axis=2)
-    omit = np.argmin(in_face, axis=1)
     is_boundary = np.zeros(n_dofs, dtype=bool)
-    is_boundary[element_dofs[owner][lattice[:, omit].T == 0]] = True
+    is_boundary[element_dofs[mesh.boundary_owner][lattice[:, mesh.boundary_opposite].T == 0]] = True
     return FeSpace(mesh, k, n_dofs, element_dofs, dof_coords, is_boundary)
 
 
 # -- assembly ---------------------------------------------------------------
 
 
-def _element_geometry(mesh):
-    """Per-tet barycentric gradients (nt,4,3) and volumes (nt,)."""
-    v = mesh.vertices[mesh.tets]
-    J = (v[:, 1:] - v[:, :1]).transpose(0, 2, 1)  # columns are edge vectors
-    detJ = np.linalg.det(J)
-    vol = detJ / 6.0
-    if np.any(vol <= 0) or np.any(~np.isfinite(vol)):
-        bad = int(np.argmin(vol))
-        raise ValueError(f"degenerate tet {bad} (volume {vol[bad]:g})")
-    Jinv = np.linalg.inv(J)
-    grads = np.empty((mesh.num_tets, 4, 3))
-    grads[:, 1:, :] = Jinv
-    grads[:, 0, :] = -Jinv.sum(axis=1)
-    return grads, vol
-
-
-def _element_matrices(space: FeSpace, form: str, geometry) -> np.ndarray:
-    """The (nt, n_loc, n_loc) stiffness or mass matrices of the elements,
-    on ``geometry`` or, when it is None, on the mesh's own."""
-    grads, vol = _element_geometry(space.mesh) if geometry is None else geometry
+def _element_matrices(space: FeSpace, form: str) -> np.ndarray:
+    """The (nt, n_loc, n_loc) stiffness or mass matrices of the elements."""
+    grads, vol = space.mesh.gradients, space.mesh.volumes
     if form == "stiffness":
         g = np.einsum("tmc,tnc->tmn", grads, grads) * vol[:, None, None]
         return np.einsum("tmn,mnij->tij", g, reference.stiffness_reference(space.order))
@@ -153,28 +133,17 @@ def assemble_operator(space: FeSpace, form: str) -> CsrMatrix:
     Element integrals are exact (rational barycentric expansion), so
     e.g. stiffness row sums vanish to machine precision.
     """
-    return _assemble_operator(space, form, None)
-
-
-def _assemble_operator(space: FeSpace, form: str, geometry):
-    """:func:`assemble_operator` on ``geometry``, the mesh's
-    ``_element_geometry``; when it is None, that is formed after the keys."""
     n, dofs = space.n_dofs, space.element_dofs
     if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
         raise ValueError(f"element_dofs out of range for {n} DOFs")
     # keys, then values, both temporaries, so the core frees each once used
-    return _csr_from_keys(n, n, _element_keys(space, space), _element_matrices(space, form, geometry).ravel())
+    return _csr_from_keys(n, n, _element_keys(space, space), _element_matrices(space, form).ravel())
 
 
 def assemble_divergence(vel: FeSpace, pres: FeSpace):
     """Component blocks B_c (pres.n_dofs x vel.n_dofs) of the -div operator
     on one mesh, sharing one sorted (row, col) pattern."""
-    return _assemble_divergence(vel, pres, _element_geometry(vel.mesh))
-
-
-def _assemble_divergence(vel: FeSpace, pres: FeSpace, geometry):
-    """:func:`assemble_divergence` on the mesh's ``_element_geometry``."""
-    grads, vol = geometry
+    grads, vol = vel.mesh.gradients, vel.mesh.volumes
     N = reference.divergence_reference(vel.order, pres.order)  # (4, n_p_loc, n_v_loc)
     return _csr_from_keys(
         pres.n_dofs, vel.n_dofs, _element_keys(pres, vel),
@@ -184,12 +153,11 @@ def _assemble_divergence(vel: FeSpace, pres: FeSpace, geometry):
 
 def _quadrature(space: FeSpace):
     """The degree-9 tet rule on every element: weights (nq,), basis
-    values (nq, n_loc), physical points (nt, nq, 3) and volumes (nt,)."""
+    values (nq, n_loc) and physical points (nt, nq, 3)."""
     pts_b, wts = reference.tet_quadrature()
     phi = reference.basis_values_at(space.order)
     xq = np.einsum("qm,tmc->tqc", pts_b, space.mesh.vertices[space.mesh.tets])
-    _, vol = _element_geometry(space.mesh)
-    return wts, phi, xq, vol
+    return wts, phi, xq
 
 
 def assemble_load(space: FeSpace, f) -> np.ndarray:
@@ -198,9 +166,9 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
     ``f`` is called with an (m, 3) array of points and must return m
     values.
     """
-    wts, phi, xq, vol = _quadrature(space)
+    wts, phi, xq = _quadrature(space)
     fv = np.asarray(f(xq.reshape(-1, 3)), dtype=np.float64).reshape(xq.shape[0], -1)
-    local = vol[:, None] * np.einsum("tq,q,qi->ti", fv, wts, phi)
+    local = space.mesh.volumes[:, None] * np.einsum("tq,q,qi->ti", fv, wts, phi)
     out = np.zeros(space.n_dofs)
     np.add.at(out, space.element_dofs.ravel(), local.ravel())
     return out
@@ -227,8 +195,8 @@ def eliminate_dirichlet(A: CsrMatrix, rhs, space: FeSpace) -> AssembledSystem:
 
 def l2_error(space: FeSpace, coeffs_full, exact) -> float:
     """L2 norm of (u_h - u) with u_h given by full-set coefficients."""
-    wts, phi, xq, vol = _quadrature(space)
+    wts, phi, xq = _quadrature(space)
     uh = np.einsum("ti,qi->tq", np.asarray(coeffs_full)[space.element_dofs], phi)
     ue = np.asarray(exact(xq.reshape(-1, 3))).reshape(uh.shape)
-    err2 = np.einsum("t,q,tq->", vol, wts, (uh - ue) ** 2)
+    err2 = np.einsum("t,q,tq->", space.mesh.volumes, wts, (uh - ue) ** 2)
     return float(np.sqrt(max(err2, 0.0)))

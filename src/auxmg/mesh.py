@@ -25,6 +25,10 @@ class TetMesh:
     tets : (nt, 4) int array, positively oriented
     boundary_faces : (nb, 3) int array of vertex triples
     boundary_owner : (nb,) int array, owning tet of each boundary face
+    boundary_opposite : (nb,) int array, the local index (0..3) in the
+        owning tet of the vertex each boundary face omits
+    gradients : (nt, 4, 3) float array, read-only barycentric gradients
+    volumes : (nt,) float array, read-only tet volumes
     """
 
     def __init__(self, vertices, tets):
@@ -44,11 +48,8 @@ class TetMesh:
             tets = tets.copy()
             tets[flip, 2], tets[flip, 3] = tets[flip, 3], tets[flip, 2].copy()
         self.tets = tets
-        self.boundary_faces, self.boundary_owner = _boundary_faces(tets)
-        vol = signed_volumes(self.vertices, self.tets)
-        if np.any(vol <= 0):
-            bad = int(np.argmin(vol))
-            raise ValueError(f"tet {bad} has nonpositive volume {vol[bad]:g}")
+        self.gradients, self.volumes = _element_geometry(self.vertices, tets)
+        self.boundary_faces, self.boundary_owner, self.boundary_opposite = _boundary_faces(tets)
 
     @property
     def num_vertices(self):
@@ -57,9 +58,6 @@ class TetMesh:
     @property
     def num_tets(self):
         return self.tets.shape[0]
-
-    def volumes(self):
-        return signed_volumes(self.vertices, self.tets)
 
     def edges(self):
         """All unique edges as a (ne, 2) array of sorted vertex pairs."""
@@ -113,14 +111,34 @@ def signed_volumes(vertices, tets):
     return np.linalg.det(d) / 6.0
 
 
+def _element_geometry(vertices, tets):
+    """Read-only barycentric gradients (nt, 4, 3) and volumes (nt,) of
+    positively oriented tets; a ValueError names the first tet whose
+    volume is not positive."""
+    v = vertices[tets]
+    J = (v[:, 1:] - v[:, :1]).transpose(0, 2, 1)  # columns are edge vectors
+    vol = np.linalg.det(J) / 6.0
+    if np.any(vol <= 0):
+        bad = int(np.argmin(vol))
+        raise ValueError(f"tet {bad} has nonpositive volume {vol[bad]:g}")
+    Jinv = np.linalg.inv(J)
+    grads = np.empty((len(tets), 4, 3))
+    grads[:, 1:, :] = Jinv
+    grads[:, 0, :] = -Jinv.sum(axis=1)
+    grads.flags.writeable = vol.flags.writeable = False
+    return grads, vol
+
+
 def _boundary_faces(tets):
+    """Boundary faces, their owning tets and the local index of the vertex
+    each omits: face j of a tet omits its vertex j."""
     faces, ids = sub_simplices(tets, _TET_FACES)
     counts = np.bincount(ids.ravel(), minlength=len(faces))
     if np.any(counts > 2):
         raise ValueError("non-conforming mesh: a face is shared by more than 2 tets")
     once = counts[ids] == 1
-    owner, _ = np.nonzero(once)
-    return faces[ids[once]], owner
+    owner, opposite = np.nonzero(once)
+    return faces[ids[once]], owner, opposite
 
 
 def build_cube_mesh(n: int) -> TetMesh:

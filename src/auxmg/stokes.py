@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from . import fem
 from .amg import VCyclePreconditioner, build_hierarchy
 from .csr import CsrMatrix, _adopt, spmv
-from .fem import FeSpace, build_space, eliminate_dirichlet
+from .fem import FeSpace, assemble_divergence, assemble_operator, build_space, eliminate_dirichlet
 from .krylov import SolveReport, SolverConfig, fgmres, minres, pcg
 from .mesh import TetMesh
 from .transfer import build_prolongation
@@ -134,16 +133,15 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
     names a bad ``k`` or ``lid_velocity`` before any assembly.
 
     The velocity stiffness, the pressure mass and the divergence blocks
-    share one element geometry of the mesh.
+    read the mesh's one element geometry.
     """
     if k not in (2, 3, 4):
         raise ValueError("Hood-Taylor velocity order must be 2, 3 or 4")
     lid = _lid_triple(lid_velocity)
     vel = build_space(mesh, k)
     pres = build_space(mesh, k - 1)
-    geometry = fem._element_geometry(mesh)
-    A_full = fem._assemble_operator(vel, "stiffness", geometry)
-    M_p = fem._assemble_operator(pres, "mass", geometry)
+    A_full = assemble_operator(vel, "stiffness")
+    M_p = assemble_operator(pres, "mass")
     g = _lid_dirichlet_values(vel, lid)
 
     interior = vel.interior_indices()
@@ -153,7 +151,7 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
     # one (n_full, 3) spmv lifts all three components, stored component-major
     rhs_u = -spmv(A_full, g)[interior].T.ravel()
 
-    B_blocks = fem._assemble_divergence(vel, pres, geometry)
+    B_blocks = assemble_divergence(vel, pres)
     B_int = scipy.sparse.hstack([b.to_scipy()[:, interior] for b in B_blocks]).tocsr()
     rhs_p = -sum(spmv(b, g[:, c]) for c, b in enumerate(B_blocks))
 

@@ -23,11 +23,11 @@ class TestCubeMesh:
 
     def test_total_volume(self):
         mesh = build_cube_mesh(1)
-        assert abs(mesh.volumes().sum() - 1.0) <= 1e-14
+        assert abs(mesh.volumes.sum() - 1.0) <= 1e-14
 
     def test_positive_volumes(self):
         mesh = build_cube_mesh(3)
-        assert np.all(mesh.volumes() > 0)
+        assert np.all(mesh.volumes > 0)
 
     def test_rejects_zero_subdivisions(self):
         with pytest.raises(ValueError):
@@ -55,10 +55,10 @@ class TestRefinement:
     def test_volume_conserved(self):
         mesh = build_cube_mesh(1)
         fine = refine_uniform(mesh)
-        assert abs(fine.volumes().sum() - mesh.volumes().sum()) <= 1e-14
+        assert abs(fine.volumes.sum() - mesh.volumes.sum()) <= 1e-14
         # and per parent tet
-        child_vol = fine.volumes().reshape(-1, 8).sum(axis=1)
-        assert np.max(np.abs(child_vol - mesh.volumes())) <= 1e-14
+        child_vol = fine.volumes.reshape(-1, 8).sum(axis=1)
+        assert np.max(np.abs(child_vol - mesh.volumes)) <= 1e-14
 
     def test_vertex_count_is_vertices_plus_edges(self):
         mesh = build_cube_mesh(2)
@@ -80,8 +80,8 @@ class TestPerturbation:
 
     def test_still_valid(self):
         pert = perturb_interior(build_cube_mesh(3), seed=2)
-        assert np.all(pert.volumes() > 0)
-        assert abs(pert.volumes().sum() - 1.0) <= 1e-12
+        assert np.all(pert.volumes > 0)
+        assert abs(pert.volumes.sum() - 1.0) <= 1e-12
 
     def test_deterministic(self):
         a = perturb_interior(build_cube_mesh(2), seed=5)
@@ -180,7 +180,7 @@ class TestMalformedMeshFiles:
 class TestOrientation:
     def test_flipped_input_is_fixed(self):
         mesh = TetMesh(REFERENCE_TET.vertices, np.array([[0, 1, 3, 2]]))
-        assert mesh.volumes()[0] > 0
+        assert mesh.volumes[0] > 0
 
     def test_vertex_index_out_of_range_rejected_by_name(self):
         # a negative index would otherwise wrap to the last vertex

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from auxmg import fem, reference, stokes
+from auxmg import mesh as mesh_module
+from auxmg import reference, stokes
 from auxmg.csr import CsrMatrix, spmv
 from auxmg.krylov import SolverConfig
 from auxmg.mesh import build_cube_mesh, perturb_interior
@@ -19,7 +20,7 @@ from auxmg.stokes import (
     solve_cavity,
     write_vtk,
 )
-from auxmg.fem import _element_geometry, assemble_divergence, build_space
+from auxmg.fem import assemble_divergence, build_space
 
 
 def velocity_block(S):
@@ -64,14 +65,15 @@ class TestAssembly:
 
     @pytest.mark.parametrize("k, orders", [(2, [2, 1]), (3, [3, 2, 1])])
     def test_qd_gamg_setup_forms_geometry_once(self, k, orders):
-        # the stiffness, mass and divergence share one element geometry,
-        # and at k = 2 the P1 pressure space is the auxiliary space
+        # the stiffness, mass and divergence read the geometry the mesh
+        # formed when it was built, and at k = 2 the P1 pressure space is
+        # the auxiliary space
         mesh = build_cube_mesh(2)
-        with mock.patch.object(fem, "_element_geometry", wraps=fem._element_geometry) as geometry, \
+        with mock.patch.object(mesh_module, "_element_geometry", wraps=mesh_module._element_geometry) as geometry, \
                 mock.patch.object(stokes, "build_space", wraps=stokes.build_space) as space:
             S = assemble_stokes(mesh, k)
             build_block_preconditioner(S, kind="Qd", engine="gamg")
-        assert geometry.call_count == 1
+        assert geometry.call_count == 0
         assert [c.args[1] for c in space.call_args_list] == orders
 
     @pytest.mark.parametrize("lid", [(1.0, 0.0), (np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (1, 0, 0, 0),
@@ -135,7 +137,7 @@ class TestAssembly:
         # one from_coo per component over repeated/tiled triplets
         mesh = build_cube_mesh(3)
         vel, pres = build_space(mesh, k), build_space(mesh, k - 1)
-        grads, vol = _element_geometry(mesh)
+        grads, vol = mesh.gradients, mesh.volumes
         N = reference.divergence_reference(k, k - 1)
         n_p_loc, n_v_loc = N.shape[1], N.shape[2]
         prow = np.repeat(pres.element_dofs, n_v_loc, axis=1).ravel()
