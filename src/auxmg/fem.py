@@ -115,9 +115,7 @@ def _element_matrices(space: FeSpace, form: str) -> np.ndarray:
     if form == "stiffness":
         g = np.einsum("tmc,tnc->tmn", grads, grads) * vol[:, None, None]
         return np.einsum("tmn,mnij->tij", g, reference.stiffness_reference(space.order))
-    if form == "mass":
-        return vol[:, None, None] * reference.mass_reference(space.order)[None, :, :]
-    raise ValueError(f"unknown form {form!r}")
+    return vol[:, None, None] * reference.mass_reference(space.order)[None, :, :]
 
 
 def _element_keys(rows: FeSpace, cols: FeSpace):
@@ -131,8 +129,11 @@ def assemble_operator(space: FeSpace, form: str) -> CsrMatrix:
     """Assemble the stiffness or mass matrix over the full DOF set.
 
     Element integrals are exact (rational barycentric expansion), so
-    e.g. stiffness row sums vanish to machine precision.
+    e.g. stiffness row sums vanish to machine precision.  A ValueError
+    names an unknown ``form`` before any work.
     """
+    if form not in ("stiffness", "mass"):
+        raise ValueError(f"unknown form {form!r}")
     n, dofs = space.n_dofs, space.element_dofs
     if dofs.size and (dofs.min() < 0 or dofs.max() >= n):
         raise ValueError(f"element_dofs out of range for {n} DOFs")
@@ -160,14 +161,30 @@ def _quadrature(space: FeSpace):
     return wts, phi, xq
 
 
+def _values_at(func, xq, name):
+    """``func`` on the (nt, nq, 3) points ``xq`` as an (nt, nq) array; a
+    ValueError says how many values ``name`` must return, or names the
+    first point where it is not finite."""
+    m = xq.shape[0] * xq.shape[1]
+    values = np.asarray(func(xq.reshape(-1, 3)), dtype=np.float64)
+    if values.size != m:
+        raise ValueError(f"{name} returned {values.size} values, expected {m}, one per point")
+    values = values.reshape(xq.shape[:2])
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(f"{name} is not finite at {xq[bad].tolist()}: {values[bad]}")
+    return values
+
+
 def assemble_load(space: FeSpace, f) -> np.ndarray:
     """Load vector f_i = integral of f phi_i, via the degree-9 tet rule.
 
     ``f`` is called with an (m, 3) array of points and must return m
-    values.
+    finite values; a ValueError says otherwise.
     """
     wts, phi, xq = _quadrature(space)
-    fv = np.asarray(f(xq.reshape(-1, 3)), dtype=np.float64).reshape(xq.shape[0], -1)
+    fv = _values_at(f, xq, "f")
     local = space.mesh.volumes[:, None] * np.einsum("tq,q,qi->ti", fv, wts, phi)
     out = np.zeros(space.n_dofs)
     np.add.at(out, space.element_dofs.ravel(), local.ravel())
@@ -194,9 +211,16 @@ def eliminate_dirichlet(A: CsrMatrix, rhs, space: FeSpace) -> AssembledSystem:
 
 
 def l2_error(space: FeSpace, coeffs_full, exact) -> float:
-    """L2 norm of (u_h - u) with u_h given by full-set coefficients."""
+    """L2 norm of (u_h - u) with u_h given by full-set coefficients.
+
+    ``exact`` is called as ``f`` is in :func:`assemble_load`; a ValueError
+    names coefficients of the wrong length before any work.
+    """
+    coeffs_full = np.asarray(coeffs_full)
+    if coeffs_full.shape != (space.n_dofs,):
+        raise ValueError(f"coeffs_full has shape {coeffs_full.shape}, expected ({space.n_dofs},)")
     wts, phi, xq = _quadrature(space)
-    uh = np.einsum("ti,qi->tq", np.asarray(coeffs_full)[space.element_dofs], phi)
-    ue = np.asarray(exact(xq.reshape(-1, 3))).reshape(uh.shape)
+    uh = np.einsum("ti,qi->tq", coeffs_full[space.element_dofs], phi)
+    ue = _values_at(exact, xq, "exact")
     err2 = np.einsum("t,q,tq->", space.mesh.volumes, wts, (uh - ue) ** 2)
     return float(np.sqrt(max(err2, 0.0)))

@@ -33,9 +33,9 @@ def poisson_setup(n: int, k: int, f=None, perturb_seed=None) -> PoissonProblem:
     if perturb_seed is not None:
         mesh = perturb_interior(mesh, seed=perturb_seed)
     fine = build_space(mesh, k)
-    A = assemble_operator(fine, "stiffness")
     rhs = assemble_load(fine, f) if f is not None else np.zeros(fine.n_dofs)
-    system = eliminate_dirichlet(A, rhs, fine)
+    # the full-DOF operator is freed here, before the transfer is built
+    system = eliminate_dirichlet(assemble_operator(fine, "stiffness"), rhs, fine)
     transfer = build_prolongation(fine, build_space(mesh, 1))
     return PoissonProblem(fine, system, transfer, transfer.eliminated())
 

@@ -1,14 +1,17 @@
+import gc
 import tracemalloc
 from fractions import Fraction
 from math import factorial, prod
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from auxmg import reference
-from auxmg.csr import spmv
-from auxmg.fem import FeSpace, assemble_load, assemble_operator, build_space, eliminate_dirichlet
+from auxmg import fem, problems, reference
+from auxmg.csr import CsrMatrix, spmv
+from auxmg.fem import FeSpace, assemble_load, assemble_operator, build_space, eliminate_dirichlet, l2_error
 from auxmg.mesh import TetMesh, build_cube_mesh, perturb_interior
+from auxmg.transfer import build_prolongation
 from tests.test_csr import dense_sym_eigen
 from tests.test_mesh import REFERENCE_TET
 
@@ -203,6 +206,63 @@ class TestAssembly:
         space = build_space(REFERENCE_TET, 1)
         load = assemble_load(space, lambda x: np.ones(len(x)))
         assert np.allclose(load, 1 / 24, atol=1e-14)
+
+
+def _zero(x):
+    return np.zeros(len(x))
+
+
+class TestBadInput:
+    def test_unknown_form_named_before_the_keys(self):
+        space = build_space(build_cube_mesh(1), 2)
+        with mock.patch.object(fem, "_element_keys", side_effect=RuntimeError("keys formed")):
+            with pytest.raises(ValueError, match="unknown form 'foo'"):
+                assemble_operator(space, "foo")
+
+    @pytest.mark.parametrize("length", [5, 9])
+    def test_l2_error_names_the_coefficient_length(self, length):
+        space = build_space(build_cube_mesh(1), 1)
+        with pytest.raises(ValueError, match=r"shape \(%d,\), expected \(8,\)" % length):
+            l2_error(space, np.zeros(length), _zero)
+
+    @pytest.mark.parametrize("values", [lambda x: np.zeros(len(x) - 1), lambda x: np.zeros((len(x), 2))],
+                             ids=["short", "two_per_point"])
+    def test_wrong_value_count_named(self, values):
+        space = build_space(build_cube_mesh(1), 1)
+        m = space.mesh.num_tets * len(reference.tet_quadrature()[1])
+        with pytest.raises(ValueError, match=f"^f returned .* values, expected {m}, one per point"):
+            assemble_load(space, values)
+        with pytest.raises(ValueError, match=f"^exact returned .* values, expected {m}, one per point"):
+            l2_error(space, np.zeros(space.n_dofs), values)
+
+    def test_non_finite_values_named(self):
+        space = build_space(build_cube_mesh(1), 1)
+        nan_right = lambda x: np.where(x[:, 0] > 0.5, np.nan, 1.0)  # noqa: E731
+        with pytest.raises(ValueError, match=r"^f is not finite at \[0\.[5-9].*\]: nan"):
+            assemble_load(space, nan_right)
+        with pytest.raises(ValueError, match="^exact is not finite"):
+            l2_error(space, np.zeros(space.n_dofs), nan_right)
+
+
+class TestPoissonSetup:
+    def test_full_operator_freed_before_the_transfer(self):
+        # the full-DOF stiffness (30.7 MB at P4 n=8) must not live through
+        # build_prolongation; CsrMatrix takes no weakref, so look for its id
+        full, live = [], []
+
+        def assemble(space, form):
+            A = assemble_operator(space, form)
+            full.append(id(A))
+            return A
+
+        def prolongation(fine, coarse):
+            live.extend(o for o in gc.get_objects() if isinstance(o, CsrMatrix) and id(o) in full)
+            return build_prolongation(fine, coarse)
+
+        with mock.patch.object(problems, "assemble_operator", side_effect=assemble), \
+                mock.patch.object(problems, "build_prolongation", side_effect=prolongation):
+            problems.poisson_setup(2, 2)
+        assert len(full) == 1 and live == []
 
 
 class TestElimination:
