@@ -8,7 +8,7 @@ preconditioners for the Stokes equation, together with the augmented
 matrix machinery that certifies the two-level method's convergence rate.
 """
 
-from .amg import AmgHierarchy, VCyclePreconditioner, build_hierarchy, operator_complexity, vcycle_apply
+from .amg import AmgHierarchy, VCyclePreconditioner, build_hierarchy, operator_complexity
 from .csr import CsrMatrix, read_matrix_market, spmv, triple_product, write_matrix_market
 from .fem import assemble_load, assemble_operator, build_space, eliminate_dirichlet, l2_error
 from .krylov import SolveReport, SolverConfig, fgmres, minres, pcg

@@ -229,10 +229,6 @@ class AmgHierarchy:
     coarsest_factor: np.ndarray
     theta: float
 
-    @property
-    def num_levels(self):
-        return len(self.levels)
-
     def summary(self) -> dict:
         """Per level n, nnz and coarsening ratio n_{l+1} / n_l (None on the
         coarsest), then the grid complexity sum(n_l) / n_0 and the operator
@@ -343,12 +339,6 @@ def _vcycle(H: AmgHierarchy, level: int, r, with_product=False):
         x = cholesky_solve(H.coarsest_factor, r)
         return (x, spmv(H.levels[level].A, x)) if with_product else x
     return smooth_and_correct(H.levels[level], r, partial(_vcycle, H, level + 1), True, with_product)
-
-
-def vcycle_apply(H: AmgHierarchy, r) -> np.ndarray:
-    """One symmetric V-cycle with zero initial guess on a residual vector
-    or on each column of an (n, k) block."""
-    return _vcycle(H, 0, _as_block(r, H.levels[0].A.nrows, "residual for the finest level"))
 
 
 def operator_complexity(H) -> float:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .amg import VCyclePreconditioner, _Level, build_hierarchy, smooth_and_correct, vcycle_apply
+from .amg import VCyclePreconditioner, _Level, build_hierarchy, smooth_and_correct
 from .csr import CsrMatrix, check_finite, checked_diagonal, spmv, triple_product
 
 
@@ -78,7 +78,9 @@ class TwoLevelPreconditioner(VCyclePreconditioner):
         return [self.top] + self.hierarchy.levels
 
     def coarse_solve(self, r_H):
-        return vcycle_apply(self.hierarchy, r_H)
+        """One V-cycle of the coarse hierarchy: the cycle this class
+        inherits."""
+        return super()._cycle(r_H, False)
 
     def _cycle(self, r, with_product):
         return smooth_and_correct(self.top, r, self.coarse_solve, self.presmooth, with_product)

@@ -13,7 +13,6 @@ from auxmg.amg import (
     operator_complexity,
     rs_coarsen,
     strength_graph,
-    vcycle_apply,
 )
 from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, spmv
 from auxmg.fem import assemble_operator, eliminate_dirichlet, build_space
@@ -166,20 +165,20 @@ class TestInterpolation:
 class TestHierarchy:
     def test_identity_single_level(self):
         H = build_hierarchy(CsrMatrix.identity(10), coarse_size=4)
-        assert H.num_levels == 1
+        assert len(H.levels) == 1
         r = np.arange(10, dtype=float)
-        assert np.allclose(vcycle_apply(H, r), r, atol=1e-12)
+        assert np.allclose(VCyclePreconditioner(H).apply(r), r, atol=1e-12)
 
     def test_laplace_1d_levels(self):
         H = build_hierarchy(laplace_1d(9), theta=0.25, coarse_size=2)
-        assert H.num_levels >= 2
+        assert len(H.levels) >= 2
         assert H.levels[1].A.nrows == 5
 
     def test_galerkin_relation_holds(self):
         prob = poisson_setup(4, 1)
         H = build_hierarchy(prob.system.A, theta=0.25, coarse_size=8)
-        assert H.num_levels >= 2
-        for l in range(H.num_levels - 1):
+        assert len(H.levels) >= 2
+        for l in range(len(H.levels) - 1):
             A_l, P_l = H.levels[l].A, H.levels[l].P
             recomputed = P_l.transpose().to_scipy() @ A_l.to_scipy() @ P_l.to_scipy()
             diff = (recomputed - H.levels[l + 1].A.to_scipy()).toarray()
@@ -218,7 +217,7 @@ class TestHierarchy:
 
     def test_levels_hold_prepared_sweeps(self):
         H = build_hierarchy(poisson_setup(2, 2).system.A, theta=0.25, coarse_size=4)
-        assert H.num_levels >= 2
+        assert len(H.levels) >= 2
         for lvl in H.levels[:-1]:
             assert isinstance(lvl.smoother, GaussSeidel)
             # each split product would hold 36% of A's entries on P4 n=8,
@@ -233,14 +232,14 @@ class TestHierarchy:
     def test_one_level_hierarchy_is_the_dense_solve(self):
         A = laplace_1d(100)  # larger than the default coarse size
         H = build_hierarchy(A, max_levels=1)
-        assert H.num_levels == 1
+        assert len(H.levels) == 1
         r = np.random.default_rng(5).standard_normal(100)
-        assert np.array_equal(vcycle_apply(H, r), cholesky_solve(cholesky_factor(A.to_dense()), r))
+        assert np.array_equal(VCyclePreconditioner(H).apply(r), cholesky_solve(cholesky_factor(A.to_dense()), r))
 
     def test_stagnation_guard(self):
         # no negative couplings: all points stay coarse, single level
         H = build_hierarchy(CsrMatrix.from_dense(np.diag(np.arange(1.0, 80.0))), coarse_size=4)
-        assert H.num_levels == 1
+        assert len(H.levels) == 1
 
     def test_stalled_coarsening_above_the_dense_cap_fails_fast(self):
         # a diagonal matrix does not coarsen; factoring it densely would
@@ -258,15 +257,15 @@ class TestHierarchy:
 class TestVCycle:
     def test_zero_residual(self):
         H = build_hierarchy(laplace_1d(9), coarse_size=2)
-        assert np.array_equal(vcycle_apply(H, np.zeros(9)), np.zeros(9))
+        assert np.array_equal(VCyclePreconditioner(H).apply(np.zeros(9)), np.zeros(9))
 
     def test_single_level_is_exact_solve(self):
         A = laplace_1d(20)
         H = build_hierarchy(A, coarse_size=64)
-        assert H.num_levels == 1
+        assert len(H.levels) == 1
         rng = np.random.default_rng(0)
         r = rng.standard_normal(20)
-        x = vcycle_apply(H, r)
+        x = VCyclePreconditioner(H).apply(r)
         assert np.linalg.norm(spmv(A, x) - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_linearity(self):
@@ -274,8 +273,8 @@ class TestVCycle:
         H = build_hierarchy(prob.system.A, coarse_size=4)
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal(H.levels[0].A.nrows), rng.standard_normal(H.levels[0].A.nrows)
-        lhs = vcycle_apply(H, 2.0 * x - 3.0 * y)
-        rhs = 2.0 * vcycle_apply(H, x) - 3.0 * vcycle_apply(H, y)
+        lhs = VCyclePreconditioner(H).apply(2.0 * x - 3.0 * y)
+        rhs = 2.0 * VCyclePreconditioner(H).apply(x) - 3.0 * VCyclePreconditioner(H).apply(y)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
     def test_symmetry(self):
@@ -285,7 +284,7 @@ class TestVCycle:
         n = H.levels[0].A.nrows
         for _ in range(3):
             x, y = rng.standard_normal(n), rng.standard_normal(n)
-            lhs, rhs = x @ vcycle_apply(H, y), y @ vcycle_apply(H, x)
+            lhs, rhs = x @ VCyclePreconditioner(H).apply(y), y @ VCyclePreconditioner(H).apply(x)
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
     def test_preconditioner_spd(self):
@@ -293,7 +292,7 @@ class TestVCycle:
         A = prob.system.A
         H = build_hierarchy(A, coarse_size=4)
         n = A.nrows
-        V = np.column_stack([vcycle_apply(H, e) for e in np.eye(n)])
+        V = np.column_stack([VCyclePreconditioner(H).apply(e) for e in np.eye(n)])
         w, _ = dense_sym_eigen(0.5 * (V + V.T))
         assert w[0] > 0
 
@@ -305,7 +304,7 @@ class TestVCycle:
             prob = poisson_setup(n, 1)
             A = prob.system.A
             H = build_hierarchy(A, theta=0.25, coarse_size=8)
-            M = scipy.sparse.linalg.LinearOperator(A.shape, matvec=lambda r, H=H: vcycle_apply(H, r))
+            M = scipy.sparse.linalg.LinearOperator(A.shape, matvec=lambda r, H=H: VCyclePreconditioner(H).apply(r))
             rng = np.random.default_rng(3)
             b = rng.standard_normal(A.nrows)
             it = 0
@@ -371,7 +370,7 @@ class TestVCyclePreconditioner:
         H = build_hierarchy(poisson_setup(2, 2).system.A, coarse_size=4)
         M = VCyclePreconditioner(H)
         assert M.operator_complexity() == operator_complexity(H)
-        assert M.level_count() == H.num_levels >= 2
+        assert M.level_count() == len(H.levels) >= 2
 
     @pytest.mark.parametrize("k", [None, 3])
     @pytest.mark.parametrize("max_levels", [20, 1])
@@ -379,7 +378,7 @@ class TestVCyclePreconditioner:
         # the top level's last sweep gives A z; one level is the dense solve
         A = poisson_setup(3, 3).system.A
         H = build_hierarchy(A, theta=0.25, max_levels=max_levels)
-        assert H.num_levels >= 3 if max_levels > 1 else H.num_levels == 1
+        assert len(H.levels) >= 3 if max_levels > 1 else len(H.levels) == 1
         M = VCyclePreconditioner(H)
         assert M.A is A
         r = np.random.default_rng(50).standard_normal(A.nrows if k is None else (A.nrows, k))

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auxmg.amg import build_hierarchy, vcycle_apply
+from auxmg.amg import VCyclePreconditioner, build_hierarchy
 from auxmg.csr import CsrMatrix
 from auxmg.problems import poisson_setup
 from auxmg.twolevel import TwoLevelPreconditioner
@@ -102,6 +102,6 @@ def test_random_matrix_builds_and_cycles_or_raises(A, coarse_size):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            vcycle_apply(build_hierarchy(A, coarse_size=coarse_size), np.ones(A.nrows))
+            VCyclePreconditioner(build_hierarchy(A, coarse_size=coarse_size)).apply(np.ones(A.nrows))
         except (ValueError, np.linalg.LinAlgError):
             pass

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from auxmg import amg, csr, krylov, twolevel
-from auxmg.amg import AmgHierarchy, VCyclePreconditioner, _Level, build_hierarchy, vcycle_apply
+from auxmg.amg import AmgHierarchy, VCyclePreconditioner, _Level, build_hierarchy
 from auxmg.csr import CsrMatrix, GaussSeidel, cholesky_factor, cholesky_solve, spmv, triple_product
 from auxmg.problems import poisson_setup
 from auxmg.twolevel import (
@@ -231,8 +231,8 @@ class TestPinnedComposition:
         A_H = triple_product(P.transpose(), A, P)
         if coarse == "amg":
             H = build_hierarchy(A_H, theta=0.25)
-            assert H.num_levels >= 2
-            coarse_solve = lambda r_H: vcycle_apply(H, r_H)  # noqa: E731
+            assert len(H.levels) >= 2
+            coarse_solve = lambda r_H: VCyclePreconditioner(H).apply(r_H)  # noqa: E731
         else:
             L_H = cholesky_factor(A_H.to_dense())
             coarse_solve = lambda r_H: cholesky_solve(L_H, r_H)  # noqa: E731
@@ -253,7 +253,7 @@ class TestPinnedComposition:
         top = _Level(A, P, presmooth=True)
         H = AmgHierarchy([top] + M.hierarchy.levels, M.hierarchy.coarsest_factor, M.hierarchy.theta)
         r = np.random.default_rng(41).standard_normal(A.nrows)
-        assert np.array_equal(M.apply(r), vcycle_apply(H, r))
+        assert np.array_equal(M.apply(r), VCyclePreconditioner(H).apply(r))
         # the pair (z, A z) is the cycle's with_product pair, on a vector
         # and on an (n, 3) block, and both count the same levels
         for r in (r, np.random.default_rng(42).standard_normal((A.nrows, 3))):
@@ -261,7 +261,7 @@ class TestPinnedComposition:
                 assert np.array_equal(got, ref)
         V = VCyclePreconditioner(H)
         assert M.operator_complexity() == V.operator_complexity()
-        assert M.level_count() == V.level_count() == H.num_levels
+        assert M.level_count() == V.level_count() == len(H.levels)
 
     def test_empty_coarse_hierarchy_summary(self):
         # an n = 1 mesh has no interior P1 vertex, so the coarse hierarchy
@@ -331,17 +331,17 @@ class TestFusedStep:
     def test_vcycle_matches_unfused(self, k):
         A = poisson_setup(3, 3).system.A
         H = build_hierarchy(A, theta=0.25)
-        assert H.num_levels >= 3
+        assert len(H.levels) >= 3
 
         def unfused_cycle(level, r):
-            if level == H.num_levels - 1:
+            if level == len(H.levels) - 1:
                 return cholesky_solve(H.coarsest_factor, r)
             lvl = H.levels[level]
             return _unfused(lvl.A, lvl.P, partial(unfused_cycle, level + 1), r, lvl.smoother.forward,
                             lvl.smoother.backward)
 
         r = _residual((A.nrows, k), 45)
-        assert_close(vcycle_apply(H, r), unfused_cycle(0, r))
+        assert_close(VCyclePreconditioner(H).apply(r), unfused_cycle(0, r))
 
 
 # A z from the last sweep's right-hand side against spmv(A, z): at most
@@ -457,14 +457,14 @@ class TestProductsPerStep:
 
     def test_vcycle_level_never_multiplies_by_its_operator(self, products, kernels):
         H = build_hierarchy(poisson_setup(3, 3).system.A, theta=0.25)
-        assert H.num_levels >= 3
-        vcycle_apply(H, _residual((H.levels[0].A.nrows, None), 47))
+        assert len(H.levels) >= 3
+        VCyclePreconditioner(H).apply(_residual((H.levels[0].A.nrows, None), 47))
         for lvl in H.levels[:-1]:
             assert (_count(products, lvl.A), _count(products, lvl.P), _count(products, lvl.P.transpose())) == (0, 1, 1)
             assert _sweep_kernels(kernels, lvl.smoother) == (2, 2)
-        assert len(products) == 2 * (H.num_levels - 1)
-        assert len(kernels["gstrs"]) == 2 * (H.num_levels - 1)
-        assert len(kernels["matvec"]) == 4 * (H.num_levels - 1)
+        assert len(products) == 2 * (len(H.levels) - 1)
+        assert len(kernels["gstrs"]) == 2 * (len(H.levels) - 1)
+        assert len(kernels["matvec"]) == 4 * (len(H.levels) - 1)
 
     # rel_tol=1e-30 is never met, so max_iters=7 stops each solve; with
     # restart=3 the cycles end after iterations 3, 6 and 7
