@@ -1,7 +1,9 @@
 """``tools/rss_spread.py`` runs fresh processes on two checkouts and
-prints each side's sorted peak RSS and median."""
+prints each side's median, the count of its peaks above the parent's
+median by more than the benchmark's bound, and its sorted peaks."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,26 @@ def test_one_process_per_side(rss_spread, capsys):
     for line in lines:
         median, peak = float(line.split()[2]), float(line.split()[-1])
         assert median == peak > 0
+    assert int(lines[0].split()[4]) == 0  # no parent peak is above its own median
+
+
+def test_bound_comes_from_the_benchmark(rss_spread, tmp_path):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert rss_spread.peak_rss_bound() == next(m["bound"] for m in declared if m["name"] == "peak_rss_mb")
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": [{"name": "setup_s", "bound": 0.25},
+                                               {"name": "peak_rss_mb", "bound": 0.5}]}))
+    assert rss_spread.peak_rss_bound(path) == 0.5
+
+
+def test_counts_peaks_above_the_parent_median_by_the_bound(rss_spread):
+    # parent median 100 and bound 0.1: a peak counts when above 110
+    lines = rss_spread.report({"parent": [90.0, 100.0, 120.0], "change": [100.0, 110.0, 111.0, 150.0]}, 0.1)
+    assert [line.split()[:6] for line in lines] == [
+        ["parent", "median", "100.0", "MB", "1", "above"],
+        ["change", "median", "110.5", "MB", "2", "above"],
+    ]
+    assert lines[1].split()[-4:] == ["100.0", "110.0", "111.0", "150.0"]
 
 
 @pytest.mark.parametrize("argv", [["--workload", "stokes_p2_qd_n8"],

@@ -9,12 +9,15 @@ one BLAS thread.  A process imports auxmg from its checkout's src/ and
 the benchmark from its perfbench/ (unchanged), does one cold
 ``bench_workloads.setup``, drops it, calls ``gc.collect()``, runs one warm
 ``run_rep(w, seed=1, rep=0)`` and reads ``ru_maxrss``.  The script prints
-each side's sorted peaks and median in MB.
+each side's median, how many of its processes read above the parent's
+median by more than the ``peak_rss_mb`` bound of ``BENCHMARK.json``, and
+its sorted peaks, in MB.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
 import subprocess
@@ -22,6 +25,23 @@ import sys
 from pathlib import Path
 
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def peak_rss_bound(path: Path = BENCHMARK) -> float:
+    """The relative ``peak_rss_mb`` bound the benchmark declares."""
+    metrics = json.loads(path.read_text())["end_to_end"]
+    return next(m["bound"] for m in metrics if m["name"] == "peak_rss_mb")
+
+
+def report(peaks: dict[str, list[float]], bound: float) -> list[str]:
+    """One line per side: its median, how many of its peaks lie above the
+    parent's median by more than ``bound`` (relative), and its peaks."""
+    limit = statistics.median(peaks["parent"]) * (1.0 + bound)
+    return [f"{side:6s} median {statistics.median(values):7.1f} MB  "
+            f"{sum(v > limit for v in values):3d} above {limit:.1f} MB  sorted "
+            + " ".join(f"{v:.1f}" for v in values)
+            for side, values in peaks.items()]
 
 
 def child(checkout: Path, workload: str) -> float:
@@ -79,9 +99,7 @@ def main(argv=None):
     if args.procs < 1:
         ap.error("--procs must be at least 1")
     parent, change = (d.resolve() for d in args.dirs)
-    for side, values in spread(parent, change, args.workload, args.procs).items():
-        print(f"{side:6s} median {statistics.median(values):7.1f} MB  sorted "
-              + " ".join(f"{v:.1f}" for v in values))
+    print("\n".join(report(spread(parent, change, args.workload, args.procs), peak_rss_bound())))
     return 0
 
 
