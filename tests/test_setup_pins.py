@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from auxmg import reference
 from auxmg.csr import CsrMatrix, spmv
 from auxmg.fem import assemble_load, assemble_operator, build_space, l2_error
-from auxmg.mesh import build_cube_mesh, perturb_interior, refine_uniform
+from auxmg.mesh import TetMesh, build_cube_mesh, perturb_interior, refine_uniform
 from auxmg.stokes import assemble_stokes
 from auxmg.transfer import build_prolongation
 from tests.test_transfer import assert_tets_agree
@@ -39,9 +39,21 @@ def csr_digest(A: CsrMatrix):
     return digest(np.array(A.shape), A.row_ptr.astype(np.int64), A.col_idx.astype(np.int64), A.values)
 
 
+def _shuffled_cube3():
+    """The 3x3x3 cube with its tet rows permuted and each tet's vertices
+    rotated by a random shift; TetMesh re-orients the odd rotations."""
+    mesh = build_cube_mesh(3)
+    rng = np.random.default_rng(5)
+    tets = mesh.tets[rng.permutation(mesh.num_tets)]
+    shift = rng.integers(0, 4, size=(len(tets), 1))
+    return TetMesh(mesh.vertices, np.take_along_axis(tets, (np.arange(4) + shift) % 4, axis=1))
+
+
 MESHES = {
     "cube3": lambda: build_cube_mesh(3),
     "perturbed3": lambda: perturb_interior(build_cube_mesh(3), seed=1),
+    "refined2": lambda: refine_uniform(build_cube_mesh(2)),
+    "shuffled3": _shuffled_cube3,
 }
 
 SPACE_PINS = {
@@ -148,6 +160,28 @@ def space_digests(mesh, k):
 def test_space_operator_and_transfer_bits(case):
     mesh_name, k = case
     assert space_digests(MESHES[mesh_name](), k) == SPACE_PINS[case]
+
+
+# the transfer on meshes whose tets are not in Kuhn order, so a node's
+# lowest-id tet is not the one the cube numbering would give
+TRANSFER_PINS = {
+    ("refined2", 2): "eac0bdbe71a7599d",
+    ("refined2", 3): "ce98660d9a625af0",
+    ("refined2", 4): "9f54c128d080a38f",
+    ("shuffled3", 2): "b8c05fccf2bc0b15",
+    ("shuffled3", 3): "235d988e68d8100d",
+    ("shuffled3", 4): "e9cb2cb221955d9d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFER_PINS), ids=str)
+def test_transfer_bits_off_kuhn_order(case):
+    mesh_name, k = case
+    mesh = MESHES[mesh_name]()
+    space = build_space(mesh, k)
+    P = build_prolongation(space, build_space(mesh, 1)).prolongation
+    assert_tets_agree(P, space)
+    assert csr_digest(P) == TRANSFER_PINS[case]
 
 
 # mass matrix, load vector and L2 error, the three that read the element
