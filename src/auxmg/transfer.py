@@ -48,20 +48,13 @@ def build_prolongation(fine: FeSpace, coarse: FeSpace) -> TransferOperator:
     ):
         raise ValueError("fine and coarse spaces must share one mesh")
 
-    # every occurrence (tet, lattice point) as its row: the weights
-    # lattice/k on the tet's vertices, sorted by vertex, with the vertices
-    # of zero weight as -1 in front
+    # each DOF's row from its first occurrence, which lies in its lowest-id
+    # tet: the nonzero weights lattice/k on that tet's vertices; the
+    # columns of a row are distinct, so from_coo only sorts them
     k = fine.order
     lattice = np.array(reference.lattice_points(k))
-    cols = np.where(lattice > 0, fine.mesh.tets[:, None, :], -1).reshape(-1, 4)
-    vals = np.broadcast_to(lattice / k, (fine.mesh.num_tets, *lattice.shape)).reshape(-1, 4)
-    by_col = np.argsort(cols, axis=1)
-    cols, vals = np.take_along_axis(cols, by_col, axis=1), np.take_along_axis(vals, by_col, axis=1)
-    dofs = fine.element_dofs.ravel()
-    _, first = np.unique(dofs, return_index=True)
-    cols, vals = cols[first], vals[first]
-    keep = cols >= 0
-    row_ptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    P = CsrMatrix(fine.n_dofs, coarse.n_dofs, row_ptr, cols[keep], vals[keep])
+    _, first = np.unique(fine.element_dofs, return_index=True)
+    tet, slot = np.divmod(first, len(lattice))
+    row, m = np.nonzero(lattice[slot])
+    P = CsrMatrix.from_coo(fine.n_dofs, coarse.n_dofs, row, fine.mesh.tets[tet[row], m], lattice[slot[row], m] / k)
     return TransferOperator(P, fine, coarse)
-

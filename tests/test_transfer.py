@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,20 @@ class TestProlongationEntries:
         other_coarse = build_space(build_cube_mesh(2), 1)
         with pytest.raises(ValueError):
             build_prolongation(fine, other_coarse)
+
+    @pytest.mark.parametrize("n, k", [(12, 2), (6, 4)])
+    def test_transient_memory_per_dof(self, n, k):
+        # the build holds a few arrays of one entry per DOF or per nonzero,
+        # but no copy of the vertex columns per (tet, lattice point)
+        fine, coarse = make_pair(n, k)
+        build_prolongation(fine, coarse)  # warms the lattice cache
+        tracemalloc.start()
+        try:
+            build_prolongation(fine, coarse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * fine.n_dofs
 
     def test_linear_function_reproduced(self):
         # coefficients of a linear function transfer exactly (P1 in Pk)
