@@ -43,7 +43,7 @@ MAX_DENSE_ROWS = 5000
 # small-buffer cache keeps allocated inside the freed setup heap: the warm
 # plain-AMG peak RSS on P4 n=8 then read about 234 MB in most fresh
 # processes, against about 209 MB with the per-point loop and 201-216 MB
-# with the rule (ROADMAP item 8).
+# with the rule (ROADMAP item 7).
 _HANDOVER = 8
 _HANDOVER_LEFT = 256
 

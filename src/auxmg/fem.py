@@ -49,7 +49,7 @@ class FeSpace:
 
 def build_space(mesh: TetMesh, k: int) -> FeSpace:
     """Enumerate the conforming P^k space over ``mesh``."""
-    if k not in (1, 2, 3, 4):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 2, 3, 4):
         raise ValueError(f"unsupported polynomial order {k}")
     lattice = np.array(reference.lattice_points(k))
     support = lattice > 0

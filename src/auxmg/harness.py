@@ -48,8 +48,9 @@ def assembly_bytes(problem, k, n):
     6 n^3 tets: 3.5 x 8 B per element triplet of the P^k stiffness for
     Poisson, and of the velocity stiffness plus the three divergence
     blocks for Stokes.  For "prolongation", the P^k and P1 spaces and the
-    transfer between them: 26 x 8 B per tet and local P^k DOF (186-205 B
-    traced at n = 8 and 12, k = 1..4)."""
+    transfer between them: 26 x 8 B per tet and local P^k DOF, above the
+    67-91 B traced at n = 8 and 12, k = 1..4, on a built mesh (the figure
+    of an earlier transfer, kept so that the export cap does not move)."""
     local = comb(k + 3, 3)
     if problem == "prolongation":
         return 208 * 6 * int(n) ** 3 * local

@@ -29,14 +29,31 @@ class TetMesh:
         owning tet of the vertex each boundary face omits
     gradients : (nt, 4, 3) float array, read-only barycentric gradients
     volumes : (nt,) float array, read-only tet volumes
+
+    Input that is not one of these shapes, holds no tet, or has an index
+    that is not a whole number in range raises a ValueError naming it.
     """
 
     def __init__(self, vertices, tets):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise ValueError(f"vertices must be an (nv, 3) array, got shape {self.vertices.shape}")
         finite = np.isfinite(self.vertices).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"vertex {bad} has a non-finite coordinate: {self.vertices[bad].tolist()}")
+        tets = np.asarray(tets)
+        if tets.ndim != 2 or tets.shape[1] != 4:
+            raise ValueError(f"tets must be an (nt, 4) array, got shape {tets.shape}")
+        if len(tets) == 0:
+            raise ValueError("the mesh has no tets")
+        if tets.dtype.kind not in "iu":
+            # whole-valued floats are indices; anything else would be truncated
+            whole = (np.isfinite(tets) & (tets == np.floor(tets)) if tets.dtype.kind == "f"
+                     else np.zeros(tets.shape, dtype=bool)).all(axis=1)
+            if not whole.all():
+                bad = int(np.argmin(whole))
+                raise ValueError(f"tet {bad} has a non-integer vertex index: {tets[bad].tolist()}")
         tets = np.ascontiguousarray(tets, dtype=np.int64)
         nv = len(self.vertices)
         if tets.size and (tets.min() < 0 or tets.max() >= nv):

@@ -213,6 +213,15 @@ def _zero(x):
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("k", [2.0, True, 0, 5, "2"])
+    def test_order_not_an_integer_in_range(self, k):
+        # 2.0 and True compare equal to supported orders
+        with pytest.raises(ValueError, match=f"^unsupported polynomial order {k}$"):
+            build_space(build_cube_mesh(1), k)
+
+    def test_numpy_integer_order_accepted(self):
+        assert build_space(build_cube_mesh(1), np.int64(2)).n_dofs == 27
+
     def test_unknown_form_named_before_the_keys(self):
         space = build_space(build_cube_mesh(1), 2)
         with mock.patch.object(fem, "_element_keys", side_effect=RuntimeError("keys formed")):

@@ -197,3 +197,35 @@ class TestOrientation:
         flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="tet 0"):
             TetMesh(flat, np.array([[0, 1, 2, 3]]))
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("columns", [3, 5])
+    def test_tets_not_four_columns(self, columns):
+        cube = build_cube_mesh(1)
+        tets = np.hstack([cube.tets, cube.tets])[:, :columns]
+        with pytest.raises(ValueError, match=rf"^tets must be an \(nt, 4\) array, got shape \(6, {columns}\)$"):
+            TetMesh(cube.vertices, tets)
+        with pytest.raises(ValueError, match=r"^tets must be an \(nt, 4\) array, got shape \(24,\)$"):
+            TetMesh(cube.vertices, cube.tets.ravel())
+
+    def test_vertices_not_three_columns(self):
+        cube = build_cube_mesh(1)
+        with pytest.raises(ValueError, match=r"^vertices must be an \(nv, 3\) array, got shape \(8, 2\)$"):
+            TetMesh(cube.vertices[:, :2], cube.tets)
+
+    def test_non_integer_index_rejected_by_name(self):
+        # 1.5 would otherwise be truncated to 1, and the repeated vertex
+        # reported as a flat tet
+        with pytest.raises(ValueError, match=r"^tet 0 has a non-integer vertex index: \[0.0, 1.5, 1.0, 3.0\]$"):
+            TetMesh(REFERENCE_TET.vertices, [[0, 1.5, 1, 3]])
+        with pytest.raises(ValueError, match=r"^tet 0 has a non-integer vertex index: \[0.0, 1.0, 2.0, nan\]$"):
+            TetMesh(REFERENCE_TET.vertices, [[0, 1, 2, np.nan]])
+
+    def test_whole_float_indices_accepted(self):
+        mesh = TetMesh(REFERENCE_TET.vertices, [[0.0, 1.0, 2.0, 3.0]])
+        assert mesh.tets.dtype == np.int64 and np.array_equal(mesh.tets, REFERENCE_TET.tets)
+
+    def test_no_tets_rejected(self):
+        with pytest.raises(ValueError, match="^the mesh has no tets$"):
+            TetMesh(REFERENCE_TET.vertices, np.empty((0, 4), dtype=np.int64))

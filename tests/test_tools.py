@@ -1,6 +1,7 @@
 """``tools/rss_spread.py`` runs fresh processes on two checkouts and
 prints each side's median, the count of its peaks above the parent's
-median by more than the benchmark's bound, and its sorted peaks."""
+median by more than the benchmark's bound, and its sorted peaks.  The
+checked-in ``BENCH_*.json`` files share one schema."""
 
 import importlib.util
 import json
@@ -53,3 +54,19 @@ def test_counts_peaks_above_the_parent_median_by_the_bound(rss_spread):
 def test_rejects_bad_arguments(rss_spread, argv):
     with pytest.raises(SystemExit):
         rss_spread.main(argv)
+
+
+# the keys every checked-in bench file holds; peak-RSS evidence, when a
+# file has any, sits under peak_rss_spread
+BENCH_KEYS = {"label", "what", "command", "seeds", "order", "parent", "change", "host", "threads", "summary", "runs"}
+
+
+def test_bench_files_share_one_schema():
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text())
+        assert BENCH_KEYS <= set(bench), (path.name, BENCH_KEYS - set(bench))
+        assert [key for key in bench if "rss" in key] in ([], ["peak_rss_spread"]), path.name
+        if "peak_rss_spread" in bench:
+            assert {"protocol", "unit"} <= set(bench["peak_rss_spread"]), path.name
