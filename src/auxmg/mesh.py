@@ -56,7 +56,7 @@ class TetMesh:
                 raise ValueError(f"tet {bad} has a non-integer vertex index: {tets[bad].tolist()}")
         tets = np.ascontiguousarray(tets, dtype=np.int64)
         nv = len(self.vertices)
-        if tets.size and (tets.min() < 0 or tets.max() >= nv):
+        if tets.min() < 0 or tets.max() >= nv:
             bad = int(np.argmax(np.any((tets < 0) | (tets >= nv), axis=1)))
             raise ValueError(f"tet {bad} has a vertex index outside 0..{nv - 1}: {tets[bad].tolist()}")
         vol = signed_volumes(self.vertices, tets)

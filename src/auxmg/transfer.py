@@ -37,7 +37,8 @@ def build_prolongation(fine: FeSpace, coarse: FeSpace) -> TransferOperator:
     Entry (i, j) is the value of the hat function of vertex j at fine
     node i.  Values come from the lowest-id tet containing each node,
     with which every other containing tet agrees on a conforming space.
-    A P1 fine space gives the identity.
+    A P1 fine space gives the identity.  A fine DOF that lies in no tet,
+    at a vertex no tet uses, has no row and raises ValueError.
     """
     if coarse.order != 1:
         raise ValueError("coarse space must have order 1")
@@ -49,11 +50,14 @@ def build_prolongation(fine: FeSpace, coarse: FeSpace) -> TransferOperator:
         raise ValueError("fine and coarse spaces must share one mesh")
 
     # each DOF's row from its first occurrence, which lies in its lowest-id
-    # tet: the nonzero weights lattice/k on that tet's vertices; the
-    # columns of a row are distinct, so from_coo only sorts them
+    # tet: the nonzero weights lattice/k on that tet's vertices; with every
+    # DOF present the i-th unique one is DOF i, and the columns of a row
+    # are distinct, so from_coo only sorts them
     k = fine.order
     lattice = np.array(reference.lattice_points(k))
-    _, first = np.unique(fine.element_dofs, return_index=True)
+    dofs, first = np.unique(fine.element_dofs, return_index=True)
+    if len(dofs) < fine.n_dofs:
+        raise ValueError(f"fine DOF {np.setdiff1d(np.arange(fine.n_dofs), dofs)[0]} lies in no tet")
     tet, slot = np.divmod(first, len(lattice))
     row, m = np.nonzero(lattice[slot])
     P = CsrMatrix.from_coo(fine.n_dofs, coarse.n_dofs, row, fine.mesh.tets[tet[row], m], lattice[slot[row], m] / k)

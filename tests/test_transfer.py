@@ -6,7 +6,7 @@ import pytest
 from auxmg import reference
 from auxmg.csr import CsrMatrix, spmv, triple_product
 from auxmg.fem import assemble_operator, build_space, eliminate_dirichlet
-from auxmg.mesh import build_cube_mesh, perturb_interior, refine_uniform
+from auxmg.mesh import TetMesh, build_cube_mesh, perturb_interior, refine_uniform
 from auxmg.transfer import build_prolongation
 
 
@@ -92,6 +92,13 @@ class TestProlongationEntries:
             for name in ("row_ptr", "col_idx", "values"):
                 got, want = getattr(P, name), getattr(identity, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_dof_in_no_tet_rejected_by_name(self):
+        # vertex 1 belongs to no tet, so its P1 and P2 DOF 1 has no row;
+        # without the check every later row would move up by one
+        mesh = TetMesh([[0, 0, 0], [5, 5, 5], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 2, 3, 4]])
+        with pytest.raises(ValueError, match="^fine DOF 1 lies in no tet$"):
+            build_prolongation(build_space(mesh, 2), build_space(mesh, 1))
 
     def test_rejects_mismatched_meshes(self):
         fine, _ = make_pair(1, 2)
