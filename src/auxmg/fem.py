@@ -19,6 +19,7 @@ from .csr import CsrMatrix, _csr_from_keys
 from .mesh import TetMesh, sub_simplices
 
 
+@dataclass(eq=False)
 class FeSpace:
     """Scalar continuous P^k Lagrange space.
 
@@ -30,15 +31,17 @@ class FeSpace:
     element_dofs : (nt, n_loc) int array, lattice ordering per tet
     dof_coords : (n_dofs, 3) float array
     is_boundary : (n_dofs,) bool array
+    dof_owner : (n_dofs,) int array, each DOF's last flat position in
+        ``element_dofs``; ``divmod`` by n_loc gives its (tet, slot)
     """
 
-    def __init__(self, mesh, order, n_dofs, element_dofs, dof_coords, is_boundary):
-        self.mesh = mesh
-        self.order = order
-        self.n_dofs = n_dofs
-        self.element_dofs = element_dofs
-        self.dof_coords = dof_coords
-        self.is_boundary = is_boundary
+    mesh: TetMesh
+    order: int
+    n_dofs: int
+    element_dofs: np.ndarray
+    dof_coords: np.ndarray
+    is_boundary: np.ndarray
+    dof_owner: np.ndarray
 
     def interior_indices(self):
         return np.flatnonzero(~self.is_boundary)
@@ -91,19 +94,19 @@ def build_space(mesh: TetMesh, k: int) -> FeSpace:
     element_dofs[:, inner] = base_tet + np.arange(nt * len(inner)).reshape(nt, -1)
     n_dofs = base_tet + nt * len(inner)
 
-    # a DOF shared by several tets takes its coordinates from the last one
-    coords = ((lattice / k) @ mesh.vertices[mesh.tets]).reshape(-1, 3)
-    dofs = element_dofs.ravel()
-    _, last = np.unique(dofs[::-1], return_index=True)
-    last = dofs.size - 1 - last
-    dof_coords = np.zeros((n_dofs, 3))
-    dof_coords[dofs[last]] = coords[last]
+    # a DOF shared by several tets is owned by its last occurrence (the
+    # unbuffered maximum applies every repeat); a vertex no tet uses keeps -1
+    owner = np.full(n_dofs, -1, dtype=np.int64)
+    np.maximum.at(owner, element_dofs.ravel(), np.arange(element_dofs.size))
+    if owner.min() < 0:
+        raise ValueError(f"vertex {np.argmin(owner)} lies in no tet")
+    dof_coords = ((lattice / k) @ mesh.vertices[mesh.tets]).reshape(-1, 3)[owner]
 
     # a DOF lies on the boundary when its support lies in a boundary face,
     # i.e. it has no weight on the owner-tet vertex the face omits
     is_boundary = np.zeros(n_dofs, dtype=bool)
     is_boundary[element_dofs[mesh.boundary_owner][lattice[:, mesh.boundary_opposite].T == 0]] = True
-    return FeSpace(mesh, k, n_dofs, element_dofs, dof_coords, is_boundary)
+    return FeSpace(mesh, k, n_dofs, element_dofs, dof_coords, is_boundary, owner)
 
 
 # -- assembly ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from auxmg import fem, problems, reference
 from auxmg.csr import CsrMatrix, spmv
-from auxmg.fem import FeSpace, assemble_load, assemble_operator, build_space, eliminate_dirichlet, l2_error
+from auxmg.fem import assemble_load, assemble_operator, build_space, eliminate_dirichlet, l2_error
 from auxmg.mesh import TetMesh, build_cube_mesh, perturb_interior
 from auxmg.transfer import build_prolongation
 from tests.test_csr import dense_sym_eigen
@@ -85,12 +86,14 @@ class TestDofEnumeration:
         assert space.n_dofs == 125
         assert len(space.interior_indices()) == 27
 
-    def test_vertex_in_no_tet_keeps_zero_coordinates(self):
+    def test_vertex_in_no_tet_rejected_by_name(self):
+        # such a vertex would get a DOF with no coordinates, no transfer
+        # row and an all-zero stiffness row
         mesh = build_cube_mesh(1)
         mesh = TetMesh(np.vstack([mesh.vertices, [[5.0, 5.0, 5.0]]]), mesh.tets)
-        space = build_space(mesh, 2)
-        assert space.dof_coords.shape == (space.n_dofs, 3)
-        assert np.array_equal(space.dof_coords[8], np.zeros(3))
+        for k in (1, 2, 3, 4):
+            with pytest.raises(ValueError, match="^vertex 8 lies in no tet$"):
+                build_space(mesh, k)
 
     def test_k1_dofs_are_vertices(self):
         mesh = build_cube_mesh(2)
@@ -279,10 +282,7 @@ class TestElimination:
         space = build_space(build_cube_mesh(1), 2)
         A = assemble_operator(space, "mass")
         rhs = np.arange(space.n_dofs, dtype=float)
-        free = FeSpace(
-            space.mesh, space.order, space.n_dofs, space.element_dofs,
-            space.dof_coords, np.zeros(space.n_dofs, dtype=bool),
-        )
+        free = dataclasses.replace(space, is_boundary=np.zeros(space.n_dofs, dtype=bool))
         sys = eliminate_dirichlet(A, rhs, free)
         assert np.array_equal(sys.A.to_dense(), A.to_dense())
         assert np.array_equal(sys.rhs, rhs)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auxmg import reference
 from auxmg.csr import CsrMatrix, spmv, triple_product
@@ -93,13 +95,6 @@ class TestProlongationEntries:
                 got, want = getattr(P, name), getattr(identity, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
 
-    def test_dof_in_no_tet_rejected_by_name(self):
-        # vertex 1 belongs to no tet, so its P1 and P2 DOF 1 has no row;
-        # without the check every later row would move up by one
-        mesh = TetMesh([[0, 0, 0], [5, 5, 5], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 2, 3, 4]])
-        with pytest.raises(ValueError, match="^fine DOF 1 lies in no tet$"):
-            build_prolongation(build_space(mesh, 2), build_space(mesh, 1))
-
     def test_rejects_mismatched_meshes(self):
         fine, _ = make_pair(1, 2)
         other_coarse = build_space(build_cube_mesh(2), 1)
@@ -128,6 +123,45 @@ class TestProlongationEntries:
         coarse_coeffs = f(coarse.dof_coords)
         fine_coeffs = f(fine.dof_coords)
         assert np.max(np.abs(spmv(T.prolongation, coarse_coeffs) - fine_coeffs)) <= 1e-13
+
+
+CUBE = build_cube_mesh(2)
+
+
+@st.composite
+def sub_meshes(draw):
+    """A nonempty subset of CUBE's tets in random row order, each row's
+    vertices rotated, the vertices optionally renumbered to the used ones
+    and followed by a few no tet uses."""
+    rows = draw(st.lists(st.integers(0, CUBE.num_tets - 1), min_size=1, unique=True))
+    shifts = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    tets = np.array([np.roll(CUBE.tets[r], s) for r, s in zip(rows, shifts)])
+    vertices = CUBE.vertices
+    if draw(st.booleans()):
+        used, tets = np.unique(tets, return_inverse=True)
+        vertices, tets = vertices[used], tets.reshape(-1, 4)
+    extra = draw(st.integers(0, 2))
+    return TetMesh(np.vstack([vertices, 5.0 + np.arange(3 * extra).reshape(-1, 3)]), tets)
+
+
+class TestOwnerProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(sub_meshes(), st.integers(1, 4))
+    def test_space_and_transfer_read_one_owner(self, mesh, k):
+        unused = np.flatnonzero(np.bincount(mesh.tets.ravel(), minlength=mesh.num_vertices) == 0)
+        if len(unused):
+            with pytest.raises(ValueError, match=f"^vertex {unused[0]} lies in no tet$"):
+                build_space(mesh, k)
+            return
+        fine = build_space(mesh, k)
+        dofs = fine.element_dofs.ravel()
+        _, last = np.unique(dofs[::-1], return_index=True)
+        owner = dofs.size - 1 - last
+        assert np.array_equal(fine.dof_owner, owner)
+        lattice = np.array(reference.lattice_points(k))
+        coords = ((lattice / k) @ mesh.vertices[mesh.tets]).reshape(-1, 3)
+        assert np.array_equal(fine.dof_coords, coords[owner])
+        assert_tets_agree(build_prolongation(fine, build_space(mesh, 1)).prolongation, fine)
 
 
 class TestGalerkinCoarse:
