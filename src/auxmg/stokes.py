@@ -144,12 +144,10 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
     M_p = assemble_operator(pres, "mass")
     g = _lid_dirichlet_values(vel, lid)
 
-    interior = vel.interior_indices()
-    A_scalar = eliminate_dirichlet(A_full, np.zeros(vel.n_dofs), vel).A
-
     # g vanishes off the boundary, so it is the lift of the Dirichlet data;
     # one (n_full, 3) spmv lifts all three components, stored component-major
-    rhs_u = -spmv(A_full, g)[interior].T.ravel()
+    lifted = eliminate_dirichlet(A_full, -spmv(A_full, g), vel)
+    A_scalar, rhs_u, interior = lifted.A, lifted.rhs.T.ravel(), lifted.interior_to_full
 
     B_blocks = assemble_divergence(vel, pres)
     B_int = scipy.sparse.hstack([b.to_scipy()[:, interior] for b in B_blocks]).tocsr()
