@@ -199,20 +199,21 @@ def perturb_interior(mesh: TetMesh, magnitude=0.2, seed=0) -> TetMesh:
 
     Each interior vertex moves by at most ``magnitude`` times its
     shortest incident edge; boundary vertices stay put so the domain is
-    unchanged.  Deterministic for a fixed seed.  A displacement that
-    reverses a tet raises ValueError naming the first such tet.
+    unchanged, and so does a vertex no tet uses, which has no edge.
+    Deterministic for a fixed seed.  A displacement that reverses a tet
+    raises ValueError naming the first such tet.
     """
     rng = np.random.default_rng(seed)
-    interior = ~mesh.boundary_vertex_mask()
     edges = mesh.edges()
     lengths = np.linalg.norm(mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
     h = np.full(mesh.num_vertices, np.inf)
     np.minimum.at(h, edges[:, 0], lengths)
     np.minimum.at(h, edges[:, 1], lengths)
+    move = ~mesh.boundary_vertex_mask() & np.isfinite(h)
 
     disp = rng.uniform(-1.0, 1.0, size=(mesh.num_vertices, 3)) / np.sqrt(3.0)
     vertices = mesh.vertices.copy()
-    vertices[interior] += magnitude * h[interior, None] * disp[interior]
+    vertices[move] += magnitude * h[move, None] * disp[move]
     flipped = signed_volumes(vertices, mesh.tets) <= 0  # mesh.tets are positively oriented
     if np.any(flipped):
         raise ValueError(f"magnitude {magnitude} reverses tet {int(np.argmax(flipped))}")

@@ -88,6 +88,15 @@ class TestPerturbation:
         b = perturb_interior(build_cube_mesh(2), seed=5)
         assert np.array_equal(a.vertices, b.vertices)
 
+    def test_vertex_in_no_tet_stays_put(self):
+        # it has no edge, so no length to scale a move by; the other
+        # vertices move as they would without it
+        cube = build_cube_mesh(2)
+        extra = TetMesh(np.vstack([cube.vertices, [[5.0, 5.0, 5.0]]]), cube.tets)
+        pert = perturb_interior(extra, seed=5)
+        assert np.array_equal(pert.vertices[27], [5.0, 5.0, 5.0])
+        assert np.array_equal(pert.vertices[:27], perturb_interior(cube, seed=5).vertices)
+
     def test_reversing_displacement_rejected_by_name(self):
         # this move inverts 3 tets; re-oriented, they would tangle the mesh
         # to a total volume of 1.0109812896116335
