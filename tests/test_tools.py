@@ -1,7 +1,8 @@
 """``tools/rss_spread.py`` runs fresh processes on two checkouts and
 prints each side's median, the count of its peaks above the parent's
-median by more than the benchmark's bound, and its sorted peaks.  The
-checked-in ``BENCH_*.json`` files share one schema."""
+median by more than the benchmark's bound, and its sorted peaks; it
+refuses two checkouts whose benchmark files differ.  The checked-in
+``BENCH_*.json`` files share one schema."""
 
 import importlib.util
 import json
@@ -54,6 +55,39 @@ def test_counts_peaks_above_the_parent_median_by_the_bound(rss_spread):
 def test_rejects_bad_arguments(rss_spread, argv):
     with pytest.raises(SystemExit):
         rss_spread.main(argv)
+
+
+def fake_checkout(root: Path, files: dict[str, str]) -> Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+BENCH_FILES = {"BENCHMARK.json": "{}", "perfbench/run.py": "run", "perfbench/bench_trace.py": "trace"}
+
+
+@pytest.mark.parametrize("edit, differs", [
+    ({}, None),
+    ({"perfbench/run.py": "run2"}, "perfbench/run.py"),
+    ({"perfbench/run.py": "run2", "BENCHMARK.json": "[]"}, "BENCHMARK.json"),
+    ({"perfbench/a.py": "new", "perfbench/run.py": "run2"}, "perfbench/a.py"),
+    ({"perfbench/README.md": "notes"}, None),
+])
+def test_names_the_first_benchmark_file_that_differs(rss_spread, tmp_path, edit, differs):
+    parent = fake_checkout(tmp_path / "parent", BENCH_FILES)
+    change = fake_checkout(tmp_path / "change", {**BENCH_FILES, **edit})
+    assert rss_spread.first_difference(parent, change) == differs
+    assert rss_spread.first_difference(change, parent) == differs
+
+
+def test_refuses_checkouts_whose_benchmarks_differ(rss_spread, tmp_path, capsys):
+    parent = fake_checkout(tmp_path / "parent", BENCH_FILES)
+    change = fake_checkout(tmp_path / "change", {**BENCH_FILES, "perfbench/bench_trace.py": "trace2"})
+    with pytest.raises(SystemExit) as exc:
+        rss_spread.main([str(parent), str(change), "--workload", "stokes_p2_qd_n8", "--procs", "1"])
+    assert exc.value.code != 0
+    assert "perfbench/bench_trace.py differs" in capsys.readouterr().err
 
 
 # the keys every checked-in bench file holds; peak-RSS evidence, when a

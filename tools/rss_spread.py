@@ -12,6 +12,10 @@ the benchmark from its perfbench/ (unchanged), does one cold
 each side's median, how many of its processes read above the parent's
 median by more than the ``peak_rss_mb`` bound of ``BENCHMARK.json``, and
 its sorted peaks, in MB.
+
+Both checkouts must hold the same benchmark, byte for byte: the script
+stops with an error naming the first ``BENCHMARK.json`` or
+``perfbench/*.py`` file that differs between them, or that one lacks.
 """
 
 from __future__ import annotations
@@ -32,6 +36,20 @@ def peak_rss_bound(path: Path = BENCHMARK) -> float:
     """The relative ``peak_rss_mb`` bound the benchmark declares."""
     metrics = json.loads(path.read_text())["end_to_end"]
     return next(m["bound"] for m in metrics if m["name"] == "peak_rss_mb")
+
+
+def first_difference(parent: Path, change: Path) -> str | None:
+    """The first benchmark file, ``BENCHMARK.json`` and then the
+    ``perfbench/*.py`` files by name, whose bytes differ between the two
+    checkouts; a file one of them lacks differs.  None when all agree."""
+    names = ["BENCHMARK.json"] + sorted(
+        {p.relative_to(d).as_posix() for d in (parent, change) for p in (d / "perfbench").glob("*.py")}
+    )
+    for name in names:
+        a, b = (d / name for d in (parent, change))
+        if (a.read_bytes() if a.is_file() else None) != (b.read_bytes() if b.is_file() else None):
+            return name
+    return None
 
 
 def report(peaks: dict[str, list[float]], bound: float) -> list[str]:
@@ -99,6 +117,9 @@ def main(argv=None):
     if args.procs < 1:
         ap.error("--procs must be at least 1")
     parent, change = (d.resolve() for d in args.dirs)
+    differs = first_difference(parent, change)
+    if differs is not None:
+        ap.error(f"{differs} differs between {parent} and {change}; each side would run its own benchmark")
     print("\n".join(report(spread(parent, change, args.workload, args.procs), peak_rss_bound())))
     return 0
 
