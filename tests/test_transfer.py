@@ -132,7 +132,7 @@ CUBE = build_cube_mesh(2)
 def sub_meshes(draw):
     """A nonempty subset of CUBE's tets in random row order, each row's
     vertices rotated, the vertices optionally renumbered to the used ones
-    and followed by a few no tet uses."""
+    and followed by up to two that no tet uses."""
     rows = draw(st.lists(st.integers(0, CUBE.num_tets - 1), min_size=1, unique=True))
     shifts = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
     tets = np.array([np.roll(CUBE.tets[r], s) for r, s in zip(rows, shifts)])
