@@ -19,7 +19,7 @@ print(f"cube n=2:   {mesh.num_vertices} vertices, {mesh.num_tets} tets, "
 
 fine = refine_uniform(mesh)
 print(f"refined:    {fine.num_vertices} vertices, {fine.num_tets} tets "
-      f"(= vertices + edges = {mesh.num_vertices} + {len(mesh.edges())})")
+      f"(= vertices + edges = {mesh.num_vertices} + {len(mesh.edges)})")
 
 bumpy = perturb_interior(mesh, magnitude=0.2, seed=42)
 moved = np.linalg.norm(bumpy.vertices - mesh.vertices, axis=1)

@@ -3,9 +3,9 @@
 Degrees of freedom sit at the barycentric lattice points of each tet
 and are deduplicated topologically: one DOF per vertex, k-1 per edge,
 (k-1)(k-2)/2 per face and C(k-1,3) per tet interior.  Global numbering
-is vertices first (DOF id = vertex id), then edges in sorted key order,
-then faces, then interiors, which keeps the enumeration independent of
-element orientation.
+is vertices first (DOF id = vertex id), then the mesh's edges, then its
+faces (both numbered once by the mesh, in sorted key order), then
+interiors, which keeps the enumeration independent of element orientation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import reference
 from .csr import CsrMatrix, _csr_from_keys
-from .mesh import TetMesh, sub_simplices
+from .mesh import _TET_EDGES, TetMesh
 
 
 @dataclass(eq=False)
@@ -69,12 +69,12 @@ def build_space(mesh: TetMesh, k: int) -> FeSpace:
     # edge slots are ordered by the exponent on the lower vertex, descending
     edge = np.flatnonzero(size == 2)
     pairs = np.nonzero(support[edge])[1].reshape(-1, 2)
-    edges, edge_ids = sub_simplices(mesh.tets, pairs)
+    edge_ids = mesh.edge_ids[:, (pairs[:, None] == _TET_EDGES).all(axis=2).argmax(axis=1)]  # each slot's column
     lower_first = mesh.tets[:, pairs[:, 0]] < mesh.tets[:, pairs[:, 1]]
     exps = lattice[edge[:, None], pairs]
     slot = (k - 1) - np.where(lower_first, exps[:, 0], exps[:, 1])
     element_dofs[:, edge] = nv + edge_ids * per_edge + slot
-    base_face = nv + len(edges) * per_edge
+    base_face = nv + len(mesh.edges) * per_edge
 
     # face slots are ordered lexicographically descending in the exponents
     # on the face's sorted vertices
@@ -83,12 +83,12 @@ def build_space(mesh: TetMesh, k: int) -> FeSpace:
     face_slot = np.full((k + 1,) * 3, -1)
     face_slot[tuple(np.array(multis, dtype=np.int64).reshape(-1, 3).T)] = np.arange(len(multis))
     triples = np.nonzero(support[face])[1].reshape(-1, 3)
-    faces, face_ids = sub_simplices(mesh.tets, triples)
+    face_ids = mesh.face_ids[:, 6 - triples.sum(axis=1)]  # face j omits local vertex j
     by_vertex = np.argsort(mesh.tets[:, triples], axis=2)
     exps = np.take_along_axis(lattice[face[:, None], triples][None], by_vertex, axis=2)
     slot = face_slot[exps[..., 0], exps[..., 1], exps[..., 2]]
     element_dofs[:, face] = base_face + face_ids * per_face + slot
-    base_tet = base_face + len(faces) * per_face
+    base_tet = base_face + len(mesh.faces) * per_face
 
     inner = np.flatnonzero(size == 4)
     element_dofs[:, inner] = base_tet + np.arange(nt * len(inner)).reshape(nt, -1)

@@ -49,7 +49,7 @@ def assembly_bytes(problem, k, n):
     Poisson, and of the velocity stiffness plus the three divergence
     blocks for Stokes.  For "prolongation", the P^k and P1 spaces and the
     transfer between them: 26 x 8 B per tet and local P^k DOF, above the
-    53-76 B traced at n = 8 and 12, k = 1..4, on a built mesh (the figure
+    48-76 B traced at n = 8 and 12, k = 1..4, on a built mesh (the figure
     of an earlier transfer, kept so that the export cap does not move)."""
     local = comb(k + 3, 3)
     if problem == "prolongation":

@@ -27,6 +27,10 @@ class TetMesh:
     boundary_owner : (nb,) int array, owning tet of each boundary face
     boundary_opposite : (nb,) int array, the local index (0..3) in the
         owning tet of the vertex each boundary face omits
+    edges, faces : (ne, 2), (nf, 3) int arrays, read-only, the unique
+        sorted vertex pairs and triples in lexicographic order
+    edge_ids, face_ids : (nt, 6), (nt, 4) int arrays, read-only; column j
+        is each tet's edge ``_TET_EDGES[j]``, and its face that omits vertex j
     gradients : (nt, 4, 3) float array, read-only barycentric gradients
     volumes : (nt,) float array, read-only tet volumes
 
@@ -66,7 +70,14 @@ class TetMesh:
             tets[flip, 2], tets[flip, 3] = tets[flip, 3], tets[flip, 2].copy()
         self.tets = tets
         self.gradients, self.volumes = _element_geometry(self.vertices, tets)
-        self.boundary_faces, self.boundary_owner, self.boundary_opposite = _boundary_faces(tets)
+        self.edges, self.edge_ids = sub_simplices(tets, _TET_EDGES)
+        self.faces, self.face_ids = sub_simplices(tets, _TET_FACES)
+        counts = np.bincount(self.face_ids.ravel(), minlength=len(self.faces))
+        if np.any(counts > 2):
+            raise ValueError("non-conforming mesh: a face is shared by more than 2 tets")
+        # a face of one tet only lies on the boundary; face j omits the tet's vertex j
+        self.boundary_owner, self.boundary_opposite = np.nonzero(counts[self.face_ids] == 1)
+        self.boundary_faces = self.faces[self.face_ids[self.boundary_owner, self.boundary_opposite]]
 
     @property
     def num_vertices(self):
@@ -75,10 +86,6 @@ class TetMesh:
     @property
     def num_tets(self):
         return self.tets.shape[0]
-
-    def edges(self):
-        """All unique edges as a (ne, 2) array of sorted vertex pairs."""
-        return sub_simplices(self.tets, _TET_EDGES)[0]
 
     def boundary_vertex_mask(self):
         mask = np.zeros(self.num_vertices, dtype=bool)
@@ -108,7 +115,7 @@ def sub_simplices(tets, local):
     """Sub-simplices of every tet spanned by the ``local`` vertex tuples.
 
     Returns the unique sorted global vertex tuples, in lexicographic
-    order, and the (nt, len(local)) ids into them.
+    order, and the (nt, len(local)) ids into them, both read-only.
     """
     keys = np.sort(tets[:, local], axis=2).reshape(-1, np.shape(local)[1])
     # fold one column at a time into the rank of the tuple prefix, so the
@@ -119,6 +126,7 @@ def sub_simplices(tets, local):
         _, ids = np.unique(ids * radix + column, return_inverse=True)
     uniq = np.empty((int(ids.max(initial=-1)) + 1, keys.shape[1]), dtype=keys.dtype)
     uniq[ids] = keys
+    uniq.flags.writeable = ids.flags.writeable = False
     return uniq, ids.reshape(len(tets), len(local))
 
 
@@ -146,18 +154,6 @@ def _element_geometry(vertices, tets):
     return grads, vol
 
 
-def _boundary_faces(tets):
-    """Boundary faces, their owning tets and the local index of the vertex
-    each omits: face j of a tet omits its vertex j."""
-    faces, ids = sub_simplices(tets, _TET_FACES)
-    counts = np.bincount(ids.ravel(), minlength=len(faces))
-    if np.any(counts > 2):
-        raise ValueError("non-conforming mesh: a face is shared by more than 2 tets")
-    once = counts[ids] == 1
-    owner, opposite = np.nonzero(once)
-    return faces[ids[once]], owner, opposite
-
-
 def build_cube_mesh(n: int) -> TetMesh:
     """Kuhn subdivision of the unit cube into 6 n^3 tets.
 
@@ -166,8 +162,8 @@ def build_cube_mesh(n: int) -> TetMesh:
     monotone lattice paths from its lowest to its highest corner, which
     makes neighbouring cubes conform.
     """
-    if n < 1:
-        raise ValueError("need at least 1 subdivision per axis")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an int of at least 1 subdivision per axis, got {n!r}")
     side = n + 1
     g = np.arange(side)
     X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
@@ -185,11 +181,10 @@ def refine_uniform(mesh: TetMesh) -> TetMesh:
     New vertex count = old vertices + old edges; the interior octahedron
     of each tet is cut along the fixed m02-m13 diagonal.
     """
-    edges, edge_ids = sub_simplices(mesh.tets, _TET_EDGES)
-    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
     # columns v0..v3, m01, m02, m03, m12, m13, m23
-    nodes = np.hstack([mesh.tets, mesh.num_vertices + edge_ids])
+    nodes = np.hstack([mesh.tets, mesh.num_vertices + mesh.edge_ids])
     tets = nodes[:, _RED_CHILDREN].reshape(-1, 4)
     return TetMesh(vertices, tets)
 
@@ -200,15 +195,19 @@ def perturb_interior(mesh: TetMesh, magnitude=0.2, seed=0) -> TetMesh:
     Each interior vertex moves by at most ``magnitude`` times its
     shortest incident edge; boundary vertices stay put so the domain is
     unchanged, and so does a vertex no tet uses, which has no edge.
-    Deterministic for a fixed seed.  A displacement that reverses a tet
-    raises ValueError naming the first such tet.
+    Deterministic for a fixed seed.  A ValueError names a bad ``magnitude``
+    or ``seed`` before any work, or the first tet a displacement reverses.
     """
+    real = isinstance(magnitude, (int, float, np.integer, np.floating)) and not isinstance(magnitude, bool)
+    if not (real and np.isfinite(magnitude)):
+        raise ValueError(f"magnitude must be a finite real number, got {magnitude!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     rng = np.random.default_rng(seed)
-    edges = mesh.edges()
-    lengths = np.linalg.norm(mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
+    lengths = np.linalg.norm(mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]], axis=1)
     h = np.full(mesh.num_vertices, np.inf)
-    np.minimum.at(h, edges[:, 0], lengths)
-    np.minimum.at(h, edges[:, 1], lengths)
+    np.minimum.at(h, mesh.edges[:, 0], lengths)
+    np.minimum.at(h, mesh.edges[:, 1], lengths)
     move = ~mesh.boundary_vertex_mask() & np.isfinite(h)
 
     disp = rng.uniform(-1.0, 1.0, size=(mesh.num_vertices, 3)) / np.sqrt(3.0)

@@ -7,14 +7,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auxmg import fem, problems, reference
 from auxmg.csr import CsrMatrix, spmv
 from auxmg.fem import assemble_load, assemble_operator, build_space, eliminate_dirichlet, l2_error
-from auxmg.mesh import TetMesh, build_cube_mesh, perturb_interior
+from auxmg.mesh import TetMesh, build_cube_mesh, perturb_interior, sub_simplices
 from auxmg.transfer import build_prolongation
 from tests.test_csr import dense_sym_eigen
 from tests.test_mesh import REFERENCE_TET
+from tests.test_transfer import sub_meshes
 
 
 def integrate_barycentric_monomial(exponents, volume) -> float:
@@ -76,7 +79,59 @@ class TestReference:
             assert abs(approx - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
+def per_slot_element_dofs(mesh, k):
+    """``element_dofs`` as numbered from each lattice slot's own
+    enumeration of the sub-simplices its local vertex tuple spans."""
+    lattice = np.array(reference.lattice_points(k))
+    support = lattice > 0
+    size = support.sum(axis=1)
+    nt, nv = mesh.num_tets, mesh.num_vertices
+    per_edge, per_face = k - 1, (k - 1) * (k - 2) // 2
+    dofs = np.empty((nt, len(lattice)), dtype=np.int64)
+    vert = np.flatnonzero(size == 1)
+    dofs[:, vert] = mesh.tets[:, np.argmax(support[vert], axis=1)]
+    # an edge slot counts down the exponent on the edge's lower vertex
+    edge = np.flatnonzero(size == 2)
+    pairs = np.nonzero(support[edge])[1].reshape(-1, 2)
+    edges, edge_ids = sub_simplices(mesh.tets, pairs)
+    exps = lattice[edge[:, None], pairs]
+    lower_first = mesh.tets[:, pairs[:, 0]] < mesh.tets[:, pairs[:, 1]]
+    dofs[:, edge] = nv + edge_ids * per_edge + (k - 1) - np.where(lower_first, exps[:, 0], exps[:, 1])
+    base_face = nv + len(edges) * per_edge
+    # a face slot ranks its exponents on the sorted vertices, descending
+    face = np.flatnonzero(size == 3)
+    multis = [(a, b, k - a - b) for a in range(k - 1, 0, -1) for b in range(k - a - 1, 0, -1)]
+    triples = np.nonzero(support[face])[1].reshape(-1, 3)
+    faces, face_ids = sub_simplices(mesh.tets, triples)
+    by_vertex = np.argsort(mesh.tets[:, triples], axis=2)
+    exps = np.take_along_axis(lattice[face[:, None], triples][None], by_vertex, axis=2)
+    slot = np.array([multis.index(tuple(e)) for e in exps.reshape(-1, 3).tolist()], dtype=np.int64)
+    dofs[:, face] = base_face + face_ids * per_face + slot.reshape(nt, -1)
+    base_tet = base_face + len(faces) * per_face
+    inner = np.flatnonzero(size == 4)
+    dofs[:, inner] = base_tet + np.arange(nt * len(inner)).reshape(nt, -1)
+    return dofs
+
+
 class TestDofEnumeration:
+    @settings(max_examples=100, deadline=None)
+    @given(sub_meshes(), st.integers(1, 4))
+    def test_mesh_numbering_gives_the_per_slot_dofs(self, mesh, k):
+        used, tets = np.unique(mesh.tets, return_inverse=True)  # a vertex in no tet has no DOF
+        mesh = TetMesh(mesh.vertices[used], tets.reshape(-1, 4))
+        assert np.array_equal(build_space(mesh, k).element_dofs, per_slot_element_dofs(mesh, k))
+
+    def test_reads_the_mesh_numbering(self, monkeypatch):
+        mesh = perturb_interior(build_cube_mesh(2), seed=1)
+        want = [build_space(mesh, k).element_dofs for k in (1, 2, 3, 4)]
+
+        def unique(*args, **kwargs):
+            raise AssertionError("enumerated sub-simplices")
+
+        monkeypatch.setattr(np, "unique", unique)
+        for k in (1, 2, 3, 4):
+            assert np.array_equal(build_space(mesh, k).element_dofs, want[k - 1])
+
     def test_cube_k2_counts(self):
         space = build_space(build_cube_mesh(1), 2)
         assert space.n_dofs == 27  # (k n + 1)^3 on Kuhn meshes

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from auxmg import mesh as mesh_module
 from auxmg.mesh import TetMesh, build_cube_mesh, perturb_interior, read_mesh, refine_uniform, write_mesh
+from tests.test_transfer import sub_meshes
 
 REFERENCE_TET = TetMesh(
     np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
@@ -33,6 +36,12 @@ class TestCubeMesh:
         with pytest.raises(ValueError):
             build_cube_mesh(0)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, float("nan"), True, "2", -1])
+    def test_bad_n_rejected_by_name(self, n):
+        # a float reached numpy's arange, and True built a 1-cube
+        with pytest.raises(ValueError, match=r"^n must be an int of at least 1 subdivision per axis, got "):
+            build_cube_mesh(n)
+
     def test_conformity(self):
         # every face appears once (boundary) or twice (interior)
         mesh = build_cube_mesh(2)
@@ -63,7 +72,7 @@ class TestRefinement:
     def test_vertex_count_is_vertices_plus_edges(self):
         mesh = build_cube_mesh(2)
         fine = refine_uniform(mesh)
-        assert fine.num_vertices == mesh.num_vertices + len(mesh.edges())
+        assert fine.num_vertices == mesh.num_vertices + len(mesh.edges)
 
     def test_conforming_after_refinement(self):
         fine = refine_uniform(build_cube_mesh(2))  # constructor checks conformity
@@ -102,6 +111,51 @@ class TestPerturbation:
         # to a total volume of 1.0109812896116335
         with pytest.raises(ValueError, match=r"^magnitude 1.0 reverses tet 28$"):
             perturb_interior(build_cube_mesh(3), magnitude=1.0, seed=0)
+
+    @pytest.mark.parametrize("magnitude", [float("inf"), float("nan"), "x", True])
+    def test_bad_magnitude_rejected_by_name(self, magnitude):
+        with pytest.raises(ValueError, match=r"^magnitude must be a finite real number, got "):
+            perturb_interior(build_cube_mesh(2), magnitude=magnitude)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, False])
+    def test_bad_seed_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative int, got "):
+            perturb_interior(build_cube_mesh(2), seed=seed)
+
+
+# the local vertex pairs of the edge ids' columns, and the triples of the
+# face ids' columns: face j omits local vertex j
+LOCAL_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+LOCAL_FACES = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
+
+
+class TestNumbering:
+    @settings(max_examples=100, deadline=None)
+    @given(sub_meshes())
+    def test_ids_name_each_tets_sorted_tuples(self, mesh):
+        for uniq, ids, local in ((mesh.edges, mesh.edge_ids, LOCAL_EDGES),
+                                 (mesh.faces, mesh.face_ids, LOCAL_FACES)):
+            assert np.array_equal(uniq[ids], np.sort(mesh.tets[:, local], axis=2))
+            rows = [tuple(r) for r in uniq.tolist()]
+            assert rows == sorted(set(rows))  # unique, in lexicographic order
+            assert np.array_equal(np.unique(ids), np.arange(len(uniq)))  # every tuple is some tet's
+            assert not (uniq.flags.writeable or ids.flags.writeable)
+
+    def test_refine_and_perturb_enumerate_nothing(self, monkeypatch):
+        mesh = build_cube_mesh(2)
+        want = [refine_uniform(mesh), perturb_interior(mesh, seed=3)]
+
+        def unique(*args, **kwargs):
+            raise AssertionError("enumerated sub-simplices")
+
+        # building the returned mesh numbers its own edges and faces, so a
+        # stand-in takes the constructor's place
+        monkeypatch.setattr(np, "unique", unique)
+        monkeypatch.setattr(mesh_module, "TetMesh", lambda vertices, tets: (vertices, tets))
+        got = [refine_uniform(mesh), perturb_interior(mesh, seed=3)]
+        for (vertices, tets), new in zip(got, want):
+            assert np.array_equal(vertices, new.vertices)
+            assert np.array_equal(np.sort(tets, axis=1), np.sort(new.tets, axis=1))
 
 
 class TestMeshIO:
