@@ -54,6 +54,7 @@ def build_space(mesh: TetMesh, k: int) -> FeSpace:
     """Enumerate the conforming P^k space over ``mesh``."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (1, 2, 3, 4):
         raise ValueError(f"unsupported polynomial order {k}")
+    k = int(k)  # a numpy integer would make n_dofs one too
     lattice = np.array(reference.lattice_points(k))
     support = lattice > 0
     size = support.sum(axis=1)

@@ -63,15 +63,9 @@ class TetMesh:
         if tets.min() < 0 or tets.max() >= nv:
             bad = int(np.argmax(np.any((tets < 0) | (tets >= nv), axis=1)))
             raise ValueError(f"tet {bad} has a vertex index outside 0..{nv - 1}: {tets[bad].tolist()}")
-        vol = signed_volumes(self.vertices, tets)
-        flip = vol < 0
-        if np.any(flip):
-            tets = tets.copy()
-            tets[flip, 2], tets[flip, 3] = tets[flip, 3], tets[flip, 2].copy()
-        self.tets = tets
-        self.gradients, self.volumes = _element_geometry(self.vertices, tets)
-        self.edges, self.edge_ids = sub_simplices(tets, _TET_EDGES)
-        self.faces, self.face_ids = sub_simplices(tets, _TET_FACES)
+        self.tets, self.gradients, self.volumes = _element_geometry(self.vertices, tets)
+        self.edges, self.edge_ids = sub_simplices(self.tets, _TET_EDGES)
+        self.faces, self.face_ids = sub_simplices(self.tets, _TET_FACES)
         counts = np.bincount(self.face_ids.ravel(), minlength=len(self.faces))
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: a face is shared by more than 2 tets")
@@ -130,28 +124,27 @@ def sub_simplices(tets, local):
     return uniq, ids.reshape(len(tets), len(local))
 
 
-def signed_volumes(vertices, tets):
-    v = vertices[tets]
-    d = v[:, 1:] - v[:, :1]
-    return np.linalg.det(d) / 6.0
-
-
 def _element_geometry(vertices, tets):
-    """Read-only barycentric gradients (nt, 4, 3) and volumes (nt,) of
-    positively oriented tets; a ValueError names the first tet whose
-    volume is not positive."""
+    """The tets positively oriented, with their read-only barycentric
+    gradients (nt, 4, 3) and volumes (nt,).  A reversed tet swaps its last
+    two vertices, and so its last two edge columns, and is measured again;
+    a ValueError names the first tet whose volume is not positive."""
     v = vertices[tets]
     J = (v[:, 1:] - v[:, :1]).transpose(0, 2, 1)  # columns are edge vectors
     vol = np.linalg.det(J) / 6.0
+    flip = vol < 0
+    if np.any(flip):
+        tets = tets.copy()
+        tets[flip, 2:] = tets[flip, 3:1:-1]
+        J[flip] = J[flip][:, :, [0, 2, 1]]
+        vol[flip] = np.linalg.det(J[flip]) / 6.0
     if np.any(vol <= 0):
         bad = int(np.argmin(vol))
         raise ValueError(f"tet {bad} has nonpositive volume {vol[bad]:g}")
     Jinv = np.linalg.inv(J)
-    grads = np.empty((len(tets), 4, 3))
-    grads[:, 1:, :] = Jinv
-    grads[:, 0, :] = -Jinv.sum(axis=1)
+    grads = np.concatenate([-Jinv.sum(axis=1, keepdims=True), Jinv], axis=1)
     grads.flags.writeable = vol.flags.writeable = False
-    return grads, vol
+    return tets, grads, vol
 
 
 def build_cube_mesh(n: int) -> TetMesh:
@@ -164,7 +157,7 @@ def build_cube_mesh(n: int) -> TetMesh:
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an int of at least 1 subdivision per axis, got {n!r}")
-    side = n + 1
+    side = int(n) + 1  # np.int8(5) ** 3 would wrap
     g = np.arange(side)
     X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
     vertices = np.stack([X, Y, Z], axis=-1).reshape(-1, 3) / float(n)
@@ -206,17 +199,17 @@ def perturb_interior(mesh: TetMesh, magnitude=0.2, seed=0) -> TetMesh:
     rng = np.random.default_rng(seed)
     lengths = np.linalg.norm(mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]], axis=1)
     h = np.full(mesh.num_vertices, np.inf)
-    np.minimum.at(h, mesh.edges[:, 0], lengths)
-    np.minimum.at(h, mesh.edges[:, 1], lengths)
+    np.minimum.at(h, mesh.edges, lengths[:, None])
     move = ~mesh.boundary_vertex_mask() & np.isfinite(h)
 
     disp = rng.uniform(-1.0, 1.0, size=(mesh.num_vertices, 3)) / np.sqrt(3.0)
     vertices = mesh.vertices.copy()
     vertices[move] += magnitude * h[move, None] * disp[move]
-    flipped = signed_volumes(vertices, mesh.tets) <= 0  # mesh.tets are positively oriented
+    moved = TetMesh(vertices, mesh.tets)
+    flipped = np.any(moved.tets != mesh.tets, axis=1)  # the rows its constructor reoriented
     if np.any(flipped):
         raise ValueError(f"magnitude {magnitude} reverses tet {int(np.argmax(flipped))}")
-    return TetMesh(vertices, mesh.tets)
+    return moved
 
 
 # -- plain-text mesh format (.node / .ele) --------------------------------

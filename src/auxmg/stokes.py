@@ -168,6 +168,8 @@ def assemble_stokes(mesh: TetMesh, k: int, lid_velocity=(1.0, 0.0, 0.0)) -> Stok
 def project_pressure_mean(p, M_p: CsrMatrix):
     """Remove the mass-weighted mean: p - (1'M_p p / 1'M_p 1) 1."""
     p = np.asarray(p, dtype=np.float64)
+    if p.shape != (M_p.nrows,):
+        raise ValueError(f"p must hold the {M_p.nrows} pressure values of M_p, got shape {p.shape}")
     w = spmv(M_p, np.ones(M_p.nrows))
     return p - (w @ p) / w.sum()
 
@@ -279,6 +281,8 @@ def solve_cavity(S: StokesSystem, precond_kind="Qt", coarse_engine="gamg",
     report.
     """
     cfg = _solver_config(precond_kind, cfg)
+    if x0 is not None and np.shape(x0) != (S.dim,):
+        raise ValueError(f"x0 must hold the system's {S.dim} unknowns, got shape {np.shape(x0)}")
     M = build_block_preconditioner(S, kind=precond_kind, engine=coarse_engine, theta=theta)
     return _solve_preconditioned(S, M, cfg, x0)
 
@@ -287,10 +291,7 @@ def _solve_preconditioned(S: StokesSystem, M: BlockPreconditioner, cfg: SolverCo
     """The Krylov part of :func:`solve_cavity` with a ready preconditioner."""
     _solver_config(M.kind, cfg)
     b = S.rhs()
-    if x0 is None:
-        x0 = np.zeros(S.dim)
-    else:
-        x0 = np.array(x0, dtype=np.float64)
+    x0 = np.zeros(S.dim) if x0 is None else np.array(x0, dtype=np.float64)
     u0, p0 = S.split(x0)
     x0 = np.concatenate([u0, project_pressure_mean(p0, S.M_p)])
 

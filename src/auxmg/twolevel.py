@@ -36,9 +36,10 @@ class TwoLevelPreconditioner(VCyclePreconditioner):
     products P^T U and L P (for the plain form P^T L and U P), so an
     action is its sweeps' triangular substitutions around the coarse
     solve and makes no pass over A (see :func:`smooth_and_correct`).  A
-    ValueError names an unknown ``coarse``, a ``theta`` outside (0, 1),
-    the first entry of A or P that is not finite, or the first row of A
-    whose diagonal entry is zero, before any setup work.
+    ValueError names an unknown ``coarse``, a ``theta`` outside (0, 1), a
+    ``presmooth`` that is not a bool, the first entry of A or P that is
+    not finite, or the first row of A whose diagonal entry is zero, before
+    any setup work.
 
     Parameters
     ----------
@@ -63,6 +64,8 @@ class TwoLevelPreconditioner(VCyclePreconditioner):
             raise ValueError(f"unknown coarse solver {coarse!r}")
         if not 0.0 < theta < 1.0:
             raise ValueError(f"theta must lie in (0,1), got {theta}")
+        if not isinstance(presmooth, (bool, np.bool_)):
+            raise ValueError(f"presmooth must be a bool, got {presmooth!r}")
         check_finite(A, "A")
         check_finite(P, "P")
         checked_diagonal(A, "A")

@@ -280,6 +280,15 @@ class TestBadInput:
     def test_numpy_integer_order_accepted(self):
         assert build_space(build_cube_mesh(1), np.int64(2)).n_dofs == 27
 
+    def test_numpy_integer_order_stored_as_an_int(self):
+        # a numpy order made n_dofs a numpy scalar, which the CSR build of
+        # assembly could not take
+        mesh = build_cube_mesh(2)
+        space = build_space(mesh, np.int64(2))
+        assert type(space.order) is int and type(space.n_dofs) is int
+        got, want = (assemble_operator(s, "stiffness") for s in (space, build_space(mesh, 2)))
+        assert np.array_equal(got.to_dense(), want.to_dense())
+
     def test_unknown_form_named_before_the_keys(self):
         space = build_space(build_cube_mesh(1), 2)
         with mock.patch.object(fem, "_element_keys", side_effect=RuntimeError("keys formed")):
@@ -330,6 +339,11 @@ class TestPoissonSetup:
                 mock.patch.object(problems, "build_prolongation", side_effect=prolongation):
             problems.poisson_setup(2, 2)
         assert len(full) == 1 and live == []
+
+    def test_numpy_integer_order_sets_up(self):
+        got, want = problems.poisson_setup(2, np.int64(2)), problems.poisson_setup(2, 2)
+        assert type(got.fine_space.order) is int
+        assert np.array_equal(got.system.A.to_dense(), want.system.A.to_dense())
 
 
 class TestElimination:

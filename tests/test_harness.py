@@ -221,6 +221,11 @@ class TestRunExperiment:
         assert row.converged and row.error == ""
         assert row.n_dofs == 1  # (n-1)^3 interior vertices
 
+    def test_numpy_integer_order_runs(self):
+        # an AttributeError from assembly used to escape the sweep
+        cfg = ExperimentConfig(problem="poisson", k=np.int64(2), refinements=[2], theta_values=[0.25])
+        assert _untimed(run_experiment(cfg)) == _untimed(run_experiment(replace(cfg, k=2)))
+
     def test_gamg_poisson_row(self):
         cfg = ExperimentConfig(problem="poisson", k=2, refinements=[2],
                                theta_values=[0.25], engine="gamg")

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,13 @@ class TestCubeMesh:
         # a float reached numpy's arange, and True built a 1-cube
         with pytest.raises(ValueError, match=r"^n must be an int of at least 1 subdivision per axis, got "):
             build_cube_mesh(n)
+
+    @pytest.mark.parametrize("n", [np.int8(5), np.uint8(5), np.int64(5)])
+    def test_numpy_integer_n_builds_the_int_mesh(self, n):
+        # (n + 1) ** 3 vertex ids would wrap in int8 and uint8
+        want = build_cube_mesh(5)
+        got = build_cube_mesh(n)
+        assert np.array_equal(got.vertices, want.vertices) and np.array_equal(got.tets, want.tets)
 
     def test_conformity(self):
         # every face appears once (boundary) or twice (interior)
@@ -149,9 +158,9 @@ class TestNumbering:
             raise AssertionError("enumerated sub-simplices")
 
         # building the returned mesh numbers its own edges and faces, so a
-        # stand-in takes the constructor's place
+        # stand-in takes the constructor's place; perturbation reads its tets
         monkeypatch.setattr(np, "unique", unique)
-        monkeypatch.setattr(mesh_module, "TetMesh", lambda vertices, tets: (vertices, tets))
+        monkeypatch.setattr(mesh_module, "TetMesh", namedtuple("Built", "vertices tets"))
         got = [refine_uniform(mesh), perturb_interior(mesh, seed=3)]
         for (vertices, tets), new in zip(got, want):
             assert np.array_equal(vertices, new.vertices)
@@ -260,6 +269,43 @@ class TestOrientation:
         flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="tet 0"):
             TetMesh(flat, np.array([[0, 1, 2, 3]]))
+
+
+def det_count(monkeypatch):
+    """The number of matrices that reach ``np.linalg.det`` from now on, as a
+    one-element list."""
+    count, det = [0], np.linalg.det
+
+    def counted(a):
+        count[0] += len(a)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    return count
+
+
+class TestOneDeterminant:
+    # the Kuhn cube's 6 paths are half even and half odd permutations, so
+    # half its tets arrive reversed and are measured twice
+    def test_cube_measures_each_tet_once_and_each_reversed_tet_again(self, monkeypatch):
+        count = det_count(monkeypatch)
+        build_cube_mesh(2)
+        assert count[0] == 48 + 24
+
+    def test_perturbation_measures_each_tet_once(self, monkeypatch):
+        cube = build_cube_mesh(2)
+        count = det_count(monkeypatch)
+        perturb_interior(cube)
+        assert count[0] == 48
+
+    def test_a_reoriented_tet_reads_as_if_given_oriented(self):
+        # every row reversed: each is swapped back, and its gradients and
+        # volume are bit for bit those of the oriented row
+        cube = build_cube_mesh(2)
+        reversed_ = TetMesh(cube.vertices, cube.tets[:, [0, 1, 3, 2]])
+        assert np.array_equal(reversed_.tets, cube.tets)
+        assert np.array_equal(reversed_.gradients, cube.gradients)
+        assert np.array_equal(reversed_.volumes, cube.volumes)
 
 
 class TestMalformedInput:

@@ -4,7 +4,9 @@ either build or raise a ValueError (``NotPositiveDefiniteError`` and
 ``CoarseLevelTooLargeError`` are ValueErrors), and never emit a
 RuntimeWarning on the way.  On random small symmetric matrices,
 ``build_hierarchy`` and one V-cycle either run or raise a ValueError or a
-LinAlgError, again without a RuntimeWarning."""
+LinAlgError, again without a RuntimeWarning.  Above them, the calls that
+take a mesh size or an order either return, with Python-int orders and DOF
+counts, or raise a ValueError, whatever int-like or other value they get."""
 
 import warnings
 from functools import lru_cache
@@ -15,7 +17,11 @@ from hypothesis import strategies as st
 
 from auxmg.amg import VCyclePreconditioner, build_hierarchy
 from auxmg.csr import CsrMatrix
+from auxmg.fem import FeSpace, build_space
+from auxmg.harness import ExperimentConfig, run_experiment
+from auxmg.mesh import TetMesh, build_cube_mesh
 from auxmg.problems import poisson_setup
+from auxmg.stokes import assemble_stokes
 from auxmg.twolevel import TwoLevelPreconditioner
 from tests.test_amg import laplace_1d
 
@@ -105,3 +111,51 @@ def test_random_matrix_builds_and_cycles_or_raises(A, coarse_size):
             VCyclePreconditioner(build_hierarchy(A, coarse_size=coarse_size)).apply(np.ones(A.nrows))
         except (ValueError, np.linalg.LinAlgError):
             pass
+
+
+def integer_likes(low, high):
+    """What an int parameter in low..high may be handed: an int, a numpy
+    integer scalar, a bool, a whole or fractional float, NaN or a string."""
+    ints = st.integers(low, high)
+    return st.one_of(
+        ints,
+        st.tuples(st.sampled_from([np.int8, np.int32, np.int64]), ints).map(lambda t: t[0](t[1])),
+        st.integers(0, high).map(np.uint8),
+        st.booleans(),
+        ints.map(float),
+        ints.map(lambda i: i + 0.5),
+        st.just(float("nan")),
+        st.sampled_from(["2", "two", ""]),
+    )
+
+
+# each call with its one drawn argument, and that argument's range of ints
+SIZED_CALLS = {
+    "build_cube_mesh(n)": (build_cube_mesh, -1, 3),
+    "build_space(cube, k)": (lambda k: build_space(build_cube_mesh(2), k), -1, 5),
+    "poisson_setup(n, 2)": (lambda n: poisson_setup(n, 2), -1, 2),
+    "poisson_setup(2, k)": (lambda k: poisson_setup(2, k), -1, 5),
+    "assemble_stokes(cube, k)": (lambda k: assemble_stokes(build_cube_mesh(2), k), -1, 5),
+    "run_experiment(k)": (lambda k: run_experiment(ExperimentConfig(k=k, refinements=[2], theta_values=[0.25])), -1, 5),
+    "run_experiment(n)": (lambda n: run_experiment(ExperimentConfig(refinements=[n], theta_values=[0.25])), -1, 2),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(SIZED_CALLS)), data=st.data())
+def test_integer_like_argument_returns_or_raises_a_value_error(name, data):
+    call, low, high = SIZED_CALLS[name]
+    arg = data.draw(integer_likes(low, high), label="arg")
+    try:
+        result = call(arg)
+    except ValueError:
+        return
+    if isinstance(result, list):  # run_experiment's rows
+        assert all(row.error == "" and type(row.n_dofs) is int for row in result)
+    elif isinstance(result, TetMesh):
+        assert result.num_tets == 6 * int(arg) ** 3
+    else:
+        spaces = [result] if isinstance(result, FeSpace) else [v for v in vars(result).values() if isinstance(v, FeSpace)]
+        assert spaces
+        for space in spaces:
+            assert type(space.order) is int and type(space.n_dofs) is int

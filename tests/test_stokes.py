@@ -59,6 +59,12 @@ class TestAssembly:
         assert S.n_pressure == 8
         assert S.n_velocity == 3  # one interior scalar DOF
 
+    def test_numpy_integer_order_assembles(self):
+        mesh = build_cube_mesh(2)
+        got, want = assemble_stokes(mesh, np.int64(2)), assemble_stokes(mesh, 2)
+        assert type(got.velocity_space.order) is int and type(got.pressure_space.order) is int
+        assert np.array_equal(got.B.to_dense(), want.B.to_dense())
+
     def test_rejects_unstable_pair(self):
         with pytest.raises(ValueError):
             assemble_stokes(build_cube_mesh(1), 1)
@@ -188,6 +194,11 @@ class TestPressureProjection:
     def test_identity_weight_is_arithmetic_mean(self):
         q = project_pressure_mean(np.array([1.0, 2.0, 3.0]), CsrMatrix.identity(3))
         assert np.allclose(q, [-1.0, 0.0, 1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("p", [np.zeros(3), np.zeros((4, 1)), 1.0])
+    def test_wrong_length_named(self, p):
+        with pytest.raises(ValueError, match=r"^p must hold the 4 pressure values of M_p, got shape "):
+            project_pressure_mean(p, CsrMatrix.identity(4))
 
 
 class _ExactBlocks:
@@ -335,6 +346,16 @@ class TestCavitySolve:
         S = assemble_stokes(build_cube_mesh(1), 2)
         with pytest.raises(ValueError, match=f"^method '{method}' does not suit the {kind} form"):
             solve_cavity(S, precond_kind=kind, cfg=SolverConfig(method=method))
+
+    @pytest.mark.parametrize("x0", [np.zeros(3), [0.0] * 4, np.zeros((1, 4))])
+    def test_wrong_length_guess_named_before_setup(self, x0, monkeypatch):
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the preconditioner was built before x0 was checked")
+
+        monkeypatch.setattr(stokes, "build_block_preconditioner", no_setup)
+        S = assemble_stokes(build_cube_mesh(1), 2)
+        with pytest.raises(ValueError, match=rf"^x0 must hold the system's {S.dim} unknowns, got shape "):
+            solve_cavity(S, "Qd", x0=x0)
 
     def test_ready_qt_preconditioner_rejects_minres(self):
         S = assemble_stokes(build_cube_mesh(2), 2)

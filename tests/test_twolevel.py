@@ -150,6 +150,26 @@ class TestTwoLevelApply:
         with pytest.raises(ValueError, match="^unknown coarse solver 'bogus'$"):
             TwoLevelPreconditioner(A, P, coarse="bogus")
 
+    @pytest.mark.parametrize("presmooth", ["no", 1, 0, None, np.array([True])])
+    def test_non_bool_presmooth_rejected_before_setup(self, monkeypatch, presmooth):
+        A, P, _ = two_level(2, 2, coarse="exact")
+
+        def no_setup(*args):
+            raise AssertionError(f"a product formed for presmooth = {presmooth!r}")
+
+        monkeypatch.setattr(twolevel, "triple_product", no_setup)
+        monkeypatch.setattr(csr.GaussSeidel, "coarse_products", no_setup)
+        with pytest.raises(ValueError, match=r"^presmooth must be a bool, got "):
+            TwoLevelPreconditioner(A, P, presmooth=presmooth)
+
+    def test_numpy_bool_presmooth_accepted(self):
+        A, P, _ = two_level(2, 2, coarse="exact", presmooth=False)
+        r = np.arange(A.nrows, dtype=np.float64)
+        for presmooth in (np.False_, np.True_):
+            got = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=presmooth).apply(r)
+            want = TwoLevelPreconditioner(A, P, coarse="exact", presmooth=bool(presmooth)).apply(r)
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("coarse", ["amg", "exact"])
     @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, np.nan])
     def test_invalid_theta_rejected_before_setup(self, monkeypatch, theta, coarse):
